@@ -8,6 +8,7 @@
 //! Every `E`-class verdict is cross-validated dynamically in
 //! `tests/analyze.rs`: the explorer must witness the bad schedule.
 
+use parc_trace::json_escape;
 use parc_util::Table;
 
 use crate::ast::Span;
@@ -224,27 +225,6 @@ pub fn summary_table(title: &str, diags: &[Diagnostic]) -> String {
         }
     }
     table.render()
-}
-
-/// Escape a string for embedding in a JSON string literal. Covers
-/// quotes, backslashes and every control character below 0x20 —
-/// exported so drivers emitting their own JSON (fixture names, source
-/// snippets) escape identically instead of interpolating raw.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Export diagnostics as a machine-readable JSON array (hand-rolled;

@@ -54,6 +54,7 @@ use faultsim::{FaultInjector, FaultStorm, RetryPolicy, StormPhase};
 use parc_loadgen::ArrivalProcess;
 use parc_supervise::{ChildError, Supervisor, SupervisionReport};
 use parc_trace::{LatencyHistogram, MarkKind, MarkingTag, SpanKind, TraceHandle};
+use parc_util::fnv1a;
 use parc_util::rng::{SplitMix64, Xoshiro256};
 use partask::TaskRuntime;
 
@@ -233,7 +234,7 @@ pub fn run_cell(
     assert!(cfg.markers > 0 && cfg.shards > 0 && cfg.batch_per_marker > 0);
     let started = std::time::Instant::now();
     let cell_seed = SplitMix64::mix(
-        cfg.seed ^ fnv_str(arrival.name()).rotate_left(17) ^ fnv_str(storm.name),
+        cfg.seed ^ fnv1a(arrival.name().as_bytes()).rotate_left(17) ^ fnv1a(storm.name.as_bytes()),
     );
     let shard_seed = SplitMix64::mix(cell_seed ^ 0x5AAD);
     let spot_seed = SplitMix64::mix(cell_seed ^ 0x590F);
@@ -629,10 +630,6 @@ fn reassign_shards(owner: &mut [u32], alive: &[bool]) {
     for (s, o) in owner.iter_mut().enumerate() {
         *o = live[s % live.len()];
     }
-}
-
-fn fnv_str(s: &str) -> u64 {
-    report::fnv1a(s.as_bytes())
 }
 
 #[cfg(test)]

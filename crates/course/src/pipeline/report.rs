@@ -264,19 +264,8 @@ impl CellReport {
     /// FNV-1a fingerprint of [`CellReport::render_deterministic`].
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.render_deterministic().as_bytes())
+        parc_util::fnv1a(self.render_deterministic().as_bytes())
     }
-}
-
-/// 64-bit FNV-1a.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Fold one `(id, mark)` ack into the running order-stable digest.

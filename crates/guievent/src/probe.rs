@@ -90,7 +90,9 @@ impl Probe {
             .spawn(move || {
                 let trace = pacer_gui.shared.trace.clone();
                 let pid = pacer_gui.shared.pid;
-                while !pacer_stop.load(Ordering::Acquire) {
+                // Post before checking `stop`, so a probe finished at
+                // once still takes one sample.
+                loop {
                     let posted = Instant::now();
                     let samples = Arc::clone(&pacer_samples);
                     let trace = trace.clone();
@@ -108,6 +110,9 @@ impl Probe {
                         );
                     });
                     thread::sleep(interval);
+                    if pacer_stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
             })
             .expect("failed to spawn probe pacer");
@@ -197,6 +202,14 @@ mod tests {
         // The dispatch counters rode along on the metrics registry.
         let counters = col.metrics().counter_values();
         assert!(counters["guievent.events_dispatched"] >= report.len() as u64);
+    }
+
+    #[test]
+    fn probe_finished_at_once_still_samples() {
+        let gui = EventLoop::spawn();
+        let report = Probe::start(gui.handle(), Duration::from_millis(1)).finish();
+        assert!(!report.is_empty(), "a started probe must take at least one sample");
+        gui.shutdown();
     }
 
     #[test]

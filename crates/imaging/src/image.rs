@@ -81,15 +81,10 @@ impl Image {
         acc.map(|v| v / n)
     }
 
-    /// A 64-bit FNV-style content hash (deterministic fingerprint).
+    /// A 64-bit FNV-1a content hash (deterministic fingerprint).
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.pixels {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^ (u64::from(self.width) << 32 | u64::from(self.height))
+        parc_util::fnv1a(&self.pixels) ^ (u64::from(self.width) << 32 | u64::from(self.height))
     }
 }
 

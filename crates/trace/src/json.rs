@@ -1,9 +1,12 @@
-//! A minimal JSON parser, used to round-trip-check the Chrome-trace
-//! exporter in tests and CI without external dependencies.
+//! A minimal JSON value type with a parser and a writer, used to
+//! round-trip-check the Chrome-trace exporter and to write every
+//! experiment report without external dependencies.
 //!
 //! Full RFC 8259 value grammar (objects, arrays, strings with escapes,
-//! numbers, booleans, null); not performance-tuned — traces it checks
-//! are a few megabytes at most.
+//! numbers, booleans, null); not performance-tuned — documents it
+//! handles are a few megabytes at most. `Display` writes compact JSON;
+//! the alternate form (`{:#}`) indents by two spaces. Objects keep
+//! their keys sorted, so the written form of a value is canonical.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -60,6 +63,102 @@ impl Json {
             Json::Num(n) => Some(*n),
             _ => None,
         }
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(self, f, 0)
+    }
+}
+
+fn write_value(v: &Json, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+    let pretty = f.alternate();
+    let newline = |f: &mut fmt::Formatter<'_>, depth: usize| {
+        if pretty {
+            write!(f, "\n{:width$}", "", width = 2 * depth)
+        } else {
+            Ok(())
+        }
+    };
+    match v {
+        Json::Null => f.write_str("null"),
+        Json::Bool(b) => write!(f, "{b}"),
+        Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+        Json::Num(_) => f.write_str("null"),
+        Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+        Json::Arr(items) if items.is_empty() => f.write_str("[]"),
+        Json::Arr(items) => {
+            f.write_str("[")?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
+                }
+                newline(f, depth + 1)?;
+                write_value(item, f, depth + 1)?;
+            }
+            newline(f, depth)?;
+            f.write_str("]")
+        }
+        Json::Obj(map) if map.is_empty() => f.write_str("{}"),
+        Json::Obj(map) => {
+            f.write_str("{")?;
+            for (i, (key, item)) in map.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
+                }
+                newline(f, depth + 1)?;
+                write!(f, "\"{}\":{}", escape(key), if pretty { " " } else { "" })?;
+                write_value(item, f, depth + 1)?;
+            }
+            newline(f, depth)?;
+            f.write_str("}")
+        }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+// Integers convert through `f64`, exact up to 2^53: write hashes and
+// seeds as hex strings instead.
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            #[allow(clippy::cast_precision_loss, clippy::cast_lossless)]
+            fn from(n: $t) -> Self {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, u64, u32, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Collect `(key, value)` pairs into an object.
+impl<K: Into<String>, V: Into<Json>> FromIterator<(K, V)> for Json {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect())
     }
 }
 
@@ -350,6 +449,29 @@ mod tests {
         let original = "line1\nline2\t\"quoted\" back\\slash é 😀 \u{1}";
         let doc = format!("\"{}\"", escape(original));
         assert_eq!(parse(&doc).unwrap().as_str().unwrap(), original);
+    }
+
+    #[test]
+    fn writer_round_trips_through_the_parser() {
+        let doc: Json = [
+            ("name", Json::from("q\"uote\\ tab\t é 😀 \u{1}")),
+            ("count", Json::from(1_299_760u64)),
+            ("ratio", Json::from(-0.125)),
+            ("tiny", Json::from(3.5e-9)),
+            ("flags", Json::from(vec![true, false])),
+            ("nothing", Json::Null),
+            ("empty", Json::Arr(vec![])),
+            ("nested", [("inner", Json::Obj(BTreeMap::new()))].into_iter().collect()),
+        ]
+        .into_iter()
+        .collect();
+        let compact = doc.to_string();
+        assert!(!compact.contains('\n'), "compact form is one line: {compact}");
+        assert_eq!(parse(&compact).unwrap(), doc);
+        let pretty = format!("{doc:#}");
+        assert!(pretty.contains("\n  \"count\": 1299760"), "{pretty}");
+        assert_eq!(parse(&pretty).unwrap(), doc);
+        assert_eq!(Json::from(f64::NAN).to_string(), "null");
     }
 
     #[test]

@@ -8,241 +8,80 @@
 //! scripted child failures that exercise restart budgets, backoff and
 //! escalation.
 //!
-//! Gates (any failure exits non-zero, which the CI `soak` job relies
-//! on):
-//! * every cell's conservation invariants hold — each spawned child
+//! Gates (violations; any one exits non-zero):
+//! * per cell: `SoakCellReport::violations` — each spawned child
 //!   incarnation is accounted as completed/failed/cancelled/restarted/
 //!   escalated, supervisor threads are all joined, and the cell's task
 //!   runtime drains to quiescence (spawned == executed);
-//! * determinism — a duplicate cell run with the same seed but a
-//!   *different worker-pool size* must reproduce the first run's
-//!   fingerprint bit-for-bit (the fingerprint embeds the full
-//!   supervision event log for one-for-one cells).
+//! * pool: every cell reruns on 1, 3 and 8 workers and must reproduce
+//!   its 4-worker report, `SoakCellReport::fingerprint` included (it
+//!   embeds the full supervision event log for one-for-one cells);
+//! * experiment: the matrix covers at least 3 storms × both policies.
 //!
-//! Artifacts: first argument (default `BENCH_soak.json`) — the
-//! machine-readable record; every field except `elapsed_ms` is
-//! bit-identical across same-seed runs. Second argument: the cell seed
-//! (default `0x50AC200E`, chosen so exactly one one-for-one cell
-//! escalates — losing its crawl entirely — while every other cell
-//! fails, restarts within budget and recovers).
+//! The default seed `0x50AC200E` makes exactly one one-for-one cell
+//! escalate — losing its crawl entirely — while every other cell
+//! fails, restarts within budget and recovers.
 //!
-//! Run with: `cargo run --release --example chaos_soak`
-
-use std::time::Instant;
+//! Run with: `cargo run --release --example chaos_soak -- [--seed N] [--out DIR]`
 
 use faultsim::FaultStorm;
 use parc_supervise::RestartPolicy;
-use parc_util::Table;
-use softeng751::soak::{run_soak_cell, SoakCellReport};
+use softeng751::soak::run_soak_cell;
+use softeng751_repro::experiment::{self, hex, Report, Spec};
+use websim::ResilientReport;
 
-/// FNV-1a over the fingerprint: a compact determinism witness for the
-/// benchmark record.
-fn fingerprint_hash(cell: &SoakCellReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in cell.fingerprint().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+const POLICIES: [RestartPolicy; 2] = [RestartPolicy::OneForOne, RestartPolicy::AllForOne];
 
 fn main() {
     faultsim::silence_injected_panics();
-    let mut args = std::env::args().skip(1);
-    let bench_path = args.next().unwrap_or_else(|| "BENCH_soak.json".to_string());
-    let seed = args
-        .next()
-        .map(|s| {
-            let trimmed = s.trim_start_matches("0x");
-            u64::from_str_radix(trimmed, 16)
-                .or_else(|_| s.parse::<u64>())
-                .expect("seed must be hex or decimal")
-        })
-        .unwrap_or(0x50AC_200E);
-    let workers = 4usize;
+    // Storm shapes keep their names whatever the seed; cells index them.
+    let storms: Vec<&str> = FaultStorm::all(0).iter().map(|s| s.name).collect();
+    let cells = storms
+        .iter()
+        .enumerate()
+        .flat_map(|(si, s)| POLICIES.map(|p| (format!("{s} x {}", p.name()), (si, p))))
+        .collect();
 
-    println!("== E-SOAK: supervision trees under seeded fault storms ==\n");
-    println!("seed {seed:#x}, {workers} workers per cell\n");
-
-    let started = Instant::now();
-    let mut cells = Vec::new();
-    for storm in FaultStorm::all(seed) {
-        for policy in [RestartPolicy::OneForOne, RestartPolicy::AllForOne] {
-            cells.push(run_soak_cell(&storm, policy, seed, workers));
-        }
-    }
-
-    let mut table = Table::new(
-        "soak matrix (storm × restart policy)",
-        &[
-            "storm",
-            "policy",
-            "scripted",
-            "restarts",
-            "escal.",
-            "coverage",
-            "worst",
-            "stale",
-            "shed",
-            "lost",
-            "invariants",
-        ],
-    );
-    let mut violation_count = 0usize;
-    for cell in &cells {
-        let violations = cell.violations();
-        violation_count += violations.len();
-        for v in &violations {
-            eprintln!("INVARIANT VIOLATION [{} {}]: {v}", cell.storm_name, cell.policy.name());
-        }
-        let stale: usize = cell.crawl.iter().map(|r| r.stale).sum();
-        let shed: usize = cell.crawl.iter().map(|r| r.shed).sum();
-        let lost: usize = cell.crawl.iter().map(|r| r.unavailable).sum();
-        table.row(&[
-            cell.storm_name.to_string(),
-            cell.policy.name().to_string(),
-            format!("{:?}", cell.scripted),
-            cell.supervision.restarts_total.to_string(),
-            cell.supervision.escalations.to_string(),
-            format!("{:.3}", cell.mean_coverage()),
-            format!("{:.3}", cell.worst_coverage()),
-            stale.to_string(),
-            shed.to_string(),
-            lost.to_string(),
-            if violations.is_empty() { "ok".to_string() } else { format!("{} BAD", violations.len()) },
-        ]);
-    }
-    println!("{}", table.render());
-
-    // Sample narrative: the canonical event log of the first
-    // one-for-one cell (deterministic, so this text never changes for
-    // a given seed).
-    let sample = &cells[0];
-    println!(
-        "supervision event log [{} {}]:",
-        sample.storm_name,
-        sample.policy.name()
-    );
-    for line in sample.fingerprint().lines().skip_while(|l| *l != "events:").skip(1) {
-        println!("  {line}");
-    }
-
-    // Determinism self-check: rerun two cells (one per policy) with a
-    // different pool size; fingerprints must match bit-for-bit.
-    let mut determinism_failures = 0usize;
-    for idx in [0usize, 1] {
-        let original = &cells[idx];
-        let storm = FaultStorm::all(seed)
-            .into_iter()
-            .find(|s| s.name == original.storm_name)
-            .expect("storm by name");
-        let rerun = run_soak_cell(&storm, original.policy, seed, workers / 2);
-        if rerun.fingerprint() == original.fingerprint() {
-            println!(
-                "\ndeterminism: [{} {}] reran on {} workers — fingerprint identical",
-                original.storm_name,
-                original.policy.name(),
-                workers / 2
-            );
-        } else {
-            determinism_failures += 1;
-            eprintln!(
-                "\nDETERMINISM FAILURE: [{} {}] fingerprint diverged on rerun:\n--- first\n{}\n--- rerun\n{}",
-                original.storm_name,
-                original.policy.name(),
-                original.fingerprint(),
-                rerun.fingerprint()
-            );
-        }
-    }
-
-    let elapsed = started.elapsed();
-
-    let mut cell_json = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let stale: usize = cell.crawl.iter().map(|r| r.stale).sum();
-        let shed: usize = cell.crawl.iter().map(|r| r.shed).sum();
-        let lost: usize = cell.crawl.iter().map(|r| r.unavailable).sum();
-        let attempts: u64 = cell.crawl.iter().map(|r| r.attempts_total).sum();
-        let one_for_one = cell.policy == RestartPolicy::OneForOne;
-        cell_json.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"storm\": \"{}\",\n",
-                "      \"policy\": \"{}\",\n",
-                "      \"phases\": {},\n",
-                "      \"scripted_failures\": [{}, {}, {}],\n",
-                "      \"mean_coverage\": {:.6},\n",
-                "      \"worst_coverage\": {:.6},\n",
-                "      \"stale_served\": {},\n",
-                "      \"shed\": {},\n",
-                "      \"unavailable\": {},\n",
-                "      \"crawl_attempts\": {},\n",
-                "      \"invariants_ok\": {},\n",
-                "      \"fingerprint_hash\": \"{:#018x}\"{}\n",
-                "    }}{}\n"
-            ),
-            cell.storm_name,
-            cell.policy.name(),
-            cell.phases,
-            cell.scripted[0],
-            cell.scripted[1],
-            cell.scripted[2],
-            cell.mean_coverage(),
-            cell.worst_coverage(),
-            stale,
-            shed,
-            lost,
-            attempts,
-            cell.invariants_ok(),
-            fingerprint_hash(cell),
-            if one_for_one {
+    experiment::run(
+        Spec { name: "soak", seed: 0x50AC_200E, pool: Some(4), cells },
+        |&(si, policy), seed, pool| {
+            let cell = run_soak_cell(&FaultStorm::all(seed)[si], policy, seed, pool);
+            let crawled =
+                |f: fn(&ResilientReport) -> usize| -> usize { cell.crawl.iter().map(f).sum() };
+            let mut report = Report::new()
+                .det("fingerprint_hash", hex(parc_util::fnv1a(cell.fingerprint().as_bytes())))
+                .det("phases", cell.phases)
+                .det("scripted_failures", cell.scripted.to_vec())
+                .det("mean_coverage", cell.mean_coverage())
+                .det("worst_coverage", cell.worst_coverage())
+                .det("stale_served", crawled(|r| r.stale))
+                .det("shed", crawled(|r| r.shed))
+                .det("unavailable", crawled(|r| r.unavailable))
+                .det("crawl_attempts", cell.crawl.iter().map(|r| r.attempts_total).sum::<u64>())
+                .violations(cell.violations());
+            // All-for-one restart counts race with sibling cancellation,
+            // so only one-for-one cells pin them.
+            if policy == RestartPolicy::OneForOne {
+                report = report
+                    .det("restarts_total", cell.supervision.restarts_total)
+                    .det("escalations", cell.supervision.escalations)
+                    .det(
+                        "events",
+                        cell.supervision.event_log().lines().map(String::from).collect::<Vec<_>>(),
+                    );
+            }
+            report
+        },
+        |_, reports| {
+            Report::new().check(
+                storms.len() >= 3 && reports.len() == storms.len() * POLICIES.len(),
                 format!(
-                    ",\n      \"restarts_total\": {},\n      \"escalations\": {}",
-                    cell.supervision.restarts_total, cell.supervision.escalations
-                )
-            } else {
-                String::new()
-            },
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let bench = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"soak\",\n",
-            "  \"seed\": \"{:#x}\",\n",
-            "  \"workers\": {},\n",
-            "  \"storms\": {},\n",
-            "  \"policies\": 2,\n",
-            "  \"cells\": [\n",
-            "{}",
-            "  ],\n",
-            "  \"violations\": {},\n",
-            "  \"determinism_failures\": {},\n",
-            "  \"elapsed_ms\": {:.3}\n",
-            "}}\n"
-        ),
-        seed,
-        workers,
-        FaultStorm::all(seed).len(),
-        cell_json,
-        violation_count,
-        determinism_failures,
-        elapsed.as_secs_f64() * 1e3,
-    );
-    std::fs::write(&bench_path, bench).expect("write BENCH_soak.json");
-    println!("benchmark record -> {bench_path}");
-
-    if violation_count > 0 || determinism_failures > 0 {
-        eprintln!(
-            "\n{violation_count} invariant violation(s), {determinism_failures} determinism failure(s)"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nall {} cells sound: every child accounted, runtimes quiescent, fingerprints reproducible ({:.1} ms)",
-        cells.len(),
-        elapsed.as_secs_f64() * 1e3
+                    "{} cells for {} storms x {} policies",
+                    reports.len(),
+                    storms.len(),
+                    POLICIES.len()
+                ),
+            )
+        },
     );
 }

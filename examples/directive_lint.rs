@@ -2,253 +2,127 @@
 //! fixture corpus, plus the analyser's throughput benchmark on both
 //! the hand-written and the generated corpora.
 //!
-//! For every entry in `parc_analyze::fixtures::corpus()` this runs the
-//! full front end (lex → parse → rule engine) and checks the emitted
-//! diagnostic codes against the fixture's expected set. Any mismatch
-//! exits non-zero, which is what the CI `analyze` job gates on. The
+//! Each cell is one entry of `parc_analyze::fixtures::corpus()`: the
+//! full front end (lex → parse → rule engine) runs on it, and its
+//! diagnostics — snippets included, round-tripped through the JSON
+//! parser — land in the cell's `deterministic` section. The
 //! static-vs-dynamic agreement matrix itself lives in
 //! `tests/analyze.rs`, where each verdict is cross-validated against
 //! the exhaustive explorer and the pyjama runtime.
 //!
-//! On top of the fixtures, a seeded `genprog` corpus is linted for
-//! throughput and cross-validated against the exhaustive explorer,
-//! recording the agreement counts and the false-positive rate of the
-//! MHP engine next to the old syntactic engine's on the same programs.
+//! The experiment-level report times 200 rounds of the fixture corpus
+//! and a seeded `genprog` corpus, and cross-validates the generated
+//! corpus against the exhaustive explorer next to the old syntactic
+//! engine.
 //!
-//! Artifacts (all under `--out`, default `target/artifacts/`):
-//! * `directive_lint.json` — every fixture's diagnostics as JSON,
-//!   snippets included;
-//! * `BENCH_analyze.json` — the programs-linted-per-second benchmark
-//!   record for both corpora. The copy committed at the repo root is a
-//!   reference snapshot of this file.
+//! Gates (violations; any one exits non-zero):
+//! * per cell: the emitted codes equal the fixture's expected codes,
+//!   and every exported diagnostic carries code, severity, line, col,
+//!   message and snippet;
+//! * experiment: all 22 fixtures, every code E001–E006 and W101–W104
+//!   emitted somewhere, a positive lint rate, zero missed dynamic
+//!   findings on the generated corpus, and strictly fewer false
+//!   positives than the syntactic engine.
 //!
-//! Run with: `cargo run --release --example directive_lint -- [--out DIR]`
+//! Run with: `cargo run --release --example directive_lint -- [--seed N] [--out DIR]`
+//! (the seed picks the generated corpus; default 1).
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use parc_analyze::diag::{json_escape, to_json_with_source};
+use parc_analyze::diag::to_json_with_source;
 use parc_analyze::{fixtures, genprog};
-use parc_util::Table;
+use parc_trace::Json;
+use softeng751_repro::experiment::{self, Report, Spec};
+
+const FIXTURES: usize = 22;
+const ROUNDS: usize = 200;
+const CODES: [&str; 10] =
+    ["E001", "E002", "E003", "E004", "E005", "E006", "W101", "W102", "W103", "W104"];
+const DIAGNOSTIC_KEYS: [&str; 6] = ["code", "severity", "line", "col", "message", "snippet"];
 
 fn main() {
-    let out_dir = parse_out_dir();
-    std::fs::create_dir_all(&out_dir).expect("create artifact directory");
+    let cells = fixtures::corpus().iter().map(|fx| (fx.name.to_string(), fx)).collect();
+    experiment::run(
+        Spec { name: "analyze", seed: 1, pool: None, cells },
+        |fx, _, _| {
+            let analysis = parc_analyze::analyze(fx.source);
+            let emitted: Vec<&str> = analysis.diagnostics.iter().map(|d| d.code.as_str()).collect();
+            let expected: Vec<&str> = fx.expect.iter().map(|c| c.as_str()).collect();
+            let export =
+                parc_trace::parse_json(&to_json_with_source(&analysis.diagnostics, fx.source));
+            let diagnostics = export.as_ref().ok().and_then(Json::as_arr).unwrap_or_default();
+            let complete =
+                diagnostics.iter().all(|d| DIAGNOSTIC_KEYS.iter().all(|k| d.get(k).is_some()));
+            Report::new()
+                .det("styled_on", fx.styled_on)
+                .det("dynamic", format!("{:?}", fx.dynamic))
+                .det("expected", expected.clone())
+                .det("emitted", emitted.clone())
+                .det("diagnostics", diagnostics.to_vec())
+                .check(emitted == expected, format!("emitted {emitted:?} != expected {expected:?}"))
+                .check(export.is_ok() && complete, "diagnostic export lacks a required key")
+        },
+        |seed, reports| {
+            let emitted: Vec<&str> = reports
+                .iter()
+                .flat_map(|r| r.deterministic["emitted"].as_arr().unwrap_or_default())
+                .filter_map(Json::as_str)
+                .collect();
+            let missing: Vec<&str> = CODES.into_iter().filter(|c| !emitted.contains(c)).collect();
 
-    println!("== E-LINT: static analysis of the directive corpus ==\n");
-
-    let mut table = Table::new(
-        "fixture lint verdicts (expected vs emitted codes)",
-        &["fixture", "styled on", "expected", "emitted", "dynamic", "ok"],
-    );
-    let mut json_entries = Vec::new();
-    let mut mismatches = 0usize;
-    let mut total_diags = 0usize;
-    let mut sample_render = String::new();
-
-    for fx in fixtures::corpus() {
-        let analysis = parc_analyze::analyze(fx.source);
-        total_diags += analysis.diagnostics.len();
-
-        let emitted: Vec<&str> = analysis.diagnostics.iter().map(|d| d.code.as_str()).collect();
-        let expected: Vec<&str> = fx.expect.iter().map(|c| c.as_str()).collect();
-        let ok = emitted == expected;
-        if !ok {
-            mismatches += 1;
-        }
-        table.row(&[
-            fx.name.to_string(),
-            fx.styled_on.to_string(),
-            join_or_dash(&expected),
-            join_or_dash(&emitted),
-            format!("{:?}", fx.dynamic),
-            if ok { "yes".to_string() } else { "** NO **".to_string() },
-        ]);
-
-        // Keep one full caret-annotated rendering as a sample of the
-        // human-facing output.
-        if sample_render.is_empty() && !analysis.diagnostics.is_empty() {
-            for d in &analysis.diagnostics {
-                let _ = writeln!(sample_render, "{}", d.render(fx.source, fx.name));
+            let started = Instant::now();
+            let mut diags = 0usize;
+            for _ in 0..ROUNDS {
+                for fx in fixtures::corpus() {
+                    diags += parc_analyze::analyze(fx.source).diagnostics.len();
+                }
             }
-        }
+            let secs = started.elapsed().as_secs_f64().max(1e-9);
+            let programs = ROUNDS * fixtures::corpus().len();
+            let rate = programs as f64 / secs;
 
-        json_entries.push(format!(
-            "  {{\"fixture\": \"{}\", \"styled_on\": \"{}\", \"diagnostics\": {}}}",
-            json_escape(fx.name),
-            json_escape(fx.styled_on),
-            indent_json(&to_json_with_source(&analysis.diagnostics, fx.source))
-        ));
-    }
-
-    println!("{}", table.render());
-    println!("sample rendering (first diagnosed fixture):\n\n{sample_render}");
-
-    // Benchmark 1: re-lint the fixture corpus in a tight loop. The
-    // front end is pure (no I/O, no threads), so iteration count just
-    // needs to outlast timer noise.
-    const ROUNDS: usize = 200;
-    let started = Instant::now();
-    let mut bench_diags = 0usize;
-    for _ in 0..ROUNDS {
-        for fx in fixtures::corpus() {
-            bench_diags += parc_analyze::analyze(fx.source).diagnostics.len();
-        }
-    }
-    let elapsed = started.elapsed();
-    let programs = ROUNDS * fixtures::corpus().len();
-    let programs_per_sec = programs as f64 / elapsed.as_secs_f64().max(1e-9);
-    let diags_per_sec = bench_diags as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "linted {programs} fixture programs / {bench_diags} diagnostics in {:.1} ms  ({:.0} programs/s, {:.0} diagnostics/s)",
-        elapsed.as_secs_f64() * 1e3,
-        programs_per_sec,
-        diags_per_sec
-    );
-
-    // Benchmark 2: the generated corpus. Lint throughput first, then
-    // the full static↔dynamic cross-validation with the agreement
-    // counts and the old-vs-new false-positive comparison.
-    const GEN_SEED: u64 = 1;
-    let gen_count = 20 * genprog::family_count();
-    let corpus = genprog::generate(GEN_SEED, gen_count);
-    let gen_started = Instant::now();
-    let mut gen_diags = 0usize;
-    for gp in &corpus {
-        gen_diags += parc_analyze::analyze(&gp.source).diagnostics.len();
-    }
-    let gen_elapsed = gen_started.elapsed();
-    let gen_programs_per_sec = corpus.len() as f64 / gen_elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "linted {} generated programs / {gen_diags} diagnostics in {:.1} ms  ({:.0} programs/s)",
-        corpus.len(),
-        gen_elapsed.as_secs_f64() * 1e3,
-        gen_programs_per_sec
-    );
-
-    let (stats, gen_mismatches) = genprog::cross_validate(&corpus);
-    for m in &gen_mismatches {
-        eprintln!("[{}] {} #{}: {:?}\n{}", m.kind, m.family, m.index, m.static_codes, m.source);
-    }
-    println!(
-        "cross-validated {} generated programs against the explorer: \
-         {} clean / {} racy / {} deadlocked, {} schedules explored",
-        stats.programs,
-        stats.dynamic_clean,
-        stats.dynamic_racy,
-        stats.dynamic_deadlocked,
-        stats.schedules_explored
-    );
-    println!(
-        "false positives on dynamically-clean programs: MHP engine {} vs syntactic engine {}",
-        stats.false_positives_new, stats.false_positives_old
-    );
-
-    let json = format!("[\n{}\n]\n", json_entries.join(",\n"));
-    let json_path = out_dir.join("directive_lint.json");
-    std::fs::write(&json_path, json).expect("write directive_lint.json");
-    println!("diagnostic export -> {}", json_path.display());
-
-    let bench = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"analyze\",\n",
-            "  \"corpus_fixtures\": {},\n",
-            "  \"corpus_diagnostics\": {},\n",
-            "  \"programs_linted\": {},\n",
-            "  \"elapsed_ms\": {:.3},\n",
-            "  \"programs_per_sec\": {:.1},\n",
-            "  \"diagnostics_per_sec\": {:.1},\n",
-            "  \"generated\": {{\n",
-            "    \"seed\": {},\n",
-            "    \"programs\": {},\n",
-            "    \"lint_elapsed_ms\": {:.3},\n",
-            "    \"lint_programs_per_sec\": {:.1},\n",
-            "    \"parse_failures\": {},\n",
-            "    \"dynamic_clean\": {},\n",
-            "    \"dynamic_racy\": {},\n",
-            "    \"dynamic_deadlocked\": {},\n",
-            "    \"unexhausted\": {},\n",
-            "    \"schedules_explored\": {},\n",
-            "    \"missed_dynamic_findings\": {},\n",
-            "    \"false_positives_new\": {},\n",
-            "    \"false_positives_old\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        fixtures::corpus().len(),
-        total_diags,
-        programs,
-        elapsed.as_secs_f64() * 1e3,
-        programs_per_sec,
-        diags_per_sec,
-        GEN_SEED,
-        stats.programs,
-        gen_elapsed.as_secs_f64() * 1e3,
-        gen_programs_per_sec,
-        stats.parse_failures,
-        stats.dynamic_clean,
-        stats.dynamic_racy,
-        stats.dynamic_deadlocked,
-        stats.unexhausted,
-        stats.schedules_explored,
-        stats.missed_dynamic_findings,
-        stats.false_positives_new,
-        stats.false_positives_old
-    );
-    let bench_path = out_dir.join("BENCH_analyze.json");
-    std::fs::write(&bench_path, bench).expect("write BENCH_analyze.json");
-    println!("benchmark record -> {}", bench_path.display());
-
-    if mismatches > 0 {
-        eprintln!("\n{mismatches} fixture(s) disagreed with their expected diagnostic codes");
-        std::process::exit(1);
-    }
-    if stats.missed_dynamic_findings > 0 {
-        eprintln!(
-            "\nthe static engine missed {} explorer-witnessed finding(s) on the generated corpus",
-            stats.missed_dynamic_findings
-        );
-        std::process::exit(1);
-    }
-    if stats.false_positives_new >= stats.false_positives_old {
-        eprintln!(
-            "\nMHP engine is not strictly more precise: {} FPs vs syntactic {}",
-            stats.false_positives_new, stats.false_positives_old
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nall {} fixtures match their expected diagnostics; generated corpus agrees",
-        fixtures::corpus().len()
-    );
-}
-
-fn parse_out_dir() -> PathBuf {
-    let mut out = PathBuf::from("target/artifacts");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out needs a directory"));
+            let corpus = genprog::generate(seed, 20 * genprog::family_count());
+            let gen_started = Instant::now();
+            for gp in &corpus {
+                let _ = parc_analyze::analyze(&gp.source);
             }
-            other => panic!("unknown argument {other:?} (expected --out DIR)"),
-        }
-    }
-    out
-}
+            let gen_secs = gen_started.elapsed().as_secs_f64().max(1e-9);
+            let (stats, _) = genprog::cross_validate(&corpus);
 
-fn join_or_dash(codes: &[&str]) -> String {
-    if codes.is_empty() {
-        "-".to_string()
-    } else {
-        codes.join(", ")
-    }
-}
-
-/// Re-indent a nested JSON value so it nests inside the per-fixture
-/// array entries without breaking lines mid-string.
-fn indent_json(json: &str) -> String {
-    json.trim_end().replace('\n', "\n  ")
+            Report::new()
+                .det("fixtures", reports.len())
+                .det("programs_linted", programs)
+                .det("diagnostics_linted", diags)
+                .measured("programs_per_sec", rate)
+                .measured("diagnostics_per_sec", diags as f64 / secs)
+                .det("generated_programs", stats.programs)
+                .measured("generated_programs_per_sec", corpus.len() as f64 / gen_secs)
+                .det("generated_parse_failures", stats.parse_failures)
+                .det("generated_dynamic_clean", stats.dynamic_clean)
+                .det("generated_dynamic_racy", stats.dynamic_racy)
+                .det("generated_dynamic_deadlocked", stats.dynamic_deadlocked)
+                .det("generated_unexhausted", stats.unexhausted)
+                .det("generated_schedules_explored", stats.schedules_explored)
+                .det("generated_missed_dynamic_findings", stats.missed_dynamic_findings)
+                .det("generated_false_positives_new", stats.false_positives_new)
+                .det("generated_false_positives_old", stats.false_positives_old)
+                .check(
+                    reports.len() == FIXTURES,
+                    format!("{} fixtures, expected {FIXTURES}", reports.len()),
+                )
+                .check(missing.is_empty(), format!("codes never emitted: {missing:?}"))
+                .check(rate > 0.0, "fixture lint rate is not positive")
+                .check(
+                    stats.missed_dynamic_findings == 0,
+                    format!("{} explorer-witnessed findings missed", stats.missed_dynamic_findings),
+                )
+                .check(
+                    stats.false_positives_new < stats.false_positives_old,
+                    format!(
+                        "MHP engine not strictly more precise: {} FPs vs syntactic {}",
+                        stats.false_positives_new, stats.false_positives_old
+                    ),
+                )
+        },
+    );
 }

@@ -2,220 +2,97 @@
 //! against the exhaustive interleaving explorer on thousands of
 //! seeded, generated directive programs.
 //!
-//! For every seed this generates `--count` well-typed Pyjama programs
-//! (`parc_analyze::genprog`), lints each with both the MHP engine and
-//! the old syntactic engine, lowers it onto the `parc-explore` shims
+//! Each cell generates 2,000 well-typed Pyjama programs from one corpus
+//! seed (`parc_analyze::genprog`), lints each with both the MHP engine
+//! and the old syntactic engine, lowers it onto the `parc-explore` shims
 //! for exhaustive DFS, and tallies the agreement:
 //!
 //! * **missed dynamic findings** — an explorer-witnessed race or
-//!   deadlock with no matching static diagnostic. Gate: must be zero.
+//!   deadlock with no matching static diagnostic;
 //! * **false positives** — a race/deadlock-class diagnostic on a
-//!   program the explorer proves clean. Gate: the MHP engine's count
-//!   must be *strictly below* the syntactic engine's on the same
-//!   programs.
+//!   program the explorer proves clean.
 //!
-//! Generation, linting and exploration are all pure functions of the
-//! seed, so the `deterministic` section of the report (and its
-//! fingerprint) is bit-identical across reruns — CI runs the harness
-//! twice and diffs. Wall-clock figures live in a separate `wallclock`
-//! section excluded from the fingerprint.
+//! Gates (violations; any one exits non-zero):
+//! * per cell: zero parse failures, zero missed dynamic findings, and a
+//!   corpus that contains clean, racy and deadlocked programs;
+//! * experiment: at least 6,000 programs in total, and the MHP engine's
+//!   false-positive count strictly below the syntactic engine's.
 //!
-//! Artifact: `<out>/fuzz_lint.json` (default `target/artifacts/`).
+//! The cells are corpus seeds 1, 2 and 3; `--seed S` shifts them to
+//! S+1, S+2 and S+3 (default 0).
 //!
-//! Run with:
-//! `cargo run --release --example fuzz_lint -- [--seeds 1,2,3] [--count 2000] [--out DIR]`
-
-use std::path::PathBuf;
-use std::time::Instant;
+//! Run with: `cargo run --release --example fuzz_lint -- [--seed N] [--out DIR]`
 
 use parc_analyze::genprog;
-use parc_util::Table;
+use softeng751_repro::experiment::{self, Report, Spec};
 
-struct Options {
-    seeds: Vec<u64>,
-    count: usize,
-    out_dir: PathBuf,
-}
+/// Programs generated per corpus.
+const COUNT: usize = 2000;
+const MIN_TOTAL_PROGRAMS: f64 = 6000.0;
 
 fn main() {
-    let opts = parse_args();
-    std::fs::create_dir_all(&opts.out_dir).expect("create artifact directory");
-
-    println!(
-        "== E-FUZZ: static engine vs exhaustive explorer on {} x {} generated programs ==\n",
-        opts.seeds.len(),
-        opts.count
+    let cells = [1u64, 2, 3].map(|c| (format!("corpus {c}"), c)).into();
+    experiment::run(
+        Spec { name: "fuzz", seed: 0, pool: None, cells },
+        |&corpus, seed, _| {
+            let corpus_seed = seed.wrapping_add(corpus);
+            let (stats, mismatches) =
+                genprog::cross_validate(&genprog::generate(corpus_seed, COUNT));
+            let missed = mismatches.iter().filter(|m| m.kind.starts_with("missed"));
+            Report::new()
+                .det("corpus_seed", format!("{corpus_seed:#x}"))
+                .det("programs", stats.programs)
+                .det("parse_failures", stats.parse_failures)
+                .det("dynamic_clean", stats.dynamic_clean)
+                .det("dynamic_racy", stats.dynamic_racy)
+                .det("dynamic_deadlocked", stats.dynamic_deadlocked)
+                .det("unexhausted", stats.unexhausted)
+                .det("schedules_explored", stats.schedules_explored)
+                .det("missed_dynamic_findings", stats.missed_dynamic_findings)
+                .det("false_positives_new", stats.false_positives_new)
+                .det("false_positives_old", stats.false_positives_old)
+                .det("mismatches", mismatches.len())
+                .check(
+                    stats.parse_failures == 0,
+                    format!("{} programs failed to re-parse", stats.parse_failures),
+                )
+                .violations(missed.take(5).map(|m| {
+                    format!(
+                        "{} {} #{}: {:?}\n{}",
+                        m.kind, m.family, m.index, m.static_codes, m.source
+                    )
+                }))
+                .check(
+                    stats.missed_dynamic_findings == 0,
+                    format!("{} explorer-witnessed findings missed", stats.missed_dynamic_findings),
+                )
+                .check(
+                    stats.dynamic_clean > 0
+                        && stats.dynamic_racy > 0
+                        && stats.dynamic_deadlocked > 0,
+                    "corpus must hold clean, racy and deadlocked programs",
+                )
+        },
+        |_, reports| {
+            let sum = |key| reports.iter().map(|r| r.number(key)).sum::<f64>();
+            let (fp_new, fp_old) = (sum("false_positives_new"), sum("false_positives_old"));
+            Report::new()
+                .det("families", genprog::family_count())
+                .det("programs_per_corpus", COUNT)
+                .det("total_programs", sum("programs"))
+                .det("total_missed_dynamic_findings", sum("missed_dynamic_findings"))
+                .det("total_false_positives_new", fp_new)
+                .det("total_false_positives_old", fp_old)
+                .check(
+                    sum("programs") >= MIN_TOTAL_PROGRAMS,
+                    format!("{} programs < {MIN_TOTAL_PROGRAMS}", sum("programs")),
+                )
+                .check(
+                    fp_new < fp_old,
+                    format!(
+                        "MHP engine not strictly more precise: {fp_new} FPs vs syntactic {fp_old}"
+                    ),
+                )
+        },
     );
-
-    let mut table = Table::new(
-        "per-seed agreement (static MHP+lockset engine vs exhaustive DFS)",
-        &[
-            "seed", "programs", "clean", "racy", "deadlocked", "schedules", "missed", "fp new",
-            "fp old",
-        ],
-    );
-    let mut seed_sections = Vec::new();
-    let mut total_missed = 0usize;
-    let mut total_fp_new = 0usize;
-    let mut total_fp_old = 0usize;
-    let mut total_programs = 0usize;
-    let started = Instant::now();
-
-    for &seed in &opts.seeds {
-        let corpus = genprog::generate(seed, opts.count);
-        let (stats, mismatches) = genprog::cross_validate(&corpus);
-        for m in mismatches.iter().take(5) {
-            eprintln!(
-                "[seed {seed}] [{}] {} #{}: {:?}\n{}",
-                m.kind, m.family, m.index, m.static_codes, m.source
-            );
-        }
-        assert_eq!(stats.parse_failures, 0, "seed {seed}: generated programs must re-parse");
-        table.row(&[
-            seed.to_string(),
-            stats.programs.to_string(),
-            stats.dynamic_clean.to_string(),
-            stats.dynamic_racy.to_string(),
-            stats.dynamic_deadlocked.to_string(),
-            stats.schedules_explored.to_string(),
-            stats.missed_dynamic_findings.to_string(),
-            stats.false_positives_new.to_string(),
-            stats.false_positives_old.to_string(),
-        ]);
-        total_missed += stats.missed_dynamic_findings;
-        total_fp_new += stats.false_positives_new;
-        total_fp_old += stats.false_positives_old;
-        total_programs += stats.programs;
-        seed_sections.push(format!(
-            concat!(
-                "    {{\"seed\": {}, \"programs\": {}, \"parse_failures\": {}, ",
-                "\"dynamic_clean\": {}, \"dynamic_racy\": {}, \"dynamic_deadlocked\": {}, ",
-                "\"unexhausted\": {}, \"schedules_explored\": {}, ",
-                "\"missed_dynamic_findings\": {}, ",
-                "\"false_positives_new\": {}, \"false_positives_old\": {}, ",
-                "\"mismatches\": {}}}"
-            ),
-            seed,
-            stats.programs,
-            stats.parse_failures,
-            stats.dynamic_clean,
-            stats.dynamic_racy,
-            stats.dynamic_deadlocked,
-            stats.unexhausted,
-            stats.schedules_explored,
-            stats.missed_dynamic_findings,
-            stats.false_positives_new,
-            stats.false_positives_old,
-            mismatches.len()
-        ));
-    }
-    let elapsed = started.elapsed();
-
-    println!("{}", table.render());
-    println!(
-        "cross-validated {total_programs} programs in {:.1} s  ({:.0} programs/s end-to-end)",
-        elapsed.as_secs_f64(),
-        total_programs as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-
-    // Everything a rerun with the same seeds must reproduce
-    // byte-for-byte goes inside `deterministic`; its FNV-1a hash is
-    // the rerun fingerprint.
-    let deterministic = format!(
-        concat!(
-            "{{\n",
-            "  \"families\": {},\n",
-            "  \"programs_per_seed\": {},\n",
-            "  \"total_programs\": {},\n",
-            "  \"total_missed_dynamic_findings\": {},\n",
-            "  \"total_false_positives_new\": {},\n",
-            "  \"total_false_positives_old\": {},\n",
-            "  \"seeds\": [\n{}\n  ]\n",
-            "}}"
-        ),
-        genprog::family_count(),
-        opts.count,
-        total_programs,
-        total_missed,
-        total_fp_new,
-        total_fp_old,
-        seed_sections.join(",\n")
-    );
-    let report = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fuzz-lint\",\n",
-            "  \"deterministic\": {},\n",
-            "  \"fingerprint\": \"{:016x}\",\n",
-            "  \"wallclock\": {{\"elapsed_ms\": {:.3}}}\n",
-            "}}\n"
-        ),
-        indent_json(&deterministic),
-        fnv1a(deterministic.as_bytes()),
-        elapsed.as_secs_f64() * 1e3
-    );
-    let report_path = opts.out_dir.join("fuzz_lint.json");
-    std::fs::write(&report_path, report).expect("write fuzz_lint.json");
-    println!("fuzz report -> {}", report_path.display());
-
-    if total_missed > 0 {
-        eprintln!("\nthe static engine missed {total_missed} explorer-witnessed finding(s)");
-        std::process::exit(1);
-    }
-    if total_fp_new >= total_fp_old {
-        eprintln!(
-            "\nMHP engine is not strictly more precise: {total_fp_new} FPs vs syntactic {total_fp_old}"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nzero missed dynamic findings; MHP false positives {total_fp_new} < syntactic {total_fp_old}"
-    );
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        seeds: vec![1, 2, 3],
-        count: 2000,
-        out_dir: PathBuf::from("target/artifacts"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                let list = args.next().expect("--seeds needs a comma-separated list");
-                opts.seeds = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("seed must be a u64"))
-                    .collect();
-            }
-            "--count" => {
-                opts.count =
-                    args.next().expect("--count needs a number").parse().expect("count: usize");
-            }
-            "--out" => {
-                opts.out_dir = PathBuf::from(args.next().expect("--out needs a directory"));
-            }
-            other => {
-                panic!("unknown argument {other:?} (expected --seeds LIST, --count N, --out DIR)")
-            }
-        }
-    }
-    assert!(!opts.seeds.is_empty(), "need at least one seed");
-    opts
-}
-
-/// 64-bit FNV-1a over the deterministic report section.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Re-indent a nested JSON value so it nests one level deep.
-fn indent_json(json: &str) -> String {
-    json.trim_end().replace('\n', "\n  ")
 }

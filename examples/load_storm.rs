@@ -9,31 +9,27 @@
 //! failover drill: the conservation check proves zero acknowledged
 //! pages were lost to the kill.
 //!
-//! Gates (any failure exits non-zero, which the CI `load` job relies
-//! on):
-//! * every cell's conservation identities hold — requests balance
-//!   across acked/shed/failed, every hedge is deduplicated and
-//!   accounted exactly once, one latency sample per ack, zero
-//!   acknowledged pages lost, and the supervision tree restarted the
-//!   killed replica without escalating;
-//! * determinism — one cell per arrival process reruns with the same
-//!   seed on a *different worker-pool size* and must reproduce the
-//!   first run's report bit-for-bit (fingerprint and `==`).
+//! Gates (violations; any one exits non-zero):
+//! * per cell: every conservation identity of
+//!   `ClusterReport::violations` — requests balance across
+//!   acked/shed/failed, every hedge is deduplicated and accounted
+//!   exactly once, one latency sample per ack, zero acknowledged pages
+//!   lost, no escalation — and exactly one supervised restart (the
+//!   scripted kill);
+//! * pool: every cell reruns on 1, 3 and 8 workers and must reproduce
+//!   its 4-worker report, `ClusterReport::fingerprint` included;
+//! * experiment: a matrix of at least 3 processes × 3 storms.
 //!
-//! Artifacts: first argument (default `BENCH_load.json`) — sustained
-//! req/s and latency quantiles against the fixed p99 budget, per
-//! cell; every field except `elapsed_ms` is bit-identical across
-//! same-seed runs and pool sizes. Second argument: the seed (default
-//! `0x10AD_GEN` spelled as `0x10AD6E4`).
+//! Latencies and rates are model time from the analytic latency model,
+//! judged against a fixed p99 budget; they are never performance.
 //!
-//! Run with: `cargo run --release --example load_storm`
-
-use std::time::Instant;
+//! Run with: `cargo run --release --example load_storm -- [--seed N] [--out DIR]`
+//! (default seed `0x10AD6E4`).
 
 use faultsim::FaultStorm;
-use parc_loadgen::{run_load_cell, ArrivalProcess, LoadCell, LoadCellConfig, TrafficConfig};
-use parc_util::Table;
+use parc_loadgen::{run_load_cell, ArrivalProcess, LoadCellConfig, TrafficConfig};
 use partask::TaskRuntime;
+use softeng751_repro::experiment::{self, hex, Report, Spec};
 use websim::cluster::{ClusterConfig, OutageScript};
 use websim::server::ServerConfig;
 
@@ -41,16 +37,6 @@ use websim::server::ServerConfig;
 const P99_BUDGET_MS: f64 = 250.0;
 const TICKS: usize = 36;
 const RATE_PER_TICK: f64 = 14.0;
-
-/// FNV-1a over the report fingerprint: a compact determinism witness.
-fn fingerprint_hash(cell: &LoadCell) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in cell.report.fingerprint().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 fn cell_config(seed: u64) -> LoadCellConfig {
     let cluster = ClusterConfig {
@@ -65,222 +51,75 @@ fn cell_config(seed: u64) -> LoadCellConfig {
         cluster,
         // Kill replica 1 a third of the way in, supervised restart
         // two thirds in — every cell is also a failover drill.
-        outage: Some(OutageScript { replica: 1, kill_tick: TICKS / 3, restart_tick: 2 * TICKS / 3 }),
+        outage: Some(OutageScript {
+            replica: 1,
+            kill_tick: TICKS / 3,
+            restart_tick: 2 * TICKS / 3,
+        }),
     }
 }
 
 fn main() {
     faultsim::silence_injected_panics();
-    let mut args = std::env::args().skip(1);
-    let bench_path = args.next().unwrap_or_else(|| "BENCH_load.json".to_string());
-    let seed = args
-        .next()
-        .map(|s| {
-            let trimmed = s.trim_start_matches("0x");
-            u64::from_str_radix(trimmed, 16)
-                .or_else(|_| s.parse::<u64>())
-                .expect("seed must be hex or decimal")
-        })
-        .unwrap_or(0x010A_D6E4);
-    let workers = 4usize;
-
-    println!("== E-LOAD: traffic storms against the sharded web tier ==\n");
-    println!(
-        "seed {seed:#x}, {workers} workers, 4 replicas R=2, p99 budget {P99_BUDGET_MS} ms, \
-         mid-storm kill of replica 1 in every cell\n"
-    );
-
-    let started = Instant::now();
-    let rt = TaskRuntime::builder().workers(workers).build();
     let processes = ArrivalProcess::all(RATE_PER_TICK, TICKS);
-    let cfg = cell_config(seed);
+    // Storm shapes keep their names whatever the seed; cells index them.
+    let storms: Vec<&str> = FaultStorm::all(0).iter().map(|s| s.name).collect();
+    let cells = processes
+        .iter()
+        .enumerate()
+        .flat_map(|(pi, p)| {
+            storms.iter().enumerate().map(move |(si, s)| (format!("{} x {s}", p.name()), (pi, si)))
+        })
+        .collect();
 
-    let mut cells: Vec<LoadCell> = Vec::new();
-    for process in &processes {
-        for storm in FaultStorm::all(seed) {
-            cells.push(run_load_cell(&rt, process, &storm, &cfg));
-        }
-    }
-
-    let mut table = Table::new(
-        "load matrix (arrival process × storm): sustained req/s at the p99 budget",
-        &[
-            "process", "storm", "offered", "acked", "goodput%", "p50", "p99", "p99.9", "shed",
-            "hedge", "lost", "budget", "invariants",
-        ],
-    );
-    let mut violation_count = 0usize;
-    for cell in &cells {
-        let violations = cell.report.violations();
-        violation_count += violations.len();
-        for v in &violations {
-            eprintln!("INVARIANT VIOLATION [{} {}]: {v}", cell.process, cell.storm);
-        }
-        let goodput = if cell.offered_rps > 0.0 { cell.acked_rps / cell.offered_rps * 100.0 } else { 0.0 };
-        table.row(&[
-            cell.process.to_string(),
-            cell.storm.to_string(),
-            format!("{:.1}/s", cell.offered_rps),
-            format!("{:.1}/s", cell.acked_rps),
-            format!("{goodput:.1}"),
-            format!("{:.0}ms", cell.p50_ms),
-            format!("{:.0}ms", cell.p99_ms),
-            format!("{:.0}ms", cell.p999_ms),
-            cell.report.shed_total().to_string(),
-            format!("{}/{}", cell.report.served_hedge, cell.report.hedges_fired),
-            cell.report.lost_acked.to_string(),
-            if cell.within_p99_budget(P99_BUDGET_MS) { "ok".to_string() } else { "OVER".to_string() },
-            if violations.is_empty() { "ok".to_string() } else { format!("{} BAD", violations.len()) },
-        ]);
-    }
-    println!("{}", table.render());
-
-    // Narrative: the canonical event log of the first cell — phase
-    // transitions, the kill, ejections, the supervised restart.
-    let sample = &cells[0];
-    println!("cluster event log [{} {}]:", sample.process, sample.storm);
-    for event in &sample.report.events {
-        println!("  {event}");
-    }
-
-    // Determinism self-check: one cell per arrival process reruns on
-    // a different pool size; reports must match bit-for-bit.
-    let mut determinism_failures = 0usize;
-    let rerun_rt = TaskRuntime::builder().workers(workers / 2).build();
-    for (i, process) in processes.iter().enumerate() {
-        let original = &cells[i * FaultStorm::all(seed).len()];
-        let storm = FaultStorm::all(seed)
-            .into_iter()
-            .find(|s| s.name == original.storm)
-            .expect("storm by name");
-        let rerun = run_load_cell(&rerun_rt, process, &storm, &cfg);
-        if rerun == *original {
-            println!(
-                "determinism: [{} {}] reran on {} workers — report identical",
-                original.process,
-                original.storm,
-                workers / 2
-            );
-        } else {
-            determinism_failures += 1;
-            eprintln!(
-                "DETERMINISM FAILURE: [{} {}] report diverged on rerun:\n--- first\n{}\n--- rerun\n{}",
-                original.process,
-                original.storm,
-                original.report.fingerprint(),
-                rerun.report.fingerprint()
-            );
-        }
-    }
-    rerun_rt.shutdown();
-    rt.shutdown();
-
-    let elapsed = started.elapsed();
-
-    let mut cell_json = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        cell_json.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"process\": \"{}\",\n",
-                "      \"storm\": \"{}\",\n",
-                "      \"offered_rps\": {:.6},\n",
-                "      \"acked_rps\": {:.6},\n",
-                "      \"p50_ms\": {:.6},\n",
-                "      \"p99_ms\": {:.6},\n",
-                "      \"p999_ms\": {:.6},\n",
-                "      \"within_p99_budget\": {},\n",
-                "      \"issued\": {},\n",
-                "      \"acked\": {},\n",
-                "      \"served_primary\": {},\n",
-                "      \"served_hedge\": {},\n",
-                "      \"served_failover\": {},\n",
-                "      \"shed\": {},\n",
-                "      \"failed\": {},\n",
-                "      \"hedges_fired\": {},\n",
-                "      \"hedge_redundant\": {},\n",
-                "      \"ejections\": {},\n",
-                "      \"kills\": {},\n",
-                "      \"supervised_restarts\": {},\n",
-                "      \"acked_pages\": {},\n",
-                "      \"reserved_from_replica\": {},\n",
-                "      \"lost_acked\": {},\n",
-                "      \"invariants_ok\": {},\n",
-                "      \"fingerprint_hash\": \"{:#018x}\"\n",
-                "    }}{}\n"
-            ),
-            cell.process,
-            cell.storm,
-            cell.offered_rps,
-            cell.acked_rps,
-            cell.p50_ms,
-            cell.p99_ms,
-            cell.p999_ms,
-            cell.within_p99_budget(P99_BUDGET_MS),
-            cell.report.issued,
-            cell.report.acked,
-            cell.report.served_primary,
-            cell.report.served_hedge,
-            cell.report.served_failover,
-            cell.report.shed_total(),
-            cell.report.failed,
-            cell.report.hedges_fired,
-            cell.report.hedge_redundant,
-            cell.report.ejections,
-            cell.report.kills,
-            cell.report.supervision_restarts,
-            cell.report.acked_pages,
-            cell.report.reserved_from_replica,
-            cell.report.lost_acked,
-            cell.report.violations().is_empty(),
-            fingerprint_hash(cell),
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let bench = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"load\",\n",
-            "  \"seed\": \"{:#x}\",\n",
-            "  \"workers\": {},\n",
-            "  \"replicas\": 4,\n",
-            "  \"replication\": 2,\n",
-            "  \"ticks\": {},\n",
-            "  \"p99_budget_ms\": {:.1},\n",
-            "  \"processes\": {},\n",
-            "  \"storms\": {},\n",
-            "  \"cells\": [\n",
-            "{}",
-            "  ],\n",
-            "  \"violations\": {},\n",
-            "  \"determinism_failures\": {},\n",
-            "  \"elapsed_ms\": {:.3}\n",
-            "}}\n"
-        ),
-        seed,
-        workers,
-        TICKS,
-        P99_BUDGET_MS,
-        processes.len(),
-        FaultStorm::all(seed).len(),
-        cell_json,
-        violation_count,
-        determinism_failures,
-        elapsed.as_secs_f64() * 1e3,
-    );
-    std::fs::write(&bench_path, bench).expect("write BENCH_load.json");
-    println!("benchmark record -> {bench_path}");
-
-    if violation_count > 0 || determinism_failures > 0 {
-        eprintln!(
-            "\n{violation_count} invariant violation(s), {determinism_failures} determinism failure(s)"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nall {} cells sound: every request accounted, zero acked pages lost to the kill, \
-         reports reproducible across pool sizes ({:.1} ms)",
-        cells.len(),
-        elapsed.as_secs_f64() * 1e3
+    experiment::run(
+        Spec { name: "load", seed: 0x010A_D6E4, pool: Some(4), cells },
+        |&(pi, si), seed, pool| {
+            let rt = TaskRuntime::builder().workers(pool).build();
+            let cell =
+                run_load_cell(&rt, &processes[pi], &FaultStorm::all(seed)[si], &cell_config(seed));
+            rt.shutdown();
+            let r = &cell.report;
+            Report::new()
+                .det("fingerprint_hash", hex(parc_util::fnv1a(r.fingerprint().as_bytes())))
+                .det("issued", r.issued)
+                .det("acked", r.acked)
+                .det("served_primary", r.served_primary)
+                .det("served_hedge", r.served_hedge)
+                .det("served_failover", r.served_failover)
+                .det("shed", r.shed_total())
+                .det("failed", r.failed)
+                .det("hedges_fired", r.hedges_fired)
+                .det("hedge_redundant", r.hedge_redundant)
+                .det("ejections", r.ejections)
+                .det("kills", r.kills)
+                .det("supervised_restarts", r.supervision_restarts)
+                .det("acked_pages", r.acked_pages)
+                .det("reserved_from_replica", r.reserved_from_replica)
+                .det("lost_acked", r.lost_acked)
+                .det("events", r.events.clone())
+                .model("offered_rps", cell.offered_rps)
+                .model("acked_rps", cell.acked_rps)
+                .model("p50_ms", cell.p50_ms)
+                .model("p99_ms", cell.p99_ms)
+                .model("p999_ms", cell.p999_ms)
+                .model("within_p99_budget", cell.within_p99_budget(P99_BUDGET_MS))
+                .violations(r.violations())
+                .check(
+                    r.supervision_restarts == 1,
+                    format!("{} supervised restarts for one scripted kill", r.supervision_restarts),
+                )
+        },
+        |_, _| {
+            Report::new()
+                .det("replicas", 4u32)
+                .det("replication", 2u32)
+                .det("ticks", TICKS)
+                .model("p99_budget_ms", P99_BUDGET_MS)
+                .check(
+                    processes.len() >= 3 && storms.len() >= 3,
+                    format!("matrix is {} processes x {} storms", processes.len(), storms.len()),
+                )
+        },
     );
 }

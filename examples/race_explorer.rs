@@ -1,154 +1,84 @@
 //! Experiment E-RACE: deterministic race verdicts for the whole
 //! litmus catalogue, plus the explorer's throughput benchmark.
 //!
-//! For every entry in `parc_explore::litmus::catalogue()` this runs an
-//! exhaustive DFS exploration and checks the verdict against ground
-//! truth: racy variants must have a concrete racing schedule, fixed
-//! variants must be race-free over the whole interleaving space. Any
-//! mismatch exits non-zero, which is what the CI `explore` job gates
-//! on.
+//! Each cell is one entry of `parc_explore::litmus::catalogue()`,
+//! explored exhaustively by DFS. Racy variants must have a concrete
+//! racing schedule; fixed variants must be race-free over the whole
+//! interleaving space.
 //!
-//! Artifacts (all under `--out`, default `target/artifacts/`):
-//! * `race_explorer.traces.txt` — the full racing-schedule
-//!   interleaving diagrams, uploaded by CI;
-//! * `BENCH_explore.json` — the schedules-explored-per-second
-//!   benchmark record.
+//! Gates (violations; any one exits non-zero):
+//! * per cell: the space is exhausted and the verdict matches ground
+//!   truth.
+//!
+//! Artifacts under `--out`: `BENCH_explore.json` (verdicts, schedule
+//! counts, schedules/s) and `race_explorer.traces.txt`, the racing
+//! interleaving diagrams.
 //!
 //! Run with: `cargo run --release --example race_explorer -- [--out DIR]`
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parc_explore::{explore, litmus, Config};
-use parc_util::Table;
+use parc_trace::Json;
+use softeng751_repro::experiment::{self, Report, Spec};
 
 fn main() {
-    let out_dir = parse_out_dir();
-    std::fs::create_dir_all(&out_dir).expect("create artifact directory");
-    let traces_path = out_dir.join("race_explorer.traces.txt");
-    let bench_path = out_dir.join("BENCH_explore.json");
+    let cells =
+        litmus::catalogue().into_iter().map(|entry| (entry.name.to_string(), entry)).collect();
+    experiment::run(
+        Spec { name: "explore", seed: 0, pool: None, cells },
+        |entry, _, _| {
+            let body = Arc::clone(&entry.body);
+            let started = Instant::now();
+            let report = explore(Config::dfs(entry.name), move || body());
+            let secs = started.elapsed().as_secs_f64().max(1e-9);
+            let schedules = report.schedule_log.len();
 
-    println!("== E-RACE: deterministic interleaving exploration ==\n");
-
-    let mut table = Table::new(
-        "litmus verdicts (exhaustive DFS + happens-before)",
-        &[
-            "litmus",
-            "expected",
-            "verdict",
-            "schedules",
-            "pruned",
-            "steps",
-            "first race @",
-        ],
-    );
-    let mut traces = String::new();
-    let mut mismatches = 0usize;
-    let mut total_executions = 0usize;
-    let mut total_steps = 0usize;
-    let started = Instant::now();
-
-    for entry in litmus::catalogue() {
-        let body = Arc::clone(&entry.body);
-        let report = explore(Config::dfs(entry.name), move || body());
-        assert!(report.exhausted, "{}: litmus space must be enumerable", entry.name);
-        total_executions += report.schedule_log.len();
-        total_steps += report.steps_total;
-
-        let ok = report.race_free() != entry.expect_race;
-        if !ok {
-            mismatches += 1;
-        }
-        let first_race = match (report.first_race_schedule, report.first_race_depth) {
-            (Some(s), Some(d)) => format!("sched {s}, step {d}"),
-            _ => "-".to_string(),
-        };
-        table.row(&[
-            entry.name.to_string(),
-            if entry.expect_race { "race".to_string() } else { "race-free".to_string() },
-            format!("{}{}", report.verdict(), if ok { "" } else { "  ** MISMATCH **" }),
-            report.schedule_log.len().to_string(),
-            report.pruned.to_string(),
-            report.steps_total.to_string(),
-            first_race,
-        ]);
-
-        let _ = writeln!(traces, "==== {} ====", entry.name);
-        if report.races.is_empty() {
-            let _ = writeln!(
-                traces,
-                "no race over {} explored schedules ({})\n",
-                report.schedule_log.len(),
-                report.verdict()
-            );
-        } else {
+            let mut traces = format!("==== {} ====\n", entry.name);
+            if report.races.is_empty() {
+                let _ = writeln!(
+                    traces,
+                    "no race over {schedules} explored schedules ({})\n",
+                    report.verdict()
+                );
+            }
             for race in &report.races {
                 let _ = writeln!(traces, "{}", race.render());
             }
-        }
-        for (key, values) in &report.observations {
-            let rendered: Vec<String> = values.iter().map(ToString::to_string).collect();
-            let _ = writeln!(traces, "observed {key} in {{{}}}", rendered.join(", "));
-        }
-        traces.push('\n');
-    }
-
-    let elapsed = started.elapsed();
-    println!("{}", table.render());
-
-    let schedules_per_sec = total_executions as f64 / elapsed.as_secs_f64().max(1e-9);
-    let steps_per_sec = total_steps as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "explored {total_executions} schedules / {total_steps} steps in {:.1} ms  ({:.0} schedules/s, {:.0} steps/s)",
-        elapsed.as_secs_f64() * 1e3,
-        schedules_per_sec,
-        steps_per_sec
-    );
-
-    std::fs::write(&traces_path, &traces).expect("write racing-schedule traces");
-    println!("racing-schedule traces -> {}", traces_path.display());
-
-    let bench = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"explore\",\n",
-            "  \"litmus_tests\": {},\n",
-            "  \"schedules_explored\": {},\n",
-            "  \"steps_executed\": {},\n",
-            "  \"elapsed_ms\": {:.3},\n",
-            "  \"schedules_per_sec\": {:.1},\n",
-            "  \"steps_per_sec\": {:.1}\n",
-            "}}\n"
-        ),
-        litmus::catalogue().len(),
-        total_executions,
-        total_steps,
-        elapsed.as_secs_f64() * 1e3,
-        schedules_per_sec,
-        steps_per_sec
-    );
-    std::fs::write(&bench_path, bench).expect("write BENCH_explore.json");
-    println!("benchmark record -> {}", bench_path.display());
-
-    if mismatches > 0 {
-        eprintln!("\n{mismatches} litmus verdict(s) disagreed with ground truth");
-        std::process::exit(1);
-    }
-    println!("\nall {} verdicts match ground truth", litmus::catalogue().len());
-}
-
-fn parse_out_dir() -> PathBuf {
-    let mut out = PathBuf::from("target/artifacts");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out needs a directory"));
+            for (key, values) in &report.observations {
+                let rendered: Vec<String> = values.iter().map(ToString::to_string).collect();
+                let _ = writeln!(traces, "observed {key} in {{{}}}", rendered.join(", "));
             }
-            other => panic!("unknown argument {other:?} (expected --out DIR)"),
-        }
-    }
-    out
+            traces.push('\n');
+
+            Report::new()
+                .det("expect_race", entry.expect_race)
+                .det("verdict", report.verdict())
+                .det("schedules", schedules)
+                .det("pruned", report.pruned)
+                .det("steps", report.steps_total)
+                .det(
+                    "first_race_schedule",
+                    report.first_race_schedule.map_or(Json::Null, Json::from),
+                )
+                .det("first_race_depth", report.first_race_depth.map_or(Json::Null, Json::from))
+                .measured("schedules_per_sec", schedules as f64 / secs)
+                .measured("steps_per_sec", report.steps_total as f64 / secs)
+                .check(report.exhausted, "litmus space must be enumerable")
+                .check(
+                    report.race_free() != entry.expect_race,
+                    format!("verdict {} disagrees with ground truth", report.verdict()),
+                )
+                .file("race_explorer.traces.txt", traces)
+        },
+        |_, reports| {
+            let sum = |key| reports.iter().map(|r| r.number(key)).sum::<f64>();
+            Report::new()
+                .det("litmus_tests", reports.len())
+                .det("schedules_explored", sum("schedules"))
+                .det("steps_executed", sum("steps"))
+        },
+    );
 }

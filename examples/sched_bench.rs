@@ -11,30 +11,47 @@
 //! * `lockfree-spawn` — the same per-task protocol on the Chase–Lev
 //!   deques (isolates the deque swap).
 //! * `lockfree-batch` — `spawn_batch`: one injector episode and one
-//!   completion structure for the whole 10k-task fan-out (the spawn
-//!   path the tentpole adds).
+//!   completion structure for the whole 10k-task fan-out.
 //! * `fanout-*`       — the fan-out issued from *inside* a worker
 //!   task, so the jobs land on one worker's own deque and every other
 //!   worker must steal: this is what populates the steal-latency
 //!   trajectory (p50/p99 of time-to-acquire-work per steal episode).
 //!
-//! Artifact: first argument (default `BENCH_runtime.json`) — one
-//! record per (variant, workers) with throughput, steal latency and a
-//! *deterministic accounting block* (spawned/executed/pending), plus
-//! the computed batch-vs-baseline speedups. The CI determinism gate
-//! reruns this and diffs everything except the wall-clock fields.
+//! Each (variant, workers) pair is a cell, run once on a fresh pool.
+//! Its accounting block (spawned/executed/pending) is deterministic;
+//! throughput and steal latency are measured.
 //!
-//! Run with: `cargo run --release --example sched_bench`
+//! Gates (violations; any one exits non-zero):
+//! * per cell: quiescent after the run, spawned == executed, a
+//!   torn-free progress snapshot, and at least one steal episode in
+//!   every fan-out;
+//! * experiment: `lockfree-batch` above 2× the `locked-spawn`
+//!   throughput at 4 and 8 workers (the committed record shows ≥ 5× on
+//!   the reference host; shared CI runners get this conservative
+//!   floor).
+//!
+//! Run with: `cargo run --release --example sched_bench -- [--out DIR]`
 
-use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use parc_trace::Json;
 use partask::{SchedulerKind, TaskRuntime};
-use parc_util::Table;
+use softeng751_repro::experiment::{self, Report, Spec};
 
 const TASKS: usize = 10_000;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const BATCH_FLOOR: f64 = 2.0;
+
+type Body = fn(&TaskRuntime);
+
+const VARIANTS: [(&str, SchedulerKind, Body); 5] = [
+    ("locked-spawn", SchedulerKind::WorkStealingLocked, spawn_each),
+    ("lockfree-spawn", SchedulerKind::WorkStealing, spawn_each),
+    ("lockfree-batch", SchedulerKind::WorkStealing, spawn_batch),
+    ("fanout-locked", SchedulerKind::WorkStealingLocked, fan_out),
+    ("fanout-lockfree", SchedulerKind::WorkStealing, fan_out),
+];
 
 /// The measured body: a short pseudo-random spin so a task is cheap
 /// but not empty (an empty body over-rewards the batch path).
@@ -46,48 +63,20 @@ fn busy_work(seed: u64) -> u64 {
     x & 1
 }
 
-struct Run {
-    variant: &'static str,
-    workers: usize,
-    elapsed_ms: f64,
-    tasks_per_sec: f64,
-    steal_episodes: u64,
-    steal_p50_ms: f64,
-    steal_p99_ms: f64,
-    spawned: u64,
-    executed: u64,
-    pending_after: usize,
-}
-
-fn build(kind: SchedulerKind, workers: usize) -> TaskRuntime {
-    TaskRuntime::builder()
-        .workers(workers)
-        .scheduler(kind)
-        .name("sched-bench")
-        .build()
-}
-
 /// Per-task spawn of `TASKS` trivial tasks from this thread, then
 /// quiescence. The spawn path is the measured object, so handles are
 /// deliberately not retained (results resolve into their cores).
-fn run_spawn(variant: &'static str, kind: SchedulerKind, workers: usize) -> Run {
-    let rt = build(kind, workers);
-    let started = Instant::now();
+fn spawn_each(rt: &TaskRuntime) {
     for i in 0..TASKS {
         drop(rt.spawn(move || busy_work(i as u64)));
     }
     rt.wait_quiescent();
-    finish(variant, workers, started, rt)
 }
 
 /// One `spawn_batch` episode for the whole fan-out.
-fn run_batch(variant: &'static str, kind: SchedulerKind, workers: usize) -> Run {
-    let rt = build(kind, workers);
-    let started = Instant::now();
-    let batch = rt.spawn_batch(TASKS, |i| busy_work(i as u64));
-    batch.wait();
+fn spawn_batch(rt: &TaskRuntime) {
+    rt.spawn_batch(TASKS, |i| busy_work(i as u64)).wait();
     rt.wait_quiescent();
-    finish(variant, workers, started, rt)
 }
 
 /// Fan out from inside a worker task: children land on that worker's
@@ -101,13 +90,10 @@ fn run_batch(variant: &'static str, kind: SchedulerKind, workers: usize) -> Run 
 /// happens. A non-helping poll of the packed progress word guarantees
 /// a pool worker ran the root, which is the whole point of the
 /// variant.
-fn run_fanout(variant: &'static str, kind: SchedulerKind, workers: usize) -> Run {
-    let rt = build(kind, workers);
+fn fan_out(rt: &TaskRuntime) {
     let rth = rt.handle();
-    let started = Instant::now();
     let root = rt.spawn(move || {
-        let handles: Vec<_> =
-            (0..TASKS).map(|i| rth.spawn(move || busy_work(i as u64))).collect();
+        let handles: Vec<_> = (0..TASKS).map(|i| rth.spawn(move || busy_work(i as u64))).collect();
         handles.into_iter().for_each(|h| {
             let _ = h.join();
         });
@@ -116,128 +102,77 @@ fn run_fanout(variant: &'static str, kind: SchedulerKind, workers: usize) -> Run
         thread::sleep(Duration::from_micros(200));
     }
     root.join().expect("fanout root");
-    finish(variant, workers, started, rt)
 }
 
-fn finish(variant: &'static str, workers: usize, started: Instant, rt: TaskRuntime) -> Run {
-    let elapsed = started.elapsed();
-    let stats = rt.stats();
-    let lat = rt.latencies();
-    let progress = rt.progress();
-    assert_eq!(
-        progress.spawned,
-        progress.finished + progress.pending as u64,
-        "torn progress snapshot"
-    );
-    let run = Run {
-        variant,
-        workers,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        tasks_per_sec: stats.executed as f64 / elapsed.as_secs_f64().max(1e-9),
-        steal_episodes: lat.steal_wait_ms.total(),
-        steal_p50_ms: lat.steal_wait_ms.p50(),
-        steal_p99_ms: lat.steal_wait_ms.p99(),
-        spawned: stats.spawned,
-        executed: stats.executed,
-        pending_after: rt.queued_hint(),
-    };
+/// One timed run of `body` on a fresh pool.
+fn measure(variant: &str, kind: SchedulerKind, body: Body, workers: usize) -> Report {
+    let rt = TaskRuntime::builder().workers(workers).scheduler(kind).name("sched-bench").build();
+    let started = Instant::now();
+    body(&rt);
+    let secs = started.elapsed().as_secs_f64().max(1e-9);
+    let (stats, lat, progress, pending) =
+        (rt.stats(), rt.latencies(), rt.progress(), rt.queued_hint());
     rt.shutdown();
-    run
+    let steals = lat.steal_wait_ms.total();
+    Report::new()
+        .det("variant", variant)
+        .det("workers", workers)
+        .det("spawned", stats.spawned)
+        .det("executed", stats.executed)
+        .det("pending_after", pending)
+        .measured("elapsed_ms", secs * 1e3)
+        .measured("tasks_per_sec", stats.executed as f64 / secs)
+        .measured("steal_episodes", steals)
+        .measured("steal_p50_ms", lat.steal_wait_ms.p50())
+        .measured("steal_p99_ms", lat.steal_wait_ms.p99())
+        .check(
+            progress.spawned == progress.finished + progress.pending as u64,
+            format!("torn progress snapshot {progress:?}"),
+        )
+        .check(pending == 0, format!("{pending} tasks left queued"))
+        .check(
+            stats.spawned == stats.executed,
+            format!("spawned {} != executed {}", stats.spawned, stats.executed),
+        )
+        .check(!variant.starts_with("fanout") || steals > 0, "fan-out without a steal episode")
 }
 
 fn main() {
-    let bench_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_runtime.json".to_string());
-
-    println!("== E-SCHED: fan-out throughput, {TASKS} tasks per run ==\n");
-
-    let mut runs: Vec<Run> = Vec::new();
-    for &workers in &WORKER_COUNTS {
-        runs.push(run_spawn("locked-spawn", SchedulerKind::WorkStealingLocked, workers));
-        runs.push(run_spawn("lockfree-spawn", SchedulerKind::WorkStealing, workers));
-        runs.push(run_batch("lockfree-batch", SchedulerKind::WorkStealing, workers));
-        runs.push(run_fanout("fanout-locked", SchedulerKind::WorkStealingLocked, workers));
-        runs.push(run_fanout("fanout-lockfree", SchedulerKind::WorkStealing, workers));
-    }
-
-    let mut table = Table::new(
-        "scheduler fan-out (10k tasks)",
-        &["variant", "workers", "tasks/s", "elapsed ms", "steal eps", "steal p50 ms", "steal p99 ms"],
+    let cells = WORKER_COUNTS
+        .iter()
+        .flat_map(|&w| {
+            VARIANTS.map(|(name, kind, body)| (format!("{name} @ {w}"), (name, kind, body, w)))
+        })
+        .collect();
+    experiment::run(
+        Spec { name: "runtime", seed: 0, pool: None, cells },
+        |&(variant, kind, body, workers), _, _| measure(variant, kind, body, workers),
+        |_, reports| {
+            let tps = |variant: &str, w: usize| {
+                let wi = WORKER_COUNTS.iter().position(|&x| x == w).expect("worker count");
+                let vi = VARIANTS.iter().position(|v| v.0 == variant).expect("variant");
+                reports[wi * VARIANTS.len() + vi].number("tasks_per_sec")
+            };
+            let batch = |w| tps("lockfree-batch", w) / tps("locked-spawn", w);
+            let speedups: Vec<Json> = WORKER_COUNTS
+                .iter()
+                .map(|&w| {
+                    let (batch, spawn) =
+                        (batch(w), tps("lockfree-spawn", w) / tps("locked-spawn", w));
+                    println!("  {w} workers vs locked: batch {batch:.1}x, spawn {spawn:.1}x");
+                    [("workers", w as f64), ("batch_vs_locked", batch), ("spawn_vs_locked", spawn)]
+                        .into_iter()
+                        .collect()
+                })
+                .collect();
+            Report::new().det("tasks_per_run", TASKS).measured("speedups", speedups).check(
+                batch(4) > BATCH_FLOOR && batch(8) > BATCH_FLOOR,
+                format!(
+                    "batch vs locked {:.2}x at 4, {:.2}x at 8 workers: floor {BATCH_FLOOR}x",
+                    batch(4),
+                    batch(8)
+                ),
+            )
+        },
     );
-    for r in &runs {
-        assert_eq!(r.pending_after, 0, "{}/{}: not quiescent", r.variant, r.workers);
-        assert_eq!(r.spawned, r.executed, "{}/{}: lost tasks", r.variant, r.workers);
-        table.row(&[
-            r.variant.to_string(),
-            r.workers.to_string(),
-            format!("{:.0}", r.tasks_per_sec),
-            format!("{:.1}", r.elapsed_ms),
-            r.steal_episodes.to_string(),
-            format!("{:.3}", r.steal_p50_ms),
-            format!("{:.3}", r.steal_p99_ms),
-        ]);
-    }
-    println!("{}", table.render());
-
-    let tps = |variant: &str, workers: usize| {
-        runs.iter()
-            .find(|r| r.variant == variant && r.workers == workers)
-            .map(|r| r.tasks_per_sec)
-            .expect("variant present")
-    };
-    let mut speedups = String::new();
-    for (i, &w) in WORKER_COUNTS.iter().enumerate() {
-        let batch = tps("lockfree-batch", w) / tps("locked-spawn", w);
-        let spawn = tps("lockfree-spawn", w) / tps("locked-spawn", w);
-        println!(
-            "{w} workers: lockfree-batch {batch:.1}x, lockfree-spawn {spawn:.1}x vs locked baseline"
-        );
-        let _ = write!(
-            speedups,
-            "    {{ \"workers\": {w}, \"batch_vs_locked\": {batch:.2}, \"spawn_vs_locked\": {spawn:.2} }}{}",
-            if i + 1 < WORKER_COUNTS.len() { ",\n" } else { "\n" }
-        );
-    }
-
-    let mut records = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            records,
-            concat!(
-                "    {{ \"variant\": \"{}\", \"workers\": {}, ",
-                "\"tasks_per_sec\": {:.1}, \"elapsed_ms\": {:.3}, ",
-                "\"steal_episodes\": {}, \"steal_p50_ms\": {:.4}, \"steal_p99_ms\": {:.4}, ",
-                "\"accounting\": {{ \"spawned\": {}, \"executed\": {}, \"pending_after\": {} }} }}{}"
-            ),
-            r.variant,
-            r.workers,
-            r.tasks_per_sec,
-            r.elapsed_ms,
-            r.steal_episodes,
-            r.steal_p50_ms,
-            r.steal_p99_ms,
-            r.spawned,
-            r.executed,
-            r.pending_after,
-            if i + 1 < runs.len() { ",\n" } else { "\n" }
-        );
-    }
-
-    let bench = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"runtime\",\n",
-            "  \"tasks_per_run\": {},\n",
-            "  \"worker_counts\": [1, 2, 4, 8],\n",
-            "  \"variants\": [\"locked-spawn\", \"lockfree-spawn\", \"lockfree-batch\", ",
-            "\"fanout-locked\", \"fanout-lockfree\"],\n",
-            "  \"runs\": [\n{}  ],\n",
-            "  \"speedups\": [\n{}  ]\n",
-            "}}\n"
-        ),
-        TASKS, records, speedups
-    );
-    std::fs::write(&bench_path, bench).expect("write BENCH_runtime.json");
-    println!("\nbenchmark record -> {bench_path}");
 }

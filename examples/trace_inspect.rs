@@ -1,38 +1,30 @@
 //! Experiment E-DEBUG: queryable traces, critical paths and
 //! time-travel replay, with hard determinism gates.
 //!
-//! The driver runs the seeded quicksort + pyjama-barrier workload
+//! The one cell runs the seeded quicksort + pyjama-barrier workload
 //! under the collector, promotes the trace into a
-//! [`parc_inspect::TraceStore`], rebuilds the task dependence graph
-//! and checks, gate by gate:
+//! [`parc_inspect::TraceStore`], rebuilds the task dependence graph and
+//! exports its critical path: the rerun-stable part (graph fingerprint,
+//! logical critical path) is the cell's `deterministic` section, the
+//! wall-clock path and attribution table its `measured` section.
 //!
-//! 1. **Rerun determinism** — same seed, same pool ⇒ bit-identical
-//!    graph fingerprint and deterministic critical-path JSON.
-//! 2. **Pool-size independence** — 1, 3 and 8 partask workers all
-//!    reconstruct the *same* canonical graph and critical path.
-//! 3. **Attribution sanity** — per-kind shares sum to ≤ 100% of
-//!    capacity and the barrier demo shows a nonzero `barrier.wait`
-//!    share.
-//! 4. **Query = scan** — interval, kind and span-overlap queries
-//!    agree with naive full scans of the same trace.
-//! 5. **Replay determinism** — same explorer seed ⇒ empty
-//!    [`parc_inspect::diff_schedules`]; replaying a recorded schedule
-//!    reproduces it; a divergent seed pair pinpoints its first
-//!    divergent decision; [`parc_inspect::TimeTravel`] walks the
-//!    schedule to both ends consistently.
+//! Gates (violations; any one exits non-zero):
+//! * pool: the cell reruns on 1, 3 and 8 partask workers and must
+//!   reconstruct the same canonical graph and critical path as on 4;
+//! * per cell: a non-empty graph and critical path; attribution shares
+//!   in (0, 100]% of capacity with a nonzero `barrier.wait` share; and
+//!   interval, kind and span-overlap queries equal to naive full scans;
+//! * experiment: same explorer seed ⇒ empty
+//!   [`parc_inspect::diff_schedules`]; replaying a recorded schedule
+//!   reproduces it; a divergent seed pair pinpoints its first divergent
+//!   decision; [`parc_inspect::TimeTravel`] walks the schedule to both
+//!   ends consistently; and store-build, graph-build and query
+//!   throughput on a ~480k-event synthetic trace are positive.
 //!
-//! Any violated gate makes the process exit non-zero — CI's `inspect`
-//! job runs this binary as the E-DEBUG acceptance check.
-//!
-//! Artifacts:
-//! * first argument (default `inspect_report.json`) — the full
-//!   critical-path export (`deterministic` + `wall_clock` sections);
-//! * second argument (default `BENCH_inspect.json`) — store-build,
-//!   graph-build and query throughput on a ~480k-event synthetic
-//!   trace, in events per second.
-//!
-//! Run with: `cargo run --release --example trace_inspect`
+//! Run with: `cargo run --release --example trace_inspect -- [--seed N] [--out DIR]`
+//! (the seed feeds the quicksort input; default `0xC0FFEE`).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,25 +32,24 @@ use std::time::Instant;
 use parc_explore::replay::{record_seeded, replay};
 use parc_explore::sync::PlainCell;
 use parc_inspect::{diff_schedules, CriticalReport, TaskGraph, TimeTravel, TraceStore};
-use parc_trace::{Collector, MarkKind, SpanKind, Trace};
+use parc_trace::{Collector, Json, MarkKind, SpanKind, Trace};
 use parc_util::rng::Xoshiro256;
 use parsort::{data, quicksort_partask};
 use partask::TaskRuntime;
 use pyjama::{Schedule, Team};
+use softeng751_repro::experiment::{self, Report, Spec};
+
+const WORKERS: usize = 4;
 
 /// The E-DEBUG workload: seeded quicksort on `workers` partask
 /// workers, then a 4-member pyjama worksharing region with an
 /// explicit barrier — all into one collector.
-fn traced_run(workers: usize) -> Trace {
+fn traced_run(seed: u64, workers: usize) -> Trace {
     let collector = Collector::new();
     let handle = collector.handle();
 
-    let rt = TaskRuntime::builder()
-        .workers(workers)
-        .name("partask")
-        .trace(&handle)
-        .build();
-    let mut v = data::random(200_000, 0xC0FFEE);
+    let rt = TaskRuntime::builder().workers(workers).name("partask").trace(&handle).build();
+    let mut v = data::random(200_000, seed);
     quicksort_partask(&rt, &mut v);
     assert!(v.windows(2).all(|w| w[0] <= w[1]), "quicksort must sort");
     rt.shutdown();
@@ -93,118 +84,54 @@ fn racy_body() {
     parc_explore::record("final", cell.get());
 }
 
-struct Gates {
-    failures: Vec<String>,
-}
-
-impl Gates {
-    fn check(&mut self, name: &str, ok: bool, detail: &str) {
-        if ok {
-            println!("  gate {name}: ok");
-        } else {
-            println!("  gate {name}: FAIL — {detail}");
-            self.failures.push(format!("{name}: {detail}"));
-        }
-    }
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let report_path = args.next().unwrap_or_else(|| "inspect_report.json".to_string());
-    let bench_path = args.next().unwrap_or_else(|| "BENCH_inspect.json".to_string());
-    let mut gates = Gates { failures: Vec::new() };
-
-    println!("== E-DEBUG: trace inspection, critical paths, time travel ==\n");
-
-    // --- The canonical run: 4 workers, full analysis, human report.
-    let (store, graph, report) = parc_inspect::analyze(traced_run(4));
-    println!(
-        "canonical run: {} events -> {} nodes, {} edges\n",
-        store.len(),
-        graph.node_count(),
-        graph.edge_count(),
+    let cells = vec![("quicksort + barrier".to_string(), ())];
+    experiment::run(
+        Spec { name: "inspect", seed: 0x00C0_FFEE, pool: Some(WORKERS), cells },
+        |(), seed, pool| {
+            let (store, graph, report) = parc_inspect::analyze(traced_run(seed, pool));
+            if pool == WORKERS {
+                println!(
+                    "{} events -> {} nodes, {} edges\n",
+                    store.len(),
+                    graph.node_count(),
+                    graph.edge_count()
+                );
+                println!("{}", report.render());
+            }
+            let export =
+                parc_trace::parse_json(&report.to_json()).expect("critical-path export is JSON");
+            let section = |key| match export.get(key) {
+                Some(Json::Obj(fields)) => fields.clone(),
+                _ => BTreeMap::new(),
+            };
+            let out = Report {
+                deterministic: section("deterministic"),
+                measured: section("wall_clock"),
+                ..Report::default()
+            };
+            let total_pct = report.attribution_total_pct();
+            let path_len = out
+                .deterministic
+                .get("critical_path")
+                .and_then(Json::as_arr)
+                .map_or(0, <[Json]>::len);
+            let nonempty = out.number("node_count") > 0.0 && out.number("logical_total") > 0.0;
+            query_checks(out, &store)
+                .check(nonempty, "empty task graph")
+                .check(path_len > 0, "empty critical path")
+                .check(
+                    total_pct > 0.0 && total_pct <= 100.0 + 1e-6,
+                    format!("attribution shares sum to {total_pct:.2}%"),
+                )
+                .check(report.share_of("barrier.wait") > 0.0, "no barrier.wait time attributed")
+        },
+        |_, _| throughput(replay_checks(Report::new())),
     );
-    println!("{}", report.render());
-
-    // --- Gate 1: rerun determinism (same seed, same pool).
-    println!("[1] rerun determinism");
-    let (_, graph2, report2) = parc_inspect::analyze(traced_run(4));
-    gates.check(
-        "fingerprint-rerun",
-        graph.fingerprint() == graph2.fingerprint(),
-        &format!("0x{:016x} != 0x{:016x}", graph.fingerprint(), graph2.fingerprint()),
-    );
-    gates.check(
-        "critical-path-rerun",
-        report.deterministic_json() == report2.deterministic_json(),
-        "deterministic JSON sections differ between reruns",
-    );
-
-    // --- Gate 2: pool-size independence.
-    println!("\n[2] pool-size independence (1, 3, 8 workers)");
-    for workers in [1usize, 3, 8] {
-        let (_, g, r) = parc_inspect::analyze(traced_run(workers));
-        gates.check(
-            &format!("fingerprint-pool-{workers}"),
-            g.fingerprint() == graph.fingerprint(),
-            &format!(
-                "workers={workers}: 0x{:016x} != canonical 0x{:016x}",
-                g.fingerprint(),
-                graph.fingerprint()
-            ),
-        );
-        gates.check(
-            &format!("critical-path-pool-{workers}"),
-            r.deterministic_json() == report.deterministic_json(),
-            &format!("workers={workers}: deterministic JSON differs"),
-        );
-    }
-
-    // --- Gate 3: attribution sanity.
-    println!("\n[3] attribution");
-    let total_pct = report.attribution_total_pct();
-    gates.check(
-        "attribution-bounded",
-        total_pct <= 100.0 + 1e-6,
-        &format!("shares sum to {total_pct:.2}% > 100%"),
-    );
-    let barrier_pct = report.share_of("barrier.wait");
-    gates.check(
-        "barrier-share-nonzero",
-        barrier_pct > 0.0,
-        "quicksort+barrier demo attributed no barrier.wait time",
-    );
-    println!("  barrier.wait = {barrier_pct:.2}% of wall clock x lanes");
-
-    // --- Gate 4: queries agree with naive scans.
-    println!("\n[4] queries vs naive scans");
-    query_gates(&mut gates, &store);
-
-    // --- Gate 5: replay + diff determinism.
-    println!("\n[5] schedule replay and diff");
-    replay_gates(&mut gates);
-
-    // --- Export the critical-path report.
-    std::fs::write(&report_path, report.to_json()).expect("write inspect report");
-    println!("\ncritical-path export -> {report_path}");
-
-    // --- Throughput benchmark on a synthetic trace.
-    let bench = bench_throughput();
-    std::fs::write(&bench_path, bench).expect("write BENCH_inspect.json");
-    println!("benchmark record -> {bench_path}");
-
-    if !gates.failures.is_empty() {
-        eprintln!("\n{} E-DEBUG gate(s) failed:", gates.failures.len());
-        for f in &gates.failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nall E-DEBUG gates passed");
 }
 
-/// Gate 4: every indexed query must equal the naive full scan.
-fn query_gates(gates: &mut Gates, store: &TraceStore) {
+/// Every indexed query must equal the naive full scan.
+fn query_checks(report: Report, store: &TraceStore) -> Report {
     let events = store.events();
     let first = events.first().map_or(0, |e| e.ts_ns);
     let lo = first + store.wall_ns() / 3;
@@ -212,32 +139,20 @@ fn query_gates(gates: &mut Gates, store: &TraceStore) {
 
     let fast = store.events_in(lo, hi);
     let naive: Vec<_> = events.iter().filter(|e| e.ts_ns >= lo && e.ts_ns < hi).collect();
-    gates.check(
-        "interval-query",
+    let mut report = report.check(
         fast.len() == naive.len()
             && fast.iter().zip(&naive).all(|(a, b)| a.ts_ns == b.ts_ns && a.tid == b.tid),
-        &format!("indexed window returned {} events, scan {}", fast.len(), naive.len()),
+        format!("interval query returned {} events, scan {}", fast.len(), naive.len()),
     );
-
     for kind in ["task.spawn", "barrier.wait", "sched.steal"] {
         let indexed = store.kind_indices(kind).len();
         let scanned = events.iter().filter(|e| e.name() == kind).count();
-        gates.check(
-            &format!("kind-query-{kind}"),
-            indexed == scanned,
-            &format!("indexed {indexed} != scanned {scanned}"),
-        );
+        report = report
+            .check(indexed == scanned, format!("kind query {kind}: {indexed} != scan {scanned}"));
     }
     let windowed = store.kind_indices_in("task.spawn", lo, hi).len();
-    let windowed_naive = events
-        .iter()
-        .filter(|e| e.name() == "task.spawn" && e.ts_ns >= lo && e.ts_ns < hi)
-        .count();
-    gates.check(
-        "kind-interval-query",
-        windowed == windowed_naive,
-        &format!("indexed {windowed} != scanned {windowed_naive}"),
-    );
+    let windowed_naive =
+        events.iter().filter(|e| e.name() == "task.spawn" && e.ts_ns >= lo && e.ts_ns < hi).count();
 
     let fast_spans: Vec<u64> = store.spans_overlapping(lo, hi).iter().map(|s| s.span.id).collect();
     let mut naive_spans: Vec<(u64, u64)> = store
@@ -246,54 +161,55 @@ fn query_gates(gates: &mut Gates, store: &TraceStore) {
         .map(|s| (s.span.start_ns, s.span.id))
         .collect();
     naive_spans.sort_unstable();
-    gates.check(
-        "overlap-query",
-        fast_spans == naive_spans.iter().map(|(_, id)| *id).collect::<Vec<_>>(),
-        &format!(
-            "overlap pruning returned {} spans, scan {}",
-            fast_spans.len(),
-            naive_spans.len()
-        ),
-    );
+    report
+        .check(
+            windowed == windowed_naive,
+            format!("kind-interval query: {windowed} != scan {windowed_naive}"),
+        )
+        .check(
+            fast_spans == naive_spans.iter().map(|(_, id)| *id).collect::<Vec<_>>(),
+            format!(
+                "overlap query returned {} spans, scan {}",
+                fast_spans.len(),
+                naive_spans.len()
+            ),
+        )
 }
 
-/// Gate 5: recording, replaying and diffing schedules is
-/// deterministic, and time travel is position-consistent.
-fn replay_gates(gates: &mut Gates) {
+/// Recording, replaying and diffing schedules is deterministic, and
+/// time travel is position-consistent.
+fn replay_checks(report: Report) -> Report {
     let a = record_seeded("seed42-a", 42, 20_000, racy_body);
     let b = record_seeded("seed42-b", 42, 20_000, racy_body);
-    gates.check("recording-completes", a.completed, a.verdict());
-    gates.check(
-        "same-seed-fingerprint",
-        a.fingerprint() == b.fingerprint(),
-        "same seed produced different recordings",
-    );
     let same = diff_schedules(&a, &b);
-    gates.check("same-seed-diff-empty", same.is_empty(), &same.render());
-
     let replayed = replay("seed42-replay", racy_body, &a.schedule);
-    gates.check(
-        "replay-reproduces",
-        diff_schedules(&a, &replayed).is_empty() && replayed.completed,
-        "replaying the recorded schedule did not reproduce the run",
-    );
+    let mut report = report
+        .det("recording_fingerprint", experiment::hex(a.fingerprint()))
+        .det("recording_steps", a.len())
+        .check(a.completed, format!("recording did not complete: {}", a.verdict()))
+        .check(a.fingerprint() == b.fingerprint(), "same seed produced different recordings")
+        .check(same.is_empty(), format!("same-seed diff is not empty:\n{}", same.render()))
+        .check(
+            diff_schedules(&a, &replayed).is_empty() && replayed.completed,
+            "replaying the recorded schedule did not reproduce the run",
+        );
 
-    let divergent = (43..128)
+    match (43..128)
         .map(|seed| record_seeded("hunt", seed, 20_000, racy_body))
-        .find(|r| r.schedule != a.schedule);
-    match divergent {
-        None => gates.check("divergent-seed-found", false, "no seed in 43..128 diverged"),
+        .find(|r| r.schedule != a.schedule)
+    {
+        None => report = report.check(false, "no seed in 43..128 diverged"),
         Some(d) => {
             let diff = diff_schedules(&a, &d);
             let at = diff.first_divergence;
-            gates.check(
-                "diff-pinpoints-divergence",
-                !diff.is_empty()
-                    && at.is_some_and(|at| a.steps[..at] == d.steps[..at])
-                    && diff.a_step.is_some(),
-                "diff failed to locate the first divergent decision",
-            );
-            println!("{}", diff.render());
+            report = report
+                .det("divergence", parc_trace::parse_json(&diff.to_json()).unwrap_or(Json::Null))
+                .check(
+                    !diff.is_empty()
+                        && at.is_some_and(|at| a.steps[..at] == d.steps[..at])
+                        && diff.a_step.is_some(),
+                    "diff failed to locate the first divergent decision",
+                );
         }
     }
 
@@ -301,22 +217,19 @@ fn replay_gates(gates: &mut Gates) {
     let mut tt = TimeTravel::new(a, racy_body);
     tt.seek(0);
     let start_ok = tt.at_start() && tt.state().steps.is_empty() && !tt.state().frontier.is_empty();
-    gates.check("time-travel-start", start_ok, "position 0 must be empty with a frontier");
+    report = report.check(start_ok, "time travel: position 0 must be empty with a frontier");
     for _ in 0..total {
         tt.forward();
     }
-    gates.check(
-        "time-travel-forward",
+    report = report.check(
         tt.at_end() && tt.state().steps.len() == total && tt.state().completed,
-        &format!("walked to {}/{} steps", tt.state().steps.len(), total),
+        format!("time travel walked to {}/{total} steps", tt.state().steps.len()),
     );
     tt.back();
-    gates.check(
-        "time-travel-back",
+    report.check(
         tt.cursor() == total - 1 && tt.state().steps.len() == total - 1,
-        "stepping back must re-execute the shorter prefix",
-    );
-    println!("\n{}", tt.render());
+        "time travel: stepping back must re-execute the shorter prefix",
+    )
 }
 
 /// A synthetic ~480k-event trace: 4 lanes of spawn-marked task spans.
@@ -332,10 +245,7 @@ fn synthetic_trace() -> Trace {
                     let task = (lane << 32) | i;
                     handle.mark(pid, MarkKind::TaskSpawn { task, parent_span: 0 });
                     let span = handle.span(pid, SpanKind::TaskRun { task });
-                    handle.mark(
-                        pid,
-                        MarkKind::Steal { victim: (lane as u32 + 1) % 4 },
-                    );
+                    handle.mark(pid, MarkKind::Steal { victim: (lane as u32 + 1) % 4 });
                     drop(span);
                 }
             });
@@ -344,10 +254,10 @@ fn synthetic_trace() -> Trace {
     collector.snapshot()
 }
 
-/// Store-build, graph-build and query throughput, recorded as JSON.
-fn bench_throughput() -> String {
+/// Store-build, graph-build and query throughput.
+fn throughput(report: Report) -> Report {
     let trace = synthetic_trace();
-    let events = trace.len();
+    let events = trace.len() as f64;
 
     let t0 = Instant::now();
     let store = TraceStore::new(trace);
@@ -373,34 +283,16 @@ fn bench_throughput() -> String {
     }
     let query_s = t2.elapsed().as_secs_f64().max(1e-9);
 
-    let build_rate = events as f64 / build_s;
-    let graph_rate = events as f64 / graph_s;
-    let query_rate = queries as f64 / query_s;
-    let touch_rate = touched as f64 / query_s;
-    println!(
-        "\nbench: {events} events — store build {build_rate:.0} ev/s, graph+path {graph_rate:.0} ev/s, \
-         {query_rate:.0} queries/s ({touch_rate:.0} results/s)",
-    );
-
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"inspect\",\n",
-            "  \"events\": {},\n",
-            "  \"graph_nodes\": {},\n",
-            "  \"store_build_events_per_sec\": {:.1},\n",
-            "  \"graph_build_events_per_sec\": {:.1},\n",
-            "  \"interval_queries\": {},\n",
-            "  \"queries_per_sec\": {:.1},\n",
-            "  \"query_results_per_sec\": {:.1}\n",
-            "}}\n"
-        ),
-        events,
-        graph.node_count(),
-        build_rate,
-        graph_rate,
-        queries,
-        query_rate,
-        touch_rate,
-    )
+    let rates = [events / build_s, events / graph_s, queries as f64 / query_s];
+    report
+        .measured("bench_events", events)
+        .measured("bench_graph_nodes", graph.node_count())
+        .measured("store_build_events_per_sec", rates[0])
+        .measured("graph_build_events_per_sec", rates[1])
+        .measured("queries_per_sec", rates[2])
+        .measured("query_results_per_sec", touched as f64 / query_s)
+        .check(
+            rates.iter().all(|&r| r > 0.0),
+            format!("throughput rates must be positive: {rates:?}"),
+        )
 }

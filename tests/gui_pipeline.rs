@@ -119,10 +119,12 @@ fn long_computation_on_edt_vs_off_edt_latency_contrast() {
     let gui = EventLoop::spawn();
     let rt = TaskRuntime::builder().workers(2).build();
 
+    // `black_box` keeps release builds from folding the loop into a
+    // closed-form sum, which would leave nothing to block the EDT.
     let busy = || {
         let mut acc = 0u64;
         for i in 0..20_000_000u64 {
-            acc = acc.wrapping_add(i);
+            acc = std::hint::black_box(acc.wrapping_add(i));
         }
         acc
     };
