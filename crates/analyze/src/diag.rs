@@ -8,7 +8,7 @@
 //! Every `E`-class verdict is cross-validated dynamically in
 //! `tests/analyze.rs`: the explorer must witness the bad schedule.
 
-use parc_trace::json_escape;
+use parc_trace::Json;
 use parc_util::Table;
 
 use crate::ast::Span;
@@ -227,70 +227,32 @@ pub fn summary_table(title: &str, diags: &[Diagnostic]) -> String {
     table.render()
 }
 
-/// Export diagnostics as a machine-readable JSON array (hand-rolled;
-/// the workspace carries no serde).
+/// Export diagnostics as a machine-readable JSON array.
 #[must_use]
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"code\": \"{}\", \"severity\": \"{}\", \"line\": {}, \"col\": {}, \"len\": {}, \"message\": \"{}\", \"notes\": [{}]}}",
-            d.code.as_str(),
-            d.code.severity().label(),
-            d.span.line,
-            d.span.col,
-            d.span.len,
-            json_escape(&d.message),
-            d.notes
-                .iter()
-                .map(|n| format!("\"{}\"", json_escape(n)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
+pub fn to_json(diags: &[Diagnostic]) -> Json {
+    Json::Arr(diags.iter().map(|d| entry(d, None)).collect())
 }
 
 /// Like [`to_json`] but each entry also carries the source line the
-/// span points at as a `"snippet"` field (escaped — snippets routinely
-/// contain quotes, backslashes and tabs).
+/// span points at as a `"snippet"` field.
 #[must_use]
-pub fn to_json_with_source(diags: &[Diagnostic], source: &str) -> String {
+pub fn to_json_with_source(diags: &[Diagnostic], source: &str) -> Json {
     let lines: Vec<&str> = source.lines().collect();
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let snippet = lines.get(d.span.line.saturating_sub(1)).copied().unwrap_or("");
-        out.push_str(&format!(
-            "\n  {{\"code\": \"{}\", \"severity\": \"{}\", \"line\": {}, \"col\": {}, \"len\": {}, \"message\": \"{}\", \"snippet\": \"{}\", \"notes\": [{}]}}",
-            d.code.as_str(),
-            d.code.severity().label(),
-            d.span.line,
-            d.span.col,
-            d.span.len,
-            json_escape(&d.message),
-            json_escape(snippet),
-            d.notes
-                .iter()
-                .map(|n| format!("\"{}\"", json_escape(n)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
+    let snippet = |d: &Diagnostic| lines.get(d.span.line.saturating_sub(1)).copied().unwrap_or("");
+    Json::Arr(diags.iter().map(|d| entry(d, Some(snippet(d)))).collect())
+}
+
+fn entry(d: &Diagnostic, snippet: Option<&str>) -> Json {
+    let fields = [
+        ("code", Json::from(d.code.as_str())),
+        ("severity", Json::from(d.code.severity().label())),
+        ("line", Json::from(d.span.line)),
+        ("col", Json::from(d.span.col)),
+        ("len", Json::from(d.span.len)),
+        ("message", Json::from(d.message.as_str())),
+        ("notes", Json::from(d.notes.clone())),
+    ];
+    fields.into_iter().chain(snippet.map(|s| ("snippet", Json::from(s)))).collect()
 }
 
 #[cfg(test)]
@@ -318,7 +280,7 @@ mod tests {
     #[test]
     fn json_escapes_quotes() {
         let d = Diagnostic::new(Code::W101, Span::new(1, 1, 1), "write to \"x\"");
-        let json = to_json(&[d]);
+        let json = to_json(&[d]).to_string();
         assert!(json.contains("write to \\\"x\\\""));
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
@@ -373,7 +335,7 @@ mod tests {
         let nasty = "message with \"quotes\", a \\ backslash,\na newline, \t a tab and \u{1}";
         let d = Diagnostic::new(Code::W101, Span::new(1, 1, 6), nasty)
             .with_note("note with \"quotes\" and \\ slashes");
-        let json = to_json_with_source(&[d], source);
+        let json = to_json_with_source(&[d], source).to_string();
         let strings = parse_json_strings(&json);
         assert!(strings.contains(&nasty.to_string()), "message must round-trip exactly");
         assert!(

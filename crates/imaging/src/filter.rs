@@ -4,7 +4,7 @@
 //! Each filter has a sequential form plus a pyjama-parallel form that
 //! workshares the output rows — the same disjoint-write pattern as
 //! the thumbnail pipeline, giving project 1's "image processing"
-//! extension a richer operation set (and the E1 bench more shapes).
+//! extension a richer operation set (and the E1 experiment more shapes).
 
 use pyjama::{Schedule, Team};
 

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeSet;
 
-use parc_trace::json_escape;
+use parc_trace::Json;
 use parc_util::table::Table;
 
 use crate::graph::{EdgeKind, TaskGraph};
@@ -274,67 +274,72 @@ impl CriticalReport {
         out
     }
 
-    /// The rerun-stable slice of the report as canonical JSON: graph
+    /// The rerun-stable slice of the report as JSON: graph
     /// fingerprint, logical total, the logical critical path's labels,
     /// and the count of zero-slack nodes. Bit-identical across reruns
     /// and pool sizes for the same seeded workload.
     #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        let path: Vec<String> = self
-            .logical
-            .entries
-            .iter()
-            .map(|e| format!("\"{}\"", json_escape(&self.labels[e.node].0)))
-            .collect();
+    pub fn deterministic_json(&self) -> Json {
+        let path: Vec<&str> =
+            self.logical.entries.iter().map(|e| self.labels[e.node].0.as_str()).collect();
         let zero_slack = self.logical.slack.iter().filter(|s| **s == 0).count();
-        format!(
-            "{{\"fingerprint\":\"0x{:016x}\",\"logical_total\":{},\"node_count\":{},\"zero_slack_nodes\":{},\"critical_path\":[{}]}}",
-            self.fingerprint,
-            self.logical.total,
-            self.labels.len(),
-            zero_slack,
-            path.join(","),
-        )
+        [
+            ("fingerprint", Json::from(format!("{:#018x}", self.fingerprint))),
+            ("logical_total", Json::from(self.logical.total)),
+            ("node_count", Json::from(self.labels.len())),
+            ("zero_slack_nodes", Json::from(zero_slack)),
+            ("critical_path", Json::from(path)),
+        ]
+        .into_iter()
+        .collect()
     }
 
     /// The full report as JSON: a `deterministic` section (see
     /// [`CriticalReport::deterministic_json`]) plus a `wall_clock`
     /// section with the wall path and attribution table.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let wall_path: Vec<String> = self
+    pub fn to_json(&self) -> Json {
+        let wall_path: Vec<Json> = self
             .wall
             .entries
             .iter()
             .map(|e| {
-                format!(
-                    "{{\"node\":\"{}\",\"kind\":\"{}\",\"self_ns\":{},\"cumulative_ns\":{}}}",
-                    json_escape(&self.labels[e.node].0),
-                    self.labels[e.node].1,
-                    e.weight,
-                    e.cumulative,
-                )
+                let (node, kind) = &self.labels[e.node];
+                [
+                    ("node", Json::from(node.as_str())),
+                    ("kind", Json::from(*kind)),
+                    ("self_ns", Json::from(e.weight)),
+                    ("cumulative_ns", Json::from(e.cumulative)),
+                ]
+                .into_iter()
+                .collect()
             })
             .collect();
-        let attr: Vec<String> = self
+        let attribution: Vec<Json> = self
             .attribution
             .iter()
             .map(|r| {
-                format!(
-                    "{{\"kind\":\"{}\",\"self_ns\":{},\"share_pct\":{:.4}}}",
-                    r.kind, r.self_ns, r.share_pct,
-                )
+                [
+                    ("kind", Json::from(r.kind)),
+                    ("self_ns", Json::from(r.self_ns)),
+                    ("share_pct", Json::from(r.share_pct)),
+                ]
+                .into_iter()
+                .collect()
             })
             .collect();
-        format!(
-            "{{\"deterministic\":{},\"wall_clock\":{{\"total_ns\":{},\"active_lanes\":{},\"wall_path\":[{}],\"attribution\":[{}],\"attributed_pct\":{:.4}}}}}",
-            self.deterministic_json(),
-            self.wall_ns,
-            self.active_lanes,
-            wall_path.join(","),
-            attr.join(","),
-            self.attribution_total_pct(),
-        )
+        let wall_clock: Json = [
+            ("total_ns", Json::from(self.wall_ns)),
+            ("active_lanes", Json::from(self.active_lanes)),
+            ("wall_path", Json::Arr(wall_path)),
+            ("attribution", Json::Arr(attribution)),
+            ("attributed_pct", Json::from(self.attribution_total_pct())),
+        ]
+        .into_iter()
+        .collect();
+        [("deterministic", self.deterministic_json()), ("wall_clock", wall_clock)]
+            .into_iter()
+            .collect()
     }
 }
 
@@ -437,10 +442,11 @@ mod tests {
         let text = r.render();
         assert!(text.contains("critical path"));
         assert!(text.contains("attribution"));
-        let full = parc_trace::parse_json(&r.to_json()).expect("full JSON parses");
+        let full = parc_trace::parse_json(&r.to_json().to_string()).expect("full JSON parses");
         assert!(full.get("deterministic").is_some());
         assert!(full.get("wall_clock").is_some());
-        let det = parc_trace::parse_json(&r.deterministic_json()).expect("det JSON parses");
+        let det =
+            parc_trace::parse_json(&r.deterministic_json().to_string()).expect("det JSON parses");
         assert!(det.get("fingerprint").is_some());
         assert!(det.get("critical_path").is_some());
     }

@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parc_explore::replay::{replay_prefix, Recording, Step};
+use parc_trace::Json;
 use parc_util::table::Table;
 
 /// A cursor over one recorded schedule: re-executes prefixes of the
@@ -231,33 +232,42 @@ impl ScheduleDiff {
         out
     }
 
-    /// Canonical JSON form of the diff.
+    /// The diff as JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let step = |s: &Option<Step>| {
-            s.as_ref().map_or("null".to_string(), |s| {
-                format!("{{\"tid\":{},\"what\":\"{}\"}}", s.tid, parc_trace::json_escape(&s.what))
+            s.as_ref().map_or(Json::Null, |s| {
+                [("tid", Json::from(s.tid)), ("what", Json::from(s.what.as_str()))]
+                    .into_iter()
+                    .collect()
             })
         };
-        let obs: Vec<String> = self
+        let deltas: Vec<Json> = self
             .observation_deltas
             .iter()
-            .map(|(k, (a, b))| {
-                format!("{{\"key\":\"{}\",\"a\":{a},\"b\":{b}}}", parc_trace::json_escape(k))
+            .map(|(key, &(a, b))| {
+                [
+                    ("key", Json::from(key.as_str())),
+                    ("a", Json::Num(a as f64)),
+                    ("b", Json::Num(b as f64)),
+                ]
+                .into_iter()
+                .collect()
             })
             .collect();
-        format!(
-            "{{\"identical\":{},\"first_divergence\":{},\"a_step\":{},\"b_step\":{},\"tail_a\":{},\"tail_b\":{},\"verdict_a\":\"{}\",\"verdict_b\":\"{}\",\"observation_deltas\":[{}]}}",
-            self.is_empty(),
-            self.first_divergence.map_or("null".to_string(), |d| d.to_string()),
-            step(&self.a_step),
-            step(&self.b_step),
-            self.tail_a,
-            self.tail_b,
-            self.verdicts.0,
-            self.verdicts.1,
-            obs.join(","),
-        )
+        [
+            ("identical", Json::from(self.is_empty())),
+            ("first_divergence", self.first_divergence.map_or(Json::Null, Json::from)),
+            ("a_step", step(&self.a_step)),
+            ("b_step", step(&self.b_step)),
+            ("tail_a", Json::from(self.tail_a)),
+            ("tail_b", Json::from(self.tail_b)),
+            ("verdict_a", Json::from(self.verdicts.0.as_str())),
+            ("verdict_b", Json::from(self.verdicts.1.as_str())),
+            ("observation_deltas", Json::Arr(deltas)),
+        ]
+        .into_iter()
+        .collect()
     }
 }
 
@@ -396,7 +406,7 @@ mod tests {
             d.a_step.as_ref().map(|s| (s.tid, s.what.clone())),
             d.b_step.as_ref().map(|s| (s.tid, s.what.clone())),
         );
-        let json = parc_trace::parse_json(&d.to_json()).expect("diff JSON parses");
+        let json = parc_trace::parse_json(&d.to_json().to_string()).expect("diff JSON parses");
         assert!(json.get("first_divergence").is_some());
     }
 

@@ -133,10 +133,39 @@ pub(crate) struct RtInner {
 
 /// One task registered with the deadline watchdog.
 struct DeadlineEntry {
-    due: Instant,
-    task: u64,
+    expiry: Arc<Expiry>,
     token: CancelToken,
     finished: Arc<dyn Fn() -> bool + Send + Sync>,
+}
+
+/// The expiry of one [`TaskRuntime::spawn_deadline`] task. Whichever
+/// side observes the deadline first counts it: the watchdog, finding
+/// the task unfinished at `due`, or the task itself, settling at or
+/// after `due` (a body that stopped on its expired token or overran
+/// it, or a queued task skipped for it).
+struct Expiry {
+    /// The token's effective deadline: the instant its
+    /// `is_cancelled` turns true.
+    due: Instant,
+    task: u64,
+    /// Held while counting, so a count one side has begun is complete
+    /// before the other side sees `true` and lets a joiner in.
+    counted: Mutex<bool>,
+}
+
+impl Expiry {
+    /// Count the expiry in `inner`'s stats unless it already is.
+    fn count(&self, inner: &RtInner) {
+        let mut counted = self.counted.lock();
+        if !*counted {
+            *counted = true;
+            inner.timed_out.inc();
+            inner.trace.mark(
+                inner.pid,
+                MarkKind::TaskOutcome { task: self.task, outcome: Outcome::TimedOut },
+            );
+        }
+    }
 }
 
 #[derive(Default)]
@@ -529,14 +558,14 @@ fn deadline_watch_loop(weak: &Weak<RtInner>) {
             if st.entries[i].finished.as_ref()() {
                 // Completed in time: forget the deadline.
                 st.entries.swap_remove(i);
-            } else if st.entries[i].due <= now {
+            } else if st.entries[i].expiry.due <= now {
                 due.push(st.entries.swap_remove(i));
             } else {
                 i += 1;
             }
         }
         if due.is_empty() {
-            let next = st.entries.iter().map(|e| e.due).min();
+            let next = st.entries.iter().map(|e| e.expiry.due).min();
             match next {
                 Some(at) => {
                     let _ = inner.deadlines.cv.wait_until(&mut st, at);
@@ -561,12 +590,8 @@ fn deadline_watch_loop(weak: &Weak<RtInner>) {
             // Count before cancelling: the cancel flag's release store is what
             // publishes this increment to a task body that observes cancellation,
             // finishes, and lets a joiner read the stats.
-            inner.timed_out.inc();
+            entry.expiry.count(&inner);
             entry.token.cancel();
-            inner.trace.mark(
-                inner.pid,
-                MarkKind::TaskOutcome { task: entry.task, outcome: Outcome::TimedOut },
-            );
         }
     }
 }
@@ -657,9 +682,10 @@ impl TaskRuntime {
     }
 
     /// Spawn a task with an execution budget: when `deadline` elapses
-    /// before the task finishes, its [`CancelToken`] is cancelled by a
-    /// watchdog thread and the expiry is counted in
-    /// [`RuntimeStats::timed_out`].
+    /// before the task finishes, its [`CancelToken`] reports
+    /// cancellation and the expiry is counted once in
+    /// [`RuntimeStats::timed_out`], before a join can return, whether
+    /// a watchdog thread or the task itself sees the deadline first.
     ///
     /// Cancellation is cooperative, exactly as with
     /// [`TaskRuntime::spawn_cancellable`]: a body that polls its token
@@ -686,15 +712,28 @@ impl TaskRuntime {
         f: impl FnOnce(&CancelToken) -> T + Send + 'static,
     ) -> TaskHandle<T> {
         let token = parent.child_with_deadline(deadline);
-        let handle = spawn_on_with_token(&self.inner, token, f);
-        let core = Arc::clone(&handle.core);
-        self.inner.register_deadline(DeadlineEntry {
-            due: Instant::now() + deadline,
+        let core = Core::with_token(token.clone());
+        let expiry = Arc::new(Expiry {
+            due: token.deadline().expect("a deadline token has a deadline"),
             task: core.id.as_u64(),
-            token: handle.cancel_token(),
-            finished: Arc::new(move || core.is_finished()),
+            counted: Mutex::new(false),
         });
-        handle
+        let settle = {
+            let (expiry, inner) = (Arc::clone(&expiry), Arc::downgrade(&self.inner));
+            move || {
+                if let Some(inner) = inner.upgrade().filter(|_| Instant::now() >= expiry.due) {
+                    expiry.count(&inner);
+                }
+            }
+        };
+        self.inner.push_job(make_traced_job(&self.inner, &core, f, settle));
+        let finished = Arc::clone(&core);
+        self.inner.register_deadline(DeadlineEntry {
+            expiry,
+            token,
+            finished: Arc::new(move || finished.is_finished()),
+        });
+        TaskHandle { core, helper: make_helper(&self.inner) }
     }
 
     /// The root of this runtime's cancellation tree. Derive subtree
@@ -1014,7 +1053,7 @@ impl RuntimeHandle {
 
 fn run_inline<T: Send + 'static>(f: impl FnOnce(&CancelToken) -> T) -> TaskHandle<T> {
     let core = Core::new();
-    core.run(f);
+    core.run(f, || ());
     TaskHandle { core, helper: None }
 }
 
@@ -1026,14 +1065,16 @@ fn make_helper(inner: &Arc<RtInner>) -> HelpHook {
     }))
 }
 
-/// The shared tail of both spawn paths: count the submission, emit the
+/// The shared tail of every spawn path: count the submission, emit the
 /// spawn mark (linked to the spawning thread's current span), and
 /// build the worker-side job closure that runs the body inside a
-/// `task.run` span and records its outcome.
+/// `task.run` span, calls `settle` before the result is published (a
+/// no-op except for deadline tasks), and records its outcome.
 fn make_traced_job<T: Send + 'static>(
     inner: &Arc<RtInner>,
     core: &Arc<Core<T>>,
     f: impl FnOnce(&CancelToken) -> T + Send + 'static,
+    settle: impl FnOnce() + Send + 'static,
 ) -> Job {
     let task = core.id.as_u64();
     inner.spawned.inc();
@@ -1051,7 +1092,7 @@ fn make_traced_job<T: Send + 'static>(
         let run_start = Instant::now();
         let was_cancelled = {
             let _span = rt.as_ref().map(|i| i.trace.span(i.pid, SpanKind::TaskRun { task }));
-            job_core.run(f)
+            job_core.run(f, settle)
         };
         if let Some(inner) = rt {
             inner.record_run_ms(run_start.elapsed().as_secs_f64() * 1e3);
@@ -1158,7 +1199,7 @@ pub(crate) fn spawn_on_with_token<T: Send + 'static>(
     f: impl FnOnce(&CancelToken) -> T + Send + 'static,
 ) -> TaskHandle<T> {
     let core = Core::with_token(token);
-    let job = make_traced_job(inner, &core, f);
+    let job = make_traced_job(inner, &core, f, || ());
     inner.push_job(job);
     TaskHandle {
         core,
@@ -1172,7 +1213,7 @@ pub(crate) fn spawn_after_on<T: Send + 'static>(
     f: impl FnOnce(&CancelToken) -> T + Send + 'static,
 ) -> TaskHandle<T> {
     let core = Core::with_token(inner.root_token.child());
-    let job = make_traced_job(inner, &core, f);
+    let job = make_traced_job(inner, &core, f, || ());
     if deps.is_empty() {
         inner.push_job(job);
     } else {

@@ -119,16 +119,24 @@ impl<T: Send + 'static> Core<T> {
     }
 
     /// Execute the task body (worker side). Checks the cancellation
-    /// flag first, contains panics, then completes the future.
-    /// Returns `true` when the task resolved to `Cancelled` without
-    /// running (so the runtime can count skipped bodies).
-    pub(crate) fn run(self: &Arc<Self>, body: impl FnOnce(&CancelToken) -> T) -> bool {
+    /// flag first, contains panics, calls `settle` once the body has
+    /// returned or been skipped, then completes the future, so whatever
+    /// `settle` records is visible to every joiner. Returns `true` when
+    /// the task resolved to `Cancelled` without running (so the runtime
+    /// can count skipped bodies).
+    pub(crate) fn run(
+        self: &Arc<Self>,
+        body: impl FnOnce(&CancelToken) -> T,
+        settle: impl FnOnce(),
+    ) -> bool {
         if self.cancel.is_cancelled() {
+            settle();
             self.complete(Err(TaskError::Cancelled));
             return true;
         }
         let token = self.cancel.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&token)));
+        settle();
         let result = outcome.map_err(|payload| TaskError::Panicked(panic_message(&*payload)));
         self.complete(result);
         false

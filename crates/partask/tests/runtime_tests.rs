@@ -492,6 +492,29 @@ fn spawn_deadline_cancels_overdue_task() {
 }
 
 #[test]
+fn every_deadline_expiry_is_counted_before_its_join_returns() {
+    // Bodies stop as soon as their token reports the deadline, which
+    // can be before the watchdog wakes; queued tasks whose deadline
+    // passes before they start are skipped. Either way the expiry must
+    // already be counted when the join returns.
+    let rt = TaskRuntime::builder().workers(2).build();
+    let handles: Vec<_> = (0..20)
+        .map(|_| {
+            rt.spawn_deadline(Duration::from_millis(5), |token| {
+                while !token.is_cancelled() {
+                    std::thread::yield_now();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        let _ = h.join();
+    }
+    assert_eq!(rt.stats().timed_out, 20, "each expiry counted once, before its join returned");
+    rt.shutdown();
+}
+
+#[test]
 fn spawn_deadline_is_free_for_fast_tasks() {
     let rt = TaskRuntime::builder().workers(2).build();
     for i in 0..20 {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread;
 
 use parc_supervise::CancelToken;
-use parc_trace::{MarkKind, MetricHistogram, SchedTag, SpanKind, TraceHandle};
+use parc_trace::{LatencyHistogram, MarkKind, SchedTag, SpanKind, TraceHandle};
 use parking_lot::{Condvar, Mutex};
 
 use crate::reduction::Reduction;
@@ -180,7 +180,7 @@ struct TeamInner {
     pid: u32,
     /// Per-member barrier wait times, registered with the collector's
     /// metrics registry when tracing is attached.
-    barrier_hist: Option<Arc<MetricHistogram>>,
+    barrier_hist: Option<Arc<Mutex<LatencyHistogram>>>,
 }
 
 /// A persistent team of threads executing parallel regions; the
@@ -210,7 +210,7 @@ impl Team {
         let pid = trace.register_track("pyjama");
         let barrier_hist = trace
             .metrics()
-            .map(|reg| reg.histogram("pyjama.barrier_wait_ms", 0.0, 50.0, 20));
+            .map(|reg| reg.histogram("pyjama.barrier_wait_ms", 1e-3, 1e4, 12));
         let inner = Arc::new(TeamInner {
             n,
             slot: Mutex::new(DispatchSlot {
@@ -586,7 +586,7 @@ impl<'r> Ctx<'r> {
             },
         );
         if let Some(hist) = &self.team.barrier_hist {
-            hist.record(waited.as_secs_f64() * 1e3);
+            hist.lock().record(waited.as_secs_f64() * 1e3);
         }
     }
 

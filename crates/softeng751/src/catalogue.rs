@@ -1,9 +1,10 @@
 //! The ten SoftEng 751 projects (Section IV-C) as runnable scenarios.
 //!
 //! Each driver exercises its subsystem end to end at a laptop-friendly
-//! scale, self-checks its results, and returns a [`ProjectReport`]
-//! with headline metrics. The example binaries and the experiment
-//! index in DESIGN.md both route through here.
+//! scale, self-checks its results, and returns a [`ProjectReport`]:
+//! pool-independent facts, timings, and the checks that failed. The
+//! `projects` experiment program records each report as the first part
+//! of the project's cell.
 
 use std::sync::Arc;
 
@@ -130,74 +131,59 @@ impl Engines {
 pub struct ProjectReport {
     /// Which project ran.
     pub id: ProjectId,
-    /// Project title.
-    pub title: &'static str,
-    /// Did every self-check pass?
-    pub ok: bool,
-    /// Human-readable findings, one line each.
-    pub details: Vec<String>,
-    /// Headline metrics (name, value).
-    pub metrics: Vec<(String, f64)>,
-    /// Wall time of the whole scenario in milliseconds.
-    pub elapsed_ms: f64,
+    /// Facts that depend neither on the schedule nor on the pool size:
+    /// planted-vs-found counts, task counts, reduction results, fault
+    /// accounting.
+    pub facts: Vec<(String, u64)>,
+    /// Wall-clock timings, plus readings that vary with the schedule
+    /// (floating-point error of a parallel sum, racy-demo anomalies).
+    pub timings: Vec<(String, f64)>,
+    /// Self-checks that failed, one line each; empty when the project
+    /// passed.
+    pub violations: Vec<String>,
 }
 
 impl ProjectReport {
-    /// Render as a text block.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "[{}] {} — {}\n",
-            self.id.experiment_id(),
-            self.title,
-            if self.ok { "OK" } else { "FAILED" }
-        );
-        for d in &self.details {
-            out.push_str(&format!("  - {d}\n"));
+    fn fact(&mut self, key: impl Into<String>, value: u64) {
+        self.facts.push((key.into(), value));
+    }
+
+    fn timing(&mut self, key: impl Into<String>, value: f64) {
+        self.timings.push((key.into(), value));
+    }
+
+    fn check(&mut self, ok: bool, violation: impl FnOnce() -> String) {
+        if !ok {
+            self.violations.push(violation());
         }
-        for (name, value) in &self.metrics {
-            out.push_str(&format!("  * {name}: {value:.3}\n"));
-        }
-        out.push_str(&format!("  ({:.1} ms)\n", self.elapsed_ms));
-        out
     }
 }
 
 /// Run one project scenario.
 #[must_use]
 pub fn run_project(id: ProjectId, engines: &Engines) -> ProjectReport {
-    let sw = Stopwatch::start();
-    let (ok, details, metrics) = match id {
-        ProjectId::Thumbnails => project_thumbnails(engines),
-        ProjectId::ParallelQuicksort => project_quicksort(engines),
-        ProjectId::ComputationalKernels => project_kernels(engines),
-        ProjectId::TextSearch => project_text_search(engines),
-        ProjectId::Reductions => project_reductions(engines),
-        ProjectId::TaskAwareLibraries => project_task_aware(engines),
-        ProjectId::PdfSearch => project_pdf_search(engines),
-        ProjectId::MemoryModel => project_memory_model(engines),
-        ProjectId::ParallelCollections => project_collections(engines),
-        ProjectId::ConcurrentWebAccess => project_web(engines),
-    };
-    ProjectReport {
-        id,
-        title: id.title(),
-        ok,
-        details,
-        metrics,
-        elapsed_ms: sw.elapsed_ms(),
+    let mut report =
+        ProjectReport { id, facts: Vec::new(), timings: Vec::new(), violations: Vec::new() };
+    let r = &mut report;
+    match id {
+        ProjectId::Thumbnails => thumbnails(engines, r),
+        ProjectId::ParallelQuicksort => quicksort(engines, r),
+        ProjectId::ComputationalKernels => kernels(&engines.team, r),
+        ProjectId::TextSearch => folder_search(&engines.rt, r),
+        ProjectId::Reductions => reductions(&engines.team, r),
+        ProjectId::TaskAwareLibraries => task_aware(r),
+        ProjectId::PdfSearch => paged_search(&engines.rt, r),
+        ProjectId::MemoryModel => memory_model(r),
+        ProjectId::ParallelCollections => collections(r),
+        ProjectId::ConcurrentWebAccess => web(r),
     }
+    report
 }
 
-type Outcome = (bool, Vec<String>, Vec<(String, f64)>);
-
-fn project_thumbnails(engines: &Engines) -> Outcome {
+fn thumbnails(engines: &Engines, r: &mut ProjectReport) {
     use imaging::{gen, render_gallery, GalleryConfig, Strategy};
     let images = Arc::new(gen::generate_folder(16, 32, 96, 0xA11));
-    let mut details = Vec::new();
-    let mut metrics = Vec::new();
     let mut hashes: Option<Vec<u64>> = None;
-    let mut ok = true;
     // GUI responsiveness while the gallery renders off the EDT.
     let probe = guievent::Probe::start(engines.gui.handle(), std::time::Duration::from_millis(1));
     for strategy in [
@@ -206,222 +192,131 @@ fn project_thumbnails(engines: &Engines) -> Outcome {
         Strategy::MultiTask(4),
         Strategy::PyjamaDynamic(2),
     ] {
-        let cfg = GalleryConfig {
-            thumb_w: 24,
-            thumb_h: 24,
-            strategy,
-            ..GalleryConfig::default()
-        };
+        let cfg = GalleryConfig { thumb_w: 24, thumb_h: 24, strategy, ..GalleryConfig::default() };
         let sw = Stopwatch::start();
         let report = render_gallery(&images, &cfg, &engines.rt, &engines.team, None);
-        let ms = sw.elapsed_ms();
-        metrics.push((format!("render_ms[{}]", report.strategy), ms));
-        let h: Vec<u64> = report
-            .thumbnails
-            .iter()
-            .map(imaging::Image::content_hash)
-            .collect();
-        match &hashes {
-            None => hashes = Some(h),
-            Some(r) => {
-                if r != &h {
-                    ok = false;
-                    details.push(format!("strategy {} produced different pixels!", report.strategy));
-                }
-            }
-        }
+        r.timing(format!("render_ms[{}]", report.strategy), sw.elapsed_ms());
+        let h: Vec<u64> = report.thumbnails.iter().map(imaging::Image::content_hash).collect();
+        let reference = hashes.get_or_insert_with(|| h.clone());
+        r.check(*reference == h, || {
+            format!("strategy {} produced different pixels", report.strategy)
+        });
     }
     let resp = probe.finish();
-    metrics.push(("gui_median_latency_ms".into(), resp.summary().median()));
-    details.push(format!(
-        "all strategies bit-identical across {} images; GUI stayed responsive (worst {:.2} ms)",
-        images.len(),
-        resp.worst_ms()
-    ));
-    (ok, details, metrics)
+    r.fact("images", images.len() as u64);
+    r.timing("gui_median_latency_ms", resp.summary().median());
+    r.timing("gui_worst_latency_ms", resp.worst_ms());
 }
 
-fn project_quicksort(engines: &Engines) -> Outcome {
+fn quicksort(engines: &Engines, r: &mut ProjectReport) {
     use parsort::{data, quicksort_partask, quicksort_pyjama, quicksort_seq, quicksort_threads};
     let input = data::random(60_000, 0x50F7);
     let mut expected = input.clone();
     expected.sort_unstable();
-    let mut details = Vec::new();
-    let mut metrics = Vec::new();
-    let mut ok = true;
-    type SortVariant<'a> = (&'a str, Box<dyn Fn() -> Vec<u64> + 'a>);
-    let variants: Vec<SortVariant> = vec![
-        ("sequential", {
-            let input = input.clone();
-            Box::new(move || {
-                let mut v = input.clone();
-                quicksort_seq(&mut v);
-                v
-            })
-        }),
-        ("partask", {
-            let input = input.clone();
-            let rt = &engines.rt;
-            Box::new(move || {
-                let mut v = input.clone();
-                quicksort_partask(rt, &mut v);
-                v
-            })
-        }),
-        ("pyjama", {
-            let input = input.clone();
-            let team = &engines.team;
-            Box::new(move || {
-                let mut v = input.clone();
-                quicksort_pyjama(team, &mut v);
-                v
-            })
-        }),
-        ("threads", {
-            let input = input.clone();
-            Box::new(move || {
-                let mut v = input.clone();
-                quicksort_threads(&mut v, 3);
-                v
-            })
-        }),
+    type Sort<'a> = &'a dyn Fn(&mut Vec<u64>);
+    let variants: [(&str, Sort); 4] = [
+        ("sequential", &|v| quicksort_seq(v)),
+        ("partask", &|v| quicksort_partask(&engines.rt, v)),
+        ("pyjama", &|v| quicksort_pyjama(&engines.team, v)),
+        ("threads", &|v| quicksort_threads(v, 3)),
     ];
-    for (name, run) in variants {
+    for (name, sort) in variants {
+        let mut v = input.clone();
         let sw = Stopwatch::start();
-        let sorted = run();
-        metrics.push((format!("sort_ms[{name}]"), sw.elapsed_ms()));
-        if sorted != expected {
-            ok = false;
-            details.push(format!("{name} produced an incorrect ordering!"));
-        }
+        sort(&mut v);
+        r.timing(format!("sort_ms[{name}]"), sw.elapsed_ms());
+        r.check(v == expected, || format!("{name} produced an incorrect ordering"));
     }
-    details.push("all four quicksort variants agree with std sort".into());
-    (ok, details, metrics)
+    r.fact("elements", input.len() as u64);
 }
 
-fn project_kernels(engines: &Engines) -> Outcome {
+fn kernels(team: &Team, r: &mut ProjectReport) {
     use kernels::{fft, graph, linalg, montecarlo};
-    let team = &engines.team;
-    let mut details = Vec::new();
-    let mut metrics = Vec::new();
-    let mut ok = true;
+    let max_diff =
+        |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max);
 
-    // FFT.
     let signal = fft::test_signal(1024, 3);
     let mut seq = signal.clone();
     fft::fft_seq(&mut seq);
     let mut par = signal;
     fft::fft_par(team, &mut par);
-    let fft_err = seq
-        .iter()
-        .zip(&par)
-        .map(|(a, b)| a.sub(*b).abs())
-        .fold(0.0f64, f64::max);
-    ok &= fft_err < 1e-9;
-    metrics.push(("fft_max_err".into(), fft_err));
+    let fft_err = seq.iter().zip(&par).map(|(a, b)| a.sub(*b).abs()).fold(0.0f64, f64::max);
 
-    // PageRank.
     let g = graph::CsrGraph::random(400, 1600, 4);
-    let pr_seq = graph::pagerank_seq(&g, 0.85, 20);
-    let pr_par = graph::pagerank_par(team, &g, 0.85, 20);
-    let pr_err = pr_seq
-        .iter()
-        .zip(&pr_par)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    ok &= pr_err < 1e-10;
-    metrics.push(("pagerank_max_err".into(), pr_err));
+    let pr_err =
+        max_diff(&graph::pagerank_seq(&g, 0.85, 20), &graph::pagerank_par(team, &g, 0.85, 20));
 
-    // Matmul.
     let a = linalg::Matrix::random(48, 48, 5);
     let b = linalg::Matrix::random(48, 48, 6);
     let mm_err = linalg::matmul_par(team, &a, &b).max_diff(&linalg::matmul_seq(&a, &b));
-    ok &= mm_err < 1e-12;
-    metrics.push(("matmul_max_err".into(), mm_err));
 
-    // π.
     let pi = montecarlo::pi_quadrature_par(team, 100_000, Schedule::Static);
     let pi_err = (pi - std::f64::consts::PI).abs();
-    ok &= pi_err < 1e-8;
-    metrics.push(("pi_quadrature_err".into(), pi_err));
 
-    details.push("FFT, PageRank, matmul and π kernels: parallel == sequential".into());
-    (ok, details, metrics)
+    for (name, err, tolerance) in [
+        ("fft_max_err", fft_err, 1e-9),
+        ("pagerank_max_err", pr_err, 1e-10),
+        ("matmul_max_err", mm_err, 1e-12),
+        ("pi_quadrature_err", pi_err, 1e-8),
+    ] {
+        r.timing(name, err);
+        r.check(err < tolerance, || format!("{name} {err:e} exceeds {tolerance:e}"));
+    }
 }
 
-fn project_text_search(engines: &Engines) -> Outcome {
+fn folder_search(rt: &TaskRuntime, r: &mut ProjectReport) {
     use docsearch::corpus::{generate_tree, CorpusConfig};
     use docsearch::{search_folder, Query};
-    let cfg = CorpusConfig {
-        needle_rate: 0.03,
-        ..CorpusConfig::default()
-    };
+    let cfg = CorpusConfig { needle_rate: 0.03, ..CorpusConfig::default() };
     let (tree, planted) = generate_tree(&cfg);
     let (tx, rx) = partask::interim_channel();
-    let report = search_folder(&engines.rt, &tree, &Query::literal(&cfg.needle), Some(&tx), None);
+    let report = search_folder(rt, &tree, &Query::literal(&cfg.needle), Some(&tx), None);
     let streamed = rx.try_drain().len();
-    let ok = report.matches.len() == planted && streamed == planted;
-    let details = vec![format!(
-        "found {} planted needles across {} files; {} hits streamed live",
-        report.matches.len(),
-        report.files_searched,
-        streamed
-    )];
-    let metrics = vec![
-        ("matches".into(), report.matches.len() as f64),
-        ("files".into(), report.files_searched as f64),
-    ];
-    (ok, details, metrics)
+    r.check(report.matches.len() == planted && streamed == planted, || {
+        format!("{planted} planted, {} found, {streamed} streamed", report.matches.len())
+    });
+    r.fact("planted", planted as u64);
+    r.fact("matches", report.matches.len() as u64);
+    r.fact("streamed", streamed as u64);
+    r.fact("files", report.files_searched as u64);
 }
 
-fn project_reductions(engines: &Engines) -> Outcome {
+fn reductions(team: &Team, r: &mut ProjectReport) {
     use pyjama::{MapMerge, SetUnion, SumRed, VecConcat};
-    let team = &engines.team;
+    use std::collections::{HashMap, HashSet};
     let n = 20_000usize;
-    let mut ok = true;
-    let mut metrics = Vec::new();
 
     let sum = team.par_reduce(0..n, Schedule::Static, &SumRed, |i| i as u64);
-    ok &= sum == (n as u64 - 1) * n as u64 / 2;
+    r.check(sum == (n as u64 - 1) * n as u64 / 2, || format!("scalar sum {sum}"));
 
     let concat: Vec<u32> =
         team.par_reduce(0..1000, Schedule::Static, &VecConcat::new(), |i| vec![i as u32]);
-    ok &= concat == (0..1000).collect::<Vec<_>>();
+    r.check(concat == (0..1000).collect::<Vec<_>>(), || "vec-concat lost the loop order".into());
 
-    let set: std::collections::HashSet<u64> =
-        team.par_reduce(0..n, Schedule::Dynamic(64), &SetUnion::new(), |i| {
-            let mut s = std::collections::HashSet::new();
-            s.insert((i % 97) as u64);
-            s
-        });
-    ok &= set.len() == 97;
+    let set: HashSet<u64> = team.par_reduce(0..n, Schedule::Dynamic(64), &SetUnion::new(), |i| {
+        HashSet::from([(i % 97) as u64])
+    });
+    r.check(set.len() == 97, || format!("set-union kept {} of 97 keys", set.len()));
 
-    let red = MapMerge::new(|a: u64, b: u64| a + b);
-    let counts: std::collections::HashMap<u64, u64> =
-        team.par_reduce(0..n, Schedule::Guided(16), &red, |i| {
-            let mut m = std::collections::HashMap::new();
-            m.insert((i % 10) as u64, 1u64);
-            m
-        });
-    ok &= counts.values().sum::<u64>() == n as u64;
+    let merge = MapMerge::new(|a: u64, b: u64| a + b);
+    let counts: HashMap<u64, u64> = team
+        .par_reduce(0..n, Schedule::Guided(16), &merge, |i| HashMap::from([((i % 10) as u64, 1)]));
+    let merged = counts.values().sum::<u64>();
+    r.check(merged == n as u64, || format!("map-merge counted {merged} of {n}"));
 
-    metrics.push(("scalar_sum".into(), sum as f64));
-    metrics.push(("set_cardinality".into(), set.len() as f64));
-    let details = vec![
-        "scalar sum, vec-concat, set-union and map-merge reductions all verified".into(),
-    ];
-    (ok, details, metrics)
+    r.fact("scalar_sum", sum);
+    r.fact("set_cardinality", set.len() as u64);
 }
 
-fn project_task_aware(engines: &Engines) -> Outcome {
+fn task_aware(r: &mut ProjectReport) {
     use taskcol::TaskCell;
-    // The saturated-pool scenario on a dedicated single-worker pool.
+    // The saturated-pool scenario on a dedicated single-worker pool:
+    // the task-aware blocking get helps the producer run.
     let rt1 = TaskRuntime::builder().workers(1).build();
     let h = rt1.handle();
     let cell = Arc::new(TaskCell::new());
     let consumer = {
         let cell = Arc::clone(&cell);
-        let h = h.clone();
         rt1.spawn(move || {
             let producer_cell = Arc::clone(&cell);
             let _producer = h.spawn(move || producer_cell.set(2014u32));
@@ -430,108 +325,62 @@ fn project_task_aware(engines: &Engines) -> Outcome {
     };
     let got = consumer.join();
     rt1.shutdown();
-    let ok = got == Ok(2014);
-    let _ = engines;
-    let details = vec![
-        "task-aware blocking get on a 1-worker pool helped the producer run (no deadlock)".into(),
-    ];
-    (ok, details, vec![])
+    r.check(got == Ok(2014), || format!("blocking get on a 1-worker pool returned {got:?}"));
+    r.fact("value", u64::from(got.unwrap_or(0)));
 }
 
-fn project_pdf_search(engines: &Engines) -> Outcome {
+fn paged_search(rt: &TaskRuntime, r: &mut ProjectReport) {
     use docsearch::corpus::{generate_documents, CorpusConfig};
     use docsearch::{search_documents, Granularity, Query};
-    let cfg = CorpusConfig {
-        needle_rate: 0.02,
-        ..CorpusConfig::default()
-    };
+    let cfg = CorpusConfig { needle_rate: 0.02, ..CorpusConfig::default() };
     let (docs, planted) = generate_documents(20, 8, 10, &cfg);
     let docs = Arc::new(docs);
     let query = Query::literal(&cfg.needle);
-    let mut ok = true;
-    let mut metrics = Vec::new();
-    for g in [
-        Granularity::PerDocument,
-        Granularity::PerPage,
-        Granularity::PerChunk(4),
-    ] {
-        let report = search_documents(&engines.rt, &docs, &query, g, None);
-        ok &= report.total_matches == planted;
-        metrics.push((format!("tasks[{}]", g.label()), report.tasks_spawned as f64));
+    for g in [Granularity::PerDocument, Granularity::PerPage, Granularity::PerChunk(4)] {
+        let report = search_documents(rt, &docs, &query, g, None);
+        r.check(report.total_matches == planted, || {
+            format!("{}: {} of {planted} matches", g.label(), report.total_matches)
+        });
+        r.fact(format!("tasks[{}]", g.label()), report.tasks_spawned as u64);
     }
-    let details = vec![format!(
-        "three granularities found the same {planted} matches; task counts differ as expected"
-    )];
-    (ok, details, metrics)
+    r.fact("planted", planted as u64);
 }
 
-fn project_memory_model(engines: &Engines) -> Outcome {
+fn memory_model(r: &mut ProjectReport) {
     use memmodel::demos;
-    let _ = engines;
     let racy = demos::lost_update(4, 20_000, true);
-    let fixed = demos::lost_update_fixed(4, 20_000, demos::FixStrategy::AtomicRmw);
-    let mp_fixed = demos::message_passing(100, true);
-    let sb_seqcst = demos::store_buffer(200, std::sync::atomic::Ordering::SeqCst);
-    let lazy_fixed = demos::lazy_init(30, 4, true);
     let lazy_racy = demos::lazy_init(30, 4, false);
-    let ok = racy.race_observed()
-        && fixed.anomalies == 0
-        && mp_fixed.anomalies == 0
-        && sb_seqcst.anomalies == 0
-        && lazy_fixed.anomalies == 0;
-    let details = vec![
-        format!(
-            "racy counter lost {} of {} increments; atomic fix lost none",
-            racy.anomalies, racy.expected
-        ),
-        format!(
-            "racy lazy-init constructed {} extra times; OnceLock never did",
-            lazy_racy.anomalies
-        ),
-        "SeqCst store-buffer litmus: zero both-zero outcomes, as the model demands".into(),
-    ];
-    let metrics = vec![
-        ("lost_updates".into(), racy.anomalies as f64),
-        ("lazy_double_constructions".into(), lazy_racy.anomalies as f64),
-    ];
-    (ok, details, metrics)
+    r.check(racy.race_observed(), || "the racy counter lost no update".into());
+    for fixed in [
+        demos::lost_update_fixed(4, 20_000, demos::FixStrategy::AtomicRmw),
+        demos::message_passing(100, true),
+        demos::store_buffer(200, std::sync::atomic::Ordering::SeqCst),
+        demos::lazy_init(30, 4, true),
+    ] {
+        r.check(fixed.anomalies == 0, || {
+            format!("fixed {}: {} anomalies", fixed.name, fixed.anomalies)
+        });
+    }
+    r.timing("lost_updates", racy.anomalies as f64);
+    r.timing("lazy_double_constructions", lazy_racy.anomalies as f64);
 }
 
-fn project_collections(engines: &Engines) -> Outcome {
+fn collections(r: &mut ProjectReport) {
     use taskcol::workload::{run_map_workload, MapWorkload};
     use taskcol::{MutexMap, RwLockMap, ShardedMap};
-    let _ = engines;
-    let cfg = MapWorkload {
-        threads: 4,
-        ops_per_thread: 5_000,
-        ..MapWorkload::default()
-    };
-    let mut metrics = Vec::new();
-    let mutex = Arc::new(MutexMap::new());
-    let rw = Arc::new(RwLockMap::new());
-    let sharded = Arc::new(ShardedMap::new(16));
-    metrics.push((
-        "ops_per_sec[mutex]".into(),
-        run_map_workload(&mutex, &cfg).ops_per_sec(),
-    ));
-    metrics.push((
-        "ops_per_sec[rwlock]".into(),
-        run_map_workload(&rw, &cfg).ops_per_sec(),
-    ));
-    metrics.push((
-        "ops_per_sec[sharded]".into(),
-        run_map_workload(&sharded, &cfg).ops_per_sec(),
-    ));
-    let ok = metrics.iter().all(|(_, v)| *v > 0.0);
-    let details = vec![
-        "read-heavy map workload completed under mutex, rwlock and sharded strategies".into(),
-    ];
-    (ok, details, metrics)
+    let cfg = MapWorkload { threads: 4, ops_per_thread: 5_000, ..MapWorkload::default() };
+    for (name, result) in [
+        ("mutex", run_map_workload(&Arc::new(MutexMap::new()), &cfg)),
+        ("rwlock", run_map_workload(&Arc::new(RwLockMap::new()), &cfg)),
+        ("sharded", run_map_workload(&Arc::new(ShardedMap::new(16)), &cfg)),
+    ] {
+        r.check(result.ops_per_sec() > 0.0, || format!("{name} map made no progress"));
+        r.timing(format!("ops_per_sec[{name}]"), result.ops_per_sec());
+    }
 }
 
-fn project_web(engines: &Engines) -> Outcome {
+fn web(r: &mut ProjectReport) {
     use websim::{fetch_all, ServerConfig, SimServer};
-    let _ = engines;
     // A dedicated wide pool: connections sleep, they don't compute.
     let rt = TaskRuntime::builder().workers(16).build();
     let server = Arc::new(SimServer::new(ServerConfig {
@@ -542,30 +391,28 @@ fn project_web(engines: &Engines) -> Outcome {
     let serial = fetch_all(&rt, &server, 1);
     let pooled = fetch_all(&rt, &server, 16);
     let speedup = serial.elapsed.as_secs_f64() / pooled.elapsed.as_secs_f64().max(1e-9);
-    let mut ok = speedup > 2.0 && server.requests_served() == 160;
-    let mut details = vec![format!(
-        "16 concurrent connections downloaded {} pages {:.1}x faster than 1 connection",
-        serial.pages, speedup
-    )];
-    let mut metrics = vec![("connection_speedup_16v1".into(), speedup)];
+    r.check(speedup > 2.0, || format!("16 connections only {speedup:.2}x faster than 1"));
+    r.check(server.requests_served() == 160, || {
+        format!("served {} requests for 2 x 80 pages", server.requests_served())
+    });
+    r.timing("connection_speedup_16v1", speedup);
 
     // Variant: the fault-tolerant crawler against a flaky server.
     let chaos = fault_tolerant_crawl(&rt, 0xC4A0_17E5, 8);
-    ok &= chaos.fully_succeeded() && chaos.retries > 0;
-    details.push(format!(
-        "fault-tolerant crawler recovered all {} pages from a flaky server \
-         ({} retries over {} attempts; {} transient, {} timeouts, {} contained panics)",
-        chaos.succeeded,
-        chaos.retries,
-        chaos.attempts_total,
-        chaos.transient_errors,
-        chaos.timeouts,
-        chaos.panics,
-    ));
-    metrics.push(("crawler_retries".into(), chaos.retries as f64));
-    metrics.push(("crawler_failed_pages".into(), chaos.failed_pages.len() as f64));
+    r.check(chaos.fully_succeeded() && chaos.retries > 0, || {
+        format!(
+            "crawler recovered {} pages, failed {:?}, with {} retries",
+            chaos.succeeded, chaos.failed_pages, chaos.retries
+        )
+    });
+    r.fact("crawler_pages", chaos.succeeded as u64);
+    r.fact("crawler_failed_pages", chaos.failed_pages.len() as u64);
+    r.fact("crawler_attempts", chaos.attempts_total);
+    r.fact("crawler_retries", chaos.retries);
+    r.fact("crawler_transient", chaos.transient_errors);
+    r.fact("crawler_timeouts", chaos.timeouts);
+    r.fact("crawler_panics", chaos.panics);
     rt.shutdown();
-    (ok, details, metrics)
 }
 
 /// The E10 *fault-tolerant crawler* variant: download a page set from
@@ -590,20 +437,12 @@ pub fn fault_tolerant_crawl(
         .with_latency_spikes(0.05, 40.0)
         .fail_key_n_times(7, 3);
     let server = Arc::new(SimServer::with_faults(
-        ServerConfig {
-            pages: 80,
-            time_scale: 5e-6,
-            ..ServerConfig::default()
-        },
+        ServerConfig { pages: 80, time_scale: 5e-6, ..ServerConfig::default() },
         FaultInjector::new(plan),
     ));
-    let policy = RetryPolicy::exponential(
-        Duration::from_millis(2),
-        2.0,
-        Duration::from_millis(20),
-    )
-    .with_jitter(0.2)
-    .with_max_attempts(6);
+    let policy = RetryPolicy::exponential(Duration::from_millis(2), 2.0, Duration::from_millis(20))
+        .with_jitter(0.2)
+        .with_max_attempts(6);
     try_fetch_all(rt, &server, connections, &policy)
 }
 
@@ -626,8 +465,11 @@ mod tests {
         let engines = Engines::small();
         for id in ProjectId::all() {
             let report = run_project(id, &engines);
-            assert!(report.ok, "project {:?} failed:\n{}", id, report.render());
-            assert!(!report.render().is_empty());
+            assert!(report.violations.is_empty(), "project {id:?} failed: {:?}", report.violations);
+            assert!(
+                !report.facts.is_empty() || !report.timings.is_empty(),
+                "{id:?} recorded nothing"
+            );
         }
         engines.shutdown();
     }

@@ -11,15 +11,15 @@
 //!   [`taskcol`], [`memmodel`], [`parsort`];
 //! * the course model itself — [`course`];
 //! * and, in [`catalogue`], the **ten projects of Section IV-C** as
-//!   runnable scenario drivers: each produces a structured
-//!   [`catalogue::ProjectReport`] exercising its subsystem end to end.
+//!   self-checking scenario drivers: each exercises its subsystem end
+//!   to end and returns a [`catalogue::ProjectReport`].
 //!
 //! ```
 //! use softeng751::catalogue::{self, ProjectId};
 //!
 //! let engines = catalogue::Engines::small();
 //! let report = catalogue::run_project(ProjectId::ParallelQuicksort, &engines);
-//! assert!(report.ok);
+//! assert!(report.violations.is_empty());
 //! ```
 
 pub mod catalogue;

@@ -32,7 +32,7 @@ pub use quicksort::{
     quicksort_partask, quicksort_pyjama, quicksort_seq, quicksort_threads, INSERTION_CUTOFF,
 };
 
-/// Deterministic input generators shared by tests and benches.
+/// Deterministic input generators shared by tests and the `projects` experiment.
 pub mod data {
     use parc_util::rng::Xoshiro256;
 

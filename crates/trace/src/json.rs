@@ -394,7 +394,7 @@ impl Parser<'_> {
 
 /// Escape `s` as the *contents* of a JSON string literal (no quotes).
 #[must_use]
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

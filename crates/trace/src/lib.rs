@@ -69,6 +69,6 @@ pub use event::{
     BreakerPhase, ChildTag, Event, EventKind, FaultTag, FetchTag, MarkKind, MarkingTag, Outcome,
     SchedTag, SpanKind,
 };
-pub use json::{escape as json_escape, parse as parse_json, Json, JsonError};
-pub use metrics::{Counter, Gauge, LatencyHistogram, MetricHistogram, MetricsRegistry};
+pub use json::{parse as parse_json, Json, JsonError};
+pub use metrics::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
 pub use timeline::{render_event_counts, render_timeline};

@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms (built on [`parc_util::stats::Histogram`]).
+//! The metrics registry: named counters, gauges and log-bucketed
+//! [`LatencyHistogram`]s.
 //!
 //! Runtimes own their counters (`Arc<Counter>`) so increments stay a
 //! single relaxed atomic op, and *register* them under prefixed names
@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parc_util::stats::Histogram;
 use parc_util::table::Table;
 use parking_lot::Mutex;
 
@@ -75,47 +74,8 @@ impl Gauge {
     }
 }
 
-/// A shareable fixed-bucket histogram
-/// (mutex-wrapped [`parc_util::stats::Histogram`] — recording a sample
-/// is off the event hot path, so a short lock is fine here).
-#[derive(Debug)]
-pub struct MetricHistogram {
-    inner: Mutex<Histogram>,
-}
-
-impl MetricHistogram {
-    /// Histogram over `[lo, hi)` with `buckets` equal-width buckets.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        Self { inner: Mutex::new(Histogram::new(lo, hi, buckets)) }
-    }
-
-    /// Record one observation.
-    pub fn record(&self, x: f64) {
-        self.inner.lock().record(x);
-    }
-
-    /// Total recorded observations, including out-of-range ones.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.inner.lock().total()
-    }
-
-    /// A copy of the underlying histogram for inspection.
-    #[must_use]
-    pub fn snapshot(&self) -> Histogram {
-        self.inner.lock().clone()
-    }
-
-    /// Render the ASCII bar chart (`width` chars for the tallest bar).
-    #[must_use]
-    pub fn render(&self, width: usize) -> String {
-        self.inner.lock().render(width)
-    }
-}
-
-/// A log-bucketed latency histogram with quantile estimation — the
-/// HDR-style companion to the fixed-width [`MetricHistogram`].
+/// A log-bucketed (HDR-style) latency histogram with quantile
+/// estimation.
 ///
 /// Buckets grow geometrically (`buckets_per_decade` per factor of 10),
 /// so one histogram spans microseconds to minutes with a bounded
@@ -317,7 +277,7 @@ impl LatencyHistogram {
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<MetricHistogram>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Mutex<LatencyHistogram>>>>,
 }
 
 impl MetricsRegistry {
@@ -357,15 +317,19 @@ impl MetricsRegistry {
     }
 
     /// Get or create the histogram `name` over `[lo, hi)` with
-    /// `buckets` buckets. The range of an existing histogram wins.
+    /// `buckets_per_decade` log buckets (see [`LatencyHistogram::new`]).
+    /// The shape of an existing histogram wins.
     #[must_use]
-    pub fn histogram(&self, name: &str, lo: f64, hi: f64, buckets: usize) -> Arc<MetricHistogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(MetricHistogram::new(lo, hi, buckets))),
-        )
+    pub fn histogram(
+        &self,
+        name: &str,
+        lo: f64,
+        hi: f64,
+        buckets_per_decade: usize,
+    ) -> Arc<Mutex<LatencyHistogram>> {
+        Arc::clone(self.histograms.lock().entry(name.to_string()).or_insert_with(|| {
+            Arc::new(Mutex::new(LatencyHistogram::new(lo, hi, buckets_per_decade)))
+        }))
     }
 
     /// Every counter's current value, alphabetised.
@@ -394,7 +358,7 @@ impl MetricsRegistry {
         self.histograms
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), v.total()))
+            .map(|(k, v)| (k.clone(), v.lock().total()))
             .collect()
     }
 
@@ -456,13 +420,11 @@ mod tests {
     #[test]
     fn histogram_records_through_registry() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("wait_ms", 0.0, 10.0, 5);
-        h.record(1.0);
-        h.record(3.0);
-        h.record(99.0); // overflow still counts toward total
+        let h = reg.histogram("wait_ms", 0.1, 10.0, 5);
+        h.lock().record(1.0);
+        h.lock().record(3.0);
+        h.lock().record(99.0); // past the range still counts toward total
         assert_eq!(reg.histogram_totals()["wait_ms"], 3);
-        let snap = h.snapshot();
-        assert_eq!(snap.overflow(), 1);
     }
 
     #[test]
@@ -489,8 +451,8 @@ mod tests {
     #[test]
     fn latency_histogram_tail_beats_fixed_width() {
         // A bimodal distribution: 990 fast samples, 10 slow outliers.
-        // The log-bucketed histogram resolves the tail; this is the
-        // case the fixed-width MetricHistogram lumps into overflow.
+        // The log-bucketed histogram resolves the tail that equal-width
+        // buckets would lump into overflow.
         let mut h = LatencyHistogram::new(0.1, 1e5, 36);
         for _ in 0..990 {
             h.record(5.0);
@@ -544,23 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn metric_histogram_api_is_unchanged() {
-        // The old fixed-width type keeps its full surface alongside
-        // the new latency histogram.
-        let h = MetricHistogram::new(0.0, 10.0, 5);
-        h.record(3.0);
-        assert_eq!(h.total(), 1);
-        assert_eq!(h.snapshot().total(), 1);
-        assert!(!h.render(10).is_empty());
-    }
-
-    #[test]
     fn render_is_alphabetised_and_complete() {
         let reg = MetricsRegistry::new();
         reg.counter("b.count").add(2);
         reg.counter("a.count").add(1);
         reg.gauge("depth").set(3);
-        let _ = reg.histogram("lat", 0.0, 1.0, 2);
+        let _ = reg.histogram("lat", 0.1, 1.0, 2);
         let text = reg.render();
         let a = text.find("a.count").unwrap();
         let b = text.find("b.count").unwrap();

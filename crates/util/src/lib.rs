@@ -24,7 +24,7 @@ pub mod table;
 pub mod timer;
 
 pub use rng::{SplitMix64, Xoshiro256};
-pub use stats::{Histogram, Summary, Welford};
+pub use stats::{Summary, Welford};
 pub use table::Table;
 pub use timer::{measure, measure_n, Stopwatch};
 

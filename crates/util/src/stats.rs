@@ -2,8 +2,7 @@
 //!
 //! [`Summary`] computes batch statistics (mean, standard deviation,
 //! percentiles) from a sample vector; [`Welford`] accumulates mean and
-//! variance online without storing samples; [`Histogram`] renders a
-//! fixed-bucket distribution as text for the experiment reports.
+//! variance online without storing samples.
 
 /// Batch summary statistics over a set of `f64` samples.
 #[derive(Clone, Debug, PartialEq)]
@@ -203,97 +202,6 @@ impl Welford {
     }
 }
 
-/// Fixed-width-bucket histogram with text rendering.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Histogram over `[lo, hi)` with `buckets` equal-width buckets.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(buckets > 0, "need at least one bucket");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total recorded observations, including out-of-range ones.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Count in bucket `i`.
-    #[must_use]
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Render an ASCII bar chart, `width` characters for the largest
-    /// bucket.
-    #[must_use]
-    pub fn render(&self, width: usize) -> String {
-        let max = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        let bucket_width = (self.hi - self.lo) / self.buckets.len() as f64;
-        let mut out = String::new();
-        for (i, &count) in self.buckets.iter().enumerate() {
-            let lo = self.lo + bucket_width * i as f64;
-            let bar_len = (count as usize * width) / max as usize;
-            out.push_str(&format!(
-                "{:>10.3}..{:<10.3} | {:<width$} {}\n",
-                lo,
-                lo + bucket_width,
-                "#".repeat(bar_len),
-                count,
-                width = width
-            ));
-        }
-        if self.underflow > 0 {
-            out.push_str(&format!("  underflow: {}\n", self.underflow));
-        }
-        if self.overflow > 0 {
-            out.push_str(&format!("  overflow: {}\n", self.overflow));
-        }
-        out
-    }
-}
-
 /// Geometric mean of strictly positive values — the conventional way
 /// to aggregate speedups across heterogeneous workloads.
 #[must_use]
@@ -412,33 +320,6 @@ mod tests {
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0); // underflow
-        h.record(0.0); // bucket 0
-        h.record(9.999); // bucket 9
-        h.record(10.0); // overflow
-        h.record(5.0); // bucket 5
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(9), 1);
-        assert_eq!(h.bucket(5), 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_render_contains_counts() {
-        let mut h = Histogram::new(0.0, 4.0, 2);
-        h.record(1.0);
-        h.record(1.5);
-        h.record(3.0);
-        let text = h.render(20);
-        assert!(text.contains('#'));
-        assert!(text.contains('2'));
     }
 
     #[test]

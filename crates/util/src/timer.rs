@@ -1,9 +1,6 @@
-//! Timing helpers for experiment harnesses.
-//!
-//! Criterion drives the statistically rigorous benchmarks; these
-//! helpers exist for the lighter-weight in-example measurements and
-//! for experiments that need the raw per-iteration samples (e.g. to
-//! feed a [`crate::stats::Histogram`]).
+//! Timing helpers for experiment harnesses: a stopwatch, one timed
+//! call, and [`measure_n`]'s summary of repeated runs, which the
+//! experiment programs use for every per-iteration timing series.
 
 use std::time::{Duration, Instant};
 

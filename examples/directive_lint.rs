@@ -48,9 +48,8 @@ fn main() {
             let analysis = parc_analyze::analyze(fx.source);
             let emitted: Vec<&str> = analysis.diagnostics.iter().map(|d| d.code.as_str()).collect();
             let expected: Vec<&str> = fx.expect.iter().map(|c| c.as_str()).collect();
-            let export =
-                parc_trace::parse_json(&to_json_with_source(&analysis.diagnostics, fx.source));
-            let diagnostics = export.as_ref().ok().and_then(Json::as_arr).unwrap_or_default();
+            let export = to_json_with_source(&analysis.diagnostics, fx.source);
+            let diagnostics = export.as_arr().unwrap_or_default();
             let complete =
                 diagnostics.iter().all(|d| DIAGNOSTIC_KEYS.iter().all(|k| d.get(k).is_some()));
             Report::new()
@@ -60,7 +59,7 @@ fn main() {
                 .det("emitted", emitted.clone())
                 .det("diagnostics", diagnostics.to_vec())
                 .check(emitted == expected, format!("emitted {emitted:?} != expected {expected:?}"))
-                .check(export.is_ok() && complete, "diagnostic export lacks a required key")
+                .check(complete, "diagnostic export lacks a required key")
         },
         |seed, reports| {
             let emitted: Vec<&str> = reports

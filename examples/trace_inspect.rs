@@ -99,8 +99,7 @@ fn main() {
                 );
                 println!("{}", report.render());
             }
-            let export =
-                parc_trace::parse_json(&report.to_json()).expect("critical-path export is JSON");
+            let export = report.to_json();
             let section = |key| match export.get(key) {
                 Some(Json::Obj(fields)) => fields.clone(),
                 _ => BTreeMap::new(),
@@ -203,7 +202,7 @@ fn replay_checks(report: Report) -> Report {
             let diff = diff_schedules(&a, &d);
             let at = diff.first_divergence;
             report = report
-                .det("divergence", parc_trace::parse_json(&diff.to_json()).unwrap_or(Json::Null))
+                .det("divergence", diff.to_json())
                 .check(
                     !diff.is_empty()
                         && at.is_some_and(|at| a.steps[..at] == d.steps[..at])

@@ -185,7 +185,7 @@ fn attribution_is_bounded_and_sees_the_barrier() {
     assert!(report.share_of("barrier.wait") > 0.0, "barrier demo must show waits");
     assert!(report.share_of("task.run") > 0.0);
     // Exports parse with the in-repo JSON parser.
-    let json = parc_trace::parse_json(&report.to_json()).expect("report JSON parses");
+    let json = parc_trace::parse_json(&report.to_json().to_string()).expect("report JSON parses");
     assert!(json.get("deterministic").is_some() && json.get("wall_clock").is_some());
 }
 
