@@ -15,11 +15,12 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::runtime::HelpHook;
+use crate::runtime::RtInner;
 use crate::task::{CancelToken, TaskError, TaskId};
 
 /// A member's result slot: written once by the member running that
@@ -92,20 +93,18 @@ impl<T: Send + 'static> BatchCore<T> {
         }
     }
 
-    /// Block until finished, helping (running other queued jobs) when
-    /// the caller is attached to a live runtime.
-    pub(crate) fn wait(&self, helper: &HelpHook) {
+    /// Block until finished, running help steps on `rt` while it is
+    /// alive.
+    pub(crate) fn wait(&self, rt: &Weak<RtInner>) {
         if self.is_finished() {
             return;
         }
-        if let Some(help) = helper.as_ref() {
+        if let Some(rt) = rt.upgrade() {
             while !self.is_finished() {
-                if !help() {
+                if !rt.help_once() {
                     let mut done = self.finished.lock();
                     if !*done {
-                        let _ = self
-                            .done_cv
-                            .wait_for(&mut done, std::time::Duration::from_micros(200));
+                        let _ = self.done_cv.wait_for(&mut done, Duration::from_micros(200));
                     }
                 }
             }
@@ -139,7 +138,8 @@ impl<T: Send + 'static> BatchCore<T> {
 /// index order (deterministic across pool sizes).
 pub struct BatchHandle<T> {
     pub(crate) core: Arc<BatchCore<T>>,
-    pub(crate) helper: HelpHook,
+    /// The runtime a wait helps; dangling for a batch that ran inline.
+    pub(crate) rt: Weak<RtInner>,
 }
 
 impl<T: Send + 'static> BatchHandle<T> {
@@ -183,16 +183,19 @@ impl<T: Send + 'static> BatchHandle<T> {
     }
 
     /// Block until every member completes, without taking results.
-    /// When called from a worker thread this *helps*, running other
-    /// queued jobs while it waits.
+    /// The calling thread *helps* while it waits, on the same terms as
+    /// [`crate::TaskHandle::join`]: a worker of the batch's runtime
+    /// runs its own deque and the injector at any depth and steals
+    /// only below [`crate::HELP_STEAL_CAP`] nested helped
+    /// bodies; any other thread helps only at nesting depth 0.
     pub fn wait(&self) {
-        self.core.wait(&self.helper);
+        self.core.wait(&self.rt);
     }
 
     /// Block until every member completes and return all results in
-    /// index order.
+    /// index order. Helps while it waits, as [`BatchHandle::wait`].
     pub fn join(self) -> Vec<Result<T, TaskError>> {
-        self.core.wait(&self.helper);
+        self.core.wait(&self.rt);
         self.core.take_results()
     }
 }

@@ -38,9 +38,12 @@
 //! PARC runtime exposed and providing the ablation in experiment A1:
 //! a **work-stealing** scheduler (per-worker Chase–Lev deques with a
 //! global injector) and a **work-sharing** scheduler (one global
-//! queue). Workers that block in [`TaskHandle::join`] *help*: they
+//! queue). Threads that block in [`TaskHandle::join`] *help*: they
 //! execute other queued tasks while waiting, so nested fork/join
-//! (e.g. recursive quicksort) cannot deadlock the fixed-size pool.
+//! (e.g. recursive quicksort) cannot deadlock the fixed-size pool. A
+//! waiting worker runs its own newest jobs first and steals only while
+//! its nesting is shallow ([`HELP_STEAL_CAP`]), so a tree nests about
+//! as deep as it is tall; see [`RuntimeHandle::help_once`].
 //!
 //! ```
 //! use partask::TaskRuntime;
@@ -65,7 +68,7 @@ pub use interim::{channel as interim_channel, InterimReceiver, InterimSender};
 pub use multi::MultiHandle;
 pub use runtime::{
     Builder, DrainReport, ProgressSnapshot, RuntimeHandle, RuntimeLatencies, RuntimeStats,
-    TaskRuntime,
+    TaskRuntime, HELP_STEAL_CAP,
 };
 pub use sched::SchedulerKind;
 pub use scope::Scope;

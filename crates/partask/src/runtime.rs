@@ -1,7 +1,7 @@
 //! The task runtime: worker pool, spawning, dependences, quiescence
 //! and shutdown.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -27,13 +27,17 @@ pub struct RuntimeStats {
     /// Task bodies executed to completion (including cancelled ones,
     /// which "execute" by resolving to `Cancelled`).
     pub executed: u64,
-    /// Jobs a worker popped from its own deque.
+    /// Jobs a worker popped from its own deque, in its loop or in a
+    /// help step while it waits (those also count in `helped`).
     pub local_pops: u64,
     /// Jobs taken from the global injector / shared queue.
     pub global_pops: u64,
     /// Jobs stolen from another worker.
     pub steals: u64,
-    /// Jobs executed by helping joiners rather than pool workers.
+    /// Jobs run by a help step: a thread waiting in a join, a scope or
+    /// a quiescence wait, or calling [`RuntimeHandle::help_once`], ran
+    /// them instead of a worker's loop. A worker's own-deque pop inside
+    /// a join counts here and in `local_pops`.
     pub helped: u64,
     /// Tasks that resolved to [`crate::TaskError::Cancelled`] without
     /// running their body.
@@ -117,6 +121,9 @@ pub(crate) struct RtInner {
     /// Deliberately *not* part of [`RuntimeStats`], which determinism
     /// suites compare bit-for-bit across reruns and pool sizes.
     idle_probes: AtomicU64,
+    /// Diagnostic: the most helped bodies ever nested on one thread's
+    /// stack by this runtime's help steps (a high-water mark).
+    max_help_depth: AtomicUsize,
     spawned: Arc<Counter>,
     executed: Arc<Counter>,
     helped: Arc<Counter>,
@@ -125,8 +132,9 @@ pub(crate) struct RtInner {
     pub(crate) trace: TraceHandle,
     pub(crate) pid: u32,
     /// Per-worker task-body run-duration histograms (ms), one slot per
-    /// worker plus a shared slot for helpers — same layout as the
-    /// steal-wait histograms in [`SchedCounters`], merged on demand.
+    /// worker plus a shared slot for threads outside the pool — same
+    /// layout as the steal-wait histograms in [`SchedCounters`],
+    /// merged on demand.
     run_ms: Box<[PaddedHist]>,
     deadlines: DeadlineWatch,
 }
@@ -188,11 +196,14 @@ thread_local! {
     /// worker index).
     static WORKER_CTX: RefCell<Option<(Weak<RtInner>, LocalQueue, usize)>> =
         const { RefCell::new(None) };
+    /// Helped job bodies currently nested on this thread's stack.
+    static HELP_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The hook a [`TaskHandle`] uses to run queued work while it waits.
-/// Returns `true` when it executed a job.
-pub(crate) type HelpHook = Option<Arc<dyn Fn() -> bool + Send + Sync>>;
+/// A waiting worker steals from other workers only while fewer than
+/// this many helped bodies are nested on its stack; its own deque and
+/// the injector stay open at any depth. See DESIGN.md, "Helping joins".
+pub const HELP_STEAL_CAP: usize = 8;
 
 /// Configures and builds a [`TaskRuntime`].
 #[derive(Clone, Debug)]
@@ -287,6 +298,7 @@ impl Builder {
             quiescent_cv: Condvar::new(),
             idle_workers: AtomicUsize::new(0),
             idle_probes: AtomicU64::new(0),
+            max_help_depth: AtomicUsize::new(0),
             spawned,
             executed,
             helped,
@@ -308,7 +320,7 @@ impl Builder {
                         WORKER_CTX.with(|ctx| {
                             *ctx.borrow_mut() = Some((inner_weak, local, index));
                         });
-                        worker_loop(&inner_strong, index);
+                        worker_loop(&inner_strong);
                         WORKER_CTX.with(|ctx| ctx.borrow_mut().take());
                     })
                     .expect("failed to spawn worker"),
@@ -330,13 +342,11 @@ impl Builder {
 /// hang.
 const IDLE_PARK: Duration = Duration::from_millis(100);
 
-fn worker_loop(inner: &Arc<RtInner>, index: usize) {
+fn worker_loop(inner: &Arc<RtInner>) {
     let pop = || {
-        WORKER_CTX.with(|ctx| {
-            let borrow = ctx.borrow();
-            let (_, local, _) = borrow.as_ref().expect("worker ctx set");
-            inner.sched.pop_for(local, index, &inner.counters)
-        })
+        inner
+            .with_worker(|local, index| inner.sched.pop_for(local, index, &inner.counters, true))
+            .expect("worker ctx set")
     };
     loop {
         match pop() {
@@ -408,16 +418,22 @@ impl RtInner {
         self.idle_cv.notify_all();
     }
 
+    /// Run `f` on the calling thread's local queue and worker index
+    /// when it is one of this runtime's workers; `None` on any other
+    /// thread.
+    fn with_worker<R>(self: &Arc<Self>, f: impl FnOnce(&LocalQueue, usize) -> R) -> Option<R> {
+        WORKER_CTX.with(|ctx| {
+            let borrow = ctx.borrow();
+            let (weak, local, index) = borrow.as_ref()?;
+            std::ptr::eq(weak.as_ptr(), Arc::as_ptr(self)).then(|| f(local, *index))
+        })
+    }
+
     /// The per-worker histogram slot for the calling thread (the extra
     /// shared slot when the caller is not one of this pool's workers).
     fn run_ms_slot(self: &Arc<Self>) -> usize {
         let shared = self.run_ms.len() - 1;
-        WORKER_CTX.with(|ctx| {
-            ctx.borrow()
-                .as_ref()
-                .filter(|(weak, _, _)| std::ptr::eq(weak.as_ptr(), Arc::as_ptr(self)))
-                .map_or(shared, |(_, _, index)| (*index).min(shared))
-        })
+        self.with_worker(|_, index| index.min(shared)).unwrap_or(shared)
     }
 
     pub(crate) fn record_run_ms(self: &Arc<Self>, ms: f64) {
@@ -436,17 +452,9 @@ impl RtInner {
     /// Push a job, preferring the current worker's local deque when the
     /// caller is one of this runtime's workers.
     pub(crate) fn push_job(self: &Arc<Self>, job: Job) {
-        let leftover = WORKER_CTX.with(|ctx| {
-            let borrow = ctx.borrow();
-            if let Some((weak, local, _index)) = borrow.as_ref() {
-                if std::ptr::eq(weak.as_ptr(), Arc::as_ptr(self)) {
-                    self.sched.push_local(local, job);
-                    return None;
-                }
-            }
-            Some(job)
-        });
-        if let Some(job) = leftover {
+        let mut job = Some(job);
+        self.with_worker(|local, _| self.sched.push_local(local, job.take().expect("unpushed")));
+        if let Some(job) = job {
             self.sched.push_external(job);
         }
         self.wake_after_push(1);
@@ -460,34 +468,44 @@ impl RtInner {
         if pushed == 0 {
             return;
         }
-        let leftover = WORKER_CTX.with(|ctx| {
-            let borrow = ctx.borrow();
-            if let Some((weak, local, _index)) = borrow.as_ref() {
-                if std::ptr::eq(weak.as_ptr(), Arc::as_ptr(self)) {
-                    for job in jobs {
-                        self.sched.push_local(local, job);
-                    }
-                    return None;
-                }
+        let mut jobs = Some(jobs);
+        self.with_worker(|local, _| {
+            for job in jobs.take().expect("unpushed") {
+                self.sched.push_local(local, job);
             }
-            Some(jobs)
         });
-        if let Some(jobs) = leftover {
+        if let Some(jobs) = jobs {
             self.sched.push_external_batch(jobs);
         }
         self.wake_after_push(pushed);
     }
 
-    /// One attempt at running a queued job from shared structures;
-    /// used both by helping joins and by external threads.
-    fn help_once(self: &Arc<Self>) -> bool {
-        if let Some(job) = self.sched.pop_shared(&self.counters) {
-            self.helped.inc();
-            job.run();
-            true
-        } else {
-            false
+    /// One help step for a thread waiting on this runtime: run at most
+    /// one queued job nested on the caller's stack, and return `true`
+    /// when one ran. A worker of this runtime takes its loop's order
+    /// (own deque, injector, steal) but steals only below
+    /// [`HELP_STEAL_CAP`] nested bodies; any other thread takes the
+    /// oldest queued job, and only when no helped body is on its stack.
+    pub(crate) fn help_once(self: &Arc<Self>) -> bool {
+        let depth = HELP_DEPTH.with(Cell::get);
+        let steal = depth < HELP_STEAL_CAP;
+        let job = match self.with_worker(|local, index| {
+            self.sched.pop_for(local, index, &self.counters, steal)
+        }) {
+            Some(popped) => popped,
+            None if depth == 0 => self.sched.pop_shared(&self.counters),
+            None => None,
+        };
+        let Some(job) = job else { return false };
+        self.helped.inc();
+        let nested = depth + 1;
+        if nested > self.max_help_depth.load(Ordering::Relaxed) {
+            self.max_help_depth.fetch_max(nested, Ordering::Relaxed);
         }
+        HELP_DEPTH.with(|d| d.set(nested));
+        job.run();
+        HELP_DEPTH.with(|d| d.set(depth));
+        true
     }
 
     /// Count one submitted job in the packed progress word.
@@ -733,7 +751,7 @@ impl TaskRuntime {
             token,
             finished: Arc::new(move || finished.is_finished()),
         });
-        TaskHandle { core, helper: make_helper(&self.inner) }
+        TaskHandle { core, rt: Arc::downgrade(&self.inner) }
     }
 
     /// The root of this runtime's cancellation tree. Derive subtree
@@ -802,10 +820,10 @@ impl TaskRuntime {
     }
 
     /// Block until every submitted task (including dependence-pending
-    /// ones) has finished.
+    /// ones) has finished, running help steps while waiting (see
+    /// [`RuntimeHandle::help_once`] for which jobs a thread may take).
     pub fn wait_quiescent(&self) {
         let inner = &self.inner;
-        // Help from this thread while waiting: useful on small pools.
         while inner.pending() != 0 {
             if !inner.help_once() {
                 let mut guard = inner.idle.lock();
@@ -855,10 +873,20 @@ impl TaskRuntime {
     /// path (lock + parked wait) since the pool started. An idle pool
     /// accrues at most one probe per worker per 100 ms — the
     /// regression test for the old busy-spin pins this bound. Not part
-    /// of [`RuntimeStats`] (whose fields are schedule-independent).
+    /// of [`RuntimeStats`].
     #[must_use]
     pub fn idle_probes(&self) -> u64 {
         self.inner.idle_probes.load(Ordering::Relaxed)
+    }
+
+    /// Diagnostic: the deepest nesting of helped job bodies on any one
+    /// thread since the pool started (a high-water mark; 0 when no
+    /// help step has run a job). A tree whose only injector job is its
+    /// root stays within [`HELP_STEAL_CAP`] plus its levels. Not part
+    /// of [`RuntimeStats`].
+    #[must_use]
+    pub fn max_help_depth(&self) -> usize {
+        self.inner.max_help_depth.load(Ordering::Relaxed)
     }
 
     /// Current activity counters.
@@ -1025,7 +1053,7 @@ impl RuntimeHandle {
                         .map_err(|p| crate::TaskError::Panicked(crate::task::panic_message(&p)));
                     core.store(i, result);
                 }
-                BatchHandle { core, helper: None }
+                BatchHandle { core, rt: Weak::new() }
             }
         }
     }
@@ -1043,6 +1071,15 @@ impl RuntimeHandle {
     /// must wait inside a task should alternate its condition check
     /// with `help_once`, so the bounded worker pool keeps making
     /// progress instead of deadlocking (SoftEng 751 project 6).
+    ///
+    /// Every wait in this crate helps through the same step. On one of
+    /// this runtime's workers it pops the worker's own deque (newest
+    /// first), then the injector, and steals from other workers only
+    /// while fewer than [`HELP_STEAL_CAP`] helped bodies are nested on
+    /// its stack. Any other thread takes the oldest queued job, and
+    /// only when no helped body is already on its stack, so it never
+    /// nests a second one. Work-sharing workers help from the shared
+    /// queue at any depth.
     pub fn help_once(&self) -> bool {
         match self.inner.upgrade() {
             Some(inner) => inner.help_once(),
@@ -1054,15 +1091,7 @@ impl RuntimeHandle {
 fn run_inline<T: Send + 'static>(f: impl FnOnce(&CancelToken) -> T) -> TaskHandle<T> {
     let core = Core::new();
     core.run(f, || ());
-    TaskHandle { core, helper: None }
-}
-
-fn make_helper(inner: &Arc<RtInner>) -> HelpHook {
-    let weak = Arc::downgrade(inner);
-    Some(Arc::new(move || match weak.upgrade() {
-        Some(inner) => inner.help_once(),
-        None => false,
-    }))
+    TaskHandle { core, rt: Weak::new() }
 }
 
 /// The shared tail of every spawn path: count the submission, emit the
@@ -1144,7 +1173,7 @@ fn spawn_batch_on<T: Send + 'static>(
     inner.push_job_batch(jobs);
     BatchHandle {
         core,
-        helper: make_helper(inner),
+        rt: Arc::downgrade(inner),
     }
 }
 
@@ -1203,7 +1232,7 @@ pub(crate) fn spawn_on_with_token<T: Send + 'static>(
     inner.push_job(job);
     TaskHandle {
         core,
-        helper: make_helper(inner),
+        rt: Arc::downgrade(inner),
     }
 }
 
@@ -1250,6 +1279,6 @@ pub(crate) fn spawn_after_on<T: Send + 'static>(
     }
     TaskHandle {
         core,
-        helper: make_helper(inner),
+        rt: Arc::downgrade(inner),
     }
 }

@@ -65,7 +65,7 @@ impl PaddedHist {
 }
 
 /// Build `workers + 1` padded per-thread histogram slots (one per
-/// worker plus a shared slot for helping/external threads).
+/// worker plus a shared slot for threads outside the pool).
 pub(crate) fn per_worker_hists(workers: usize) -> Box<[PaddedHist]> {
     (0..=workers).map(|_| PaddedHist::new()).collect()
 }
@@ -86,7 +86,7 @@ pub(crate) struct SchedCounters {
     /// local pop to the successful steal episode that ended the
     /// search, in milliseconds (one sample per episode, not per stolen
     /// item). Slot `i` belongs to worker `i`; the last slot serves
-    /// helping/external threads. Merged on demand by
+    /// threads outside the pool. Merged on demand by
     /// [`SchedCounters::merged_steal_wait`] — the hot path never takes
     /// a shared lock (the old single `Mutex<LatencyHistogram>`
     /// serialized every thief it was measuring).
@@ -253,12 +253,16 @@ impl SharedSched {
         }
     }
 
-    /// Find a job for worker `index` owning `local`.
+    /// Find a job for worker `index` owning `local`: its own deque's
+    /// newest job, else a refill from the injector, else (only when
+    /// `steal` is set) the oldest jobs of another worker's deque. The
+    /// work-sharing queue has no owner, so `steal` does not apply to it.
     pub(crate) fn pop_for(
         &self,
         local: &LocalQueue,
         index: usize,
         counters: &SchedCounters,
+        steal: bool,
     ) -> Option<Job> {
         match (self, local) {
             (SharedSched::Stealing { injector, stealers }, LocalQueue::Stealing(w)) => {
@@ -280,6 +284,9 @@ impl SharedSched {
                         Steal::Empty => break,
                         Steal::Retry => {}
                     }
+                }
+                if !steal {
+                    return None;
                 }
                 for (victim, stealer) in stealers.iter().enumerate() {
                     if victim == index {
@@ -327,6 +334,9 @@ impl SharedSched {
                         locked::Steal::Retry => {}
                     }
                 }
+                if !steal {
+                    return None;
+                }
                 for (victim, stealer) in stealers.iter().enumerate() {
                     if victim == index {
                         continue;
@@ -355,8 +365,9 @@ impl SharedSched {
         }
     }
 
-    /// Take a job from the shared structures only (never a local
-    /// deque). Safe to call from *any* thread; used by helping joins.
+    /// Take the oldest job from the injector, else from the top of any
+    /// worker's deque, as a thief would. Safe to call from *any* thread;
+    /// the help step of a thread that is not one of the pool's workers.
     pub(crate) fn pop_shared(&self, counters: &SchedCounters) -> Option<Job> {
         match self {
             SharedSched::Stealing { injector, stealers } => {
@@ -434,7 +445,7 @@ mod tests {
 
     fn run_all(shared: &SharedSched, local: &LocalQueue, counters: &SchedCounters) -> usize {
         let mut n = 0;
-        while let Some(job) = shared.pop_for(local, 0, counters) {
+        while let Some(job) = shared.pop_for(local, 0, counters, true) {
             job.run();
             n += 1;
         }
@@ -500,7 +511,7 @@ mod tests {
         }
         let counters = SchedCounters::for_workers(2);
         let mut stolen = 0;
-        while let Some(job) = shared.pop_for(&locals[1], 1, &counters) {
+        while let Some(job) = shared.pop_for(&locals[1], 1, &counters, true) {
             job.run();
             stolen += 1;
         }
@@ -527,13 +538,44 @@ mod tests {
         }
         let counters = SchedCounters::for_workers(2);
         let mut stolen = 0;
-        while let Some(job) = shared.pop_for(&locals[1], 1, &counters) {
+        while let Some(job) = shared.pop_for(&locals[1], 1, &counters, true) {
             job.run();
             stolen += 1;
         }
         assert_eq!(stolen, 5);
         assert_eq!(counters.steals.get(), 5);
         assert_eq!(count.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn pop_without_steal_takes_own_then_injector_never_another_worker() {
+        for kind in [SchedulerKind::WorkStealing, SchedulerKind::WorkStealingLocked] {
+            let (shared, locals) = SharedSched::new(kind, 2);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let logged = |i: u32| {
+                let log = Arc::clone(&log);
+                job(move || log.lock().push(i))
+            };
+            for i in 0..3 {
+                shared.push_local(&locals[0], logged(i));
+                shared.push_local(&locals[1], logged(100 + i));
+            }
+            for i in 10..13 {
+                shared.push_external(logged(i));
+            }
+            let counters = SchedCounters::for_workers(2);
+            while let Some(job) = shared.pop_for(&locals[0], 0, &counters, false) {
+                job.run();
+            }
+            assert_eq!(*log.lock(), vec![2, 1, 0, 10, 11, 12], "{kind:?}");
+            assert_eq!(counters.steals.get(), 0, "{kind:?}");
+            // Worker 1's jobs are still all there, newest first.
+            log.lock().clear();
+            while let Some(job) = shared.pop_for(&locals[1], 1, &counters, false) {
+                job.run();
+            }
+            assert_eq!(*log.lock(), vec![102, 101, 100], "{kind:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! implementation erases the closure lifetimes and re-establishes
 //! safety with a completion latch that [`TaskRuntime::scope`] waits on
 //! before returning — and the waiting thread *helps*, so scopes nested
-//! inside tasks cannot deadlock the pool.
+//! inside tasks cannot deadlock the pool. It helps through
+//! [`crate::RuntimeHandle::help_once`]: a worker of the runtime runs
+//! its own deque and the injector at any depth and steals only below
+//! [`crate::HELP_STEAL_CAP`] nested helped bodies; any other
+//! thread (the usual caller of `scope`) helps only while no helped
+//! body is on its stack, and otherwise yields until the tasks finish.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -10,10 +10,13 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use guievent::GuiHandle;
 use parking_lot::{Condvar, Mutex};
+
+use crate::runtime::RtInner;
 
 pub use parc_supervise::{CancelToken, Cancelled};
 
@@ -241,7 +244,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Owned future for a spawned task; yields the result exactly once.
 pub struct TaskHandle<T> {
     pub(crate) core: Arc<Core<T>>,
-    pub(crate) helper: crate::runtime::HelpHook,
+    /// The runtime a wait helps; dangling for a task that ran inline.
+    pub(crate) rt: Weak<RtInner>,
 }
 
 impl<T: Send + 'static> TaskHandle<T> {
@@ -273,31 +277,37 @@ impl<T: Send + 'static> TaskHandle<T> {
 
     /// Block until the task completes and return its result.
     ///
-    /// When called from inside a worker thread this *helps*: it runs
-    /// other queued tasks while waiting, which keeps nested fork/join
-    /// deadlock-free on a bounded pool.
+    /// While it waits, the calling thread *helps*: it runs other queued
+    /// tasks of the task's runtime, which keeps nested fork/join
+    /// deadlock-free on a bounded pool. A worker of that runtime runs
+    /// its own newest jobs first, then injector jobs, and steals from
+    /// other workers only while fewer than
+    /// [`crate::HELP_STEAL_CAP`] helped bodies are nested on
+    /// its stack. Any other thread helps only when no helped body is
+    /// already on its stack, so it nests at most one. See
+    /// [`crate::RuntimeHandle::help_once`].
     pub fn join(self) -> Result<T, TaskError> {
         self.wait();
         self.core.take_result()
     }
 
-    /// Block until complete without taking the result.
+    /// Block until complete without taking the result. Helps while it
+    /// waits, on the same terms as [`TaskHandle::join`].
     pub fn wait(&self) {
         if self.core.is_finished() {
             return;
         }
-        if let Some(helper) = self.helper.as_ref() {
-            // Worker thread: alternate between helping and short
-            // waits so we neither spin hot nor sleep through work.
-            while !self.core.is_finished() {
-                if !helper() {
-                    let _ = self
-                        .core
-                        .wait_timeout(std::time::Duration::from_micros(200));
+        match self.rt.upgrade() {
+            // Alternate between help steps and short waits so we
+            // neither spin hot nor sleep through work.
+            Some(rt) => {
+                while !self.core.is_finished() {
+                    if !rt.help_once() {
+                        let _ = self.core.wait_timeout(Duration::from_micros(200));
+                    }
                 }
             }
-        } else {
-            self.core.wait_blocking();
+            None => self.core.wait_blocking(),
         }
     }
 

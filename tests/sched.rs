@@ -1,10 +1,11 @@
 //! Scheduler regression suite for the lock-free Chase–Lev core.
 //!
 //! Pins the three hot-path accounting bugs fixed alongside the deque
-//! swap, the batch-spawn semantics, and — via proptest — the shim
-//! deque's sequential equivalence to a `Mutex<VecDeque>`-style
-//! reference model (the substrate it replaced, still available as
-//! `SchedulerKind::WorkStealingLocked`).
+//! swap, the batch-spawn semantics, nested fork-join trees on every
+//! scheduler (with the helping joins' depth bound), and — via
+//! proptest — the shim deque's sequential equivalence to a
+//! `Mutex<VecDeque>`-style reference model (the substrate it replaced,
+//! still available as `SchedulerKind::WorkStealingLocked`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +14,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use partask::{SchedulerKind, TaskError, TaskRuntime};
+use partask::{RuntimeHandle, SchedulerKind, TaskError, TaskRuntime, HELP_STEAL_CAP};
 
 // ---------------------------------------------------------------
 // Satellite 1: per-worker steal-latency histograms.
@@ -254,6 +255,107 @@ fn batch_accounting_matches_per_task_spawns() {
     assert_eq!(stats.spawned, 500);
     assert_eq!(stats.executed, 500);
     rt.shutdown();
+}
+
+// ---------------------------------------------------------------
+// Nested fork-join trees: helping joins on every scheduler.
+// ---------------------------------------------------------------
+
+/// A leaf's value: a few mixing rounds, so the sum checks every leaf.
+fn leaf(index: u64) -> u64 {
+    let mut x = index ^ 0x5EED;
+    for _ in 0..4 {
+        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ index;
+    }
+    x
+}
+
+/// One tree node as a task: spawn both children from the current
+/// thread with `RuntimeHandle::spawn` and join them.
+fn node(rt: &RuntimeHandle, levels: u32, level: u32, index: u64) -> u64 {
+    if level + 1 == levels {
+        return leaf(index);
+    }
+    let (l_rt, r_rt) = (rt.clone(), rt.clone());
+    let left = rt.spawn(move || node(&l_rt, levels, level + 1, 2 * index));
+    let right = rt.spawn(move || node(&r_rt, levels, level + 1, 2 * index + 1));
+    let left = left.join().expect("left child completes");
+    let right = right.join().expect("right child completes");
+    left.wrapping_add(right)
+}
+
+/// The same tree by plain recursion.
+fn recurse(levels: u32, level: u32, index: u64) -> u64 {
+    if level + 1 == levels {
+        return leaf(index);
+    }
+    recurse(levels, level + 1, 2 * index).wrapping_add(recurse(levels, level + 1, 2 * index + 1))
+}
+
+/// Every scheduler joins a nested tree at 1 and 2 workers: the joins
+/// inside workers help, so a single worker never deadlocks on its own
+/// children, and every spawned task runs exactly once.
+///
+/// Work-sharing helping takes the oldest queued job, so one worker
+/// nests a tree breadth-first: 2^(levels - 1) - 1 helped bodies. At 12
+/// levels that overflows a 2 MiB worker stack in debug builds, so its
+/// tree has 10 levels (511 nested bodies).
+#[test]
+fn nested_tree_joins_on_every_scheduler() {
+    for (kind, levels) in [
+        (SchedulerKind::WorkStealing, 12),
+        (SchedulerKind::WorkStealingLocked, 12),
+        (SchedulerKind::WorkSharing, 10),
+    ] {
+        let expected = recurse(levels, 0, 0);
+        for workers in [1, 2] {
+            let rt = TaskRuntime::builder().workers(workers).scheduler(kind).build();
+            let handle = rt.handle();
+            let sum = rt.spawn(move || node(&handle, levels, 0, 0)).join().unwrap();
+            assert_eq!(sum, expected, "{kind:?} at {workers} workers");
+            rt.wait_quiescent();
+            let stats = rt.stats();
+            assert_eq!(stats.spawned, (1 << levels) - 1, "{kind:?} at {workers} workers");
+            assert_eq!(stats.spawned, stats.executed, "{kind:?} at {workers} workers");
+            rt.shutdown();
+        }
+    }
+}
+
+/// A 20-level tree (1,048,575 tasks) on a fresh 2-worker runtime,
+/// rooted once on a worker and once on this thread. Helping joins are
+/// depth-first, so neither run overflows a stack. In the worker-rooted
+/// run this thread waits without helping and the only injector job is
+/// the root, so the nesting stays within the bound DESIGN.md derives:
+/// the steal cap plus the tree's levels.
+#[test]
+fn deep_tree_joins_within_the_help_depth_bound() {
+    const LEVELS: u32 = 20;
+    let expected = recurse(LEVELS, 0, 0);
+    for rooted_on_worker in [true, false] {
+        let rt = TaskRuntime::builder().workers(2).build();
+        let handle = rt.handle();
+        let sum = if rooted_on_worker {
+            rt.spawn(move || node(&handle, LEVELS, 0, 0))
+                .join_timeout(Duration::from_secs(600))
+                .unwrap()
+        } else {
+            node(&handle, LEVELS, 0, 0)
+        };
+        assert_eq!(sum, expected, "rooted on a worker: {rooted_on_worker}");
+        rt.wait_quiescent();
+        let stats = rt.stats();
+        assert_eq!(stats.spawned, (1 << LEVELS) - 1 - u64::from(!rooted_on_worker));
+        assert_eq!(stats.spawned, stats.executed);
+        if rooted_on_worker {
+            let depth = rt.max_help_depth();
+            assert!(
+                depth <= HELP_STEAL_CAP + LEVELS as usize,
+                "help depth {depth} above cap {HELP_STEAL_CAP} + {LEVELS} levels"
+            );
+        }
+        rt.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------
