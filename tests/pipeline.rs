@@ -75,6 +75,9 @@ fn kills_mid_batch_are_exactly_once() {
     // The real supervision tree and the model tell the same story.
     assert_eq!(u64::from(report.supervision.restarts_total), report.restarts);
     assert_eq!(u64::from(report.supervision.escalations), report.escalations);
+    // Pinned (3 kills, 3 supervised restarts): a refactor of the tick
+    // loop, the ledger or the guards must keep this cell bit-identical.
+    assert_eq!(report.fingerprint(), 0x8b35_de55_a08a_952c, "{}", report.render_deterministic());
 }
 
 #[test]
@@ -95,6 +98,9 @@ fn fingerprint_is_identical_across_1_3_8_worker_pools_and_reruns() {
         );
         assert_eq!(base.render_deterministic(), wide.render_deterministic());
     }
+    // Pinned: a refactor must keep the cell bit-identical, not merely
+    // pool-size independent.
+    assert_eq!(base.fingerprint(), 0x1c6e_17b5_8eb9_b7c4, "{}", base.render_deterministic());
 }
 
 #[test]
@@ -114,6 +120,8 @@ fn exhausted_restart_budget_escalates_and_work_flows_to_survivors() {
     // The survivors kept marking: conservation still closes.
     assert!(report.marked > 0);
     assert!(report.events.iter().any(|e| e.contains("shards reassigned")));
+    // Pinned (3 escalations).
+    assert_eq!(report.fingerprint(), 0x902e_641f_9f04_ad31, "{}", report.render_deterministic());
 }
 
 #[test]
