@@ -9,7 +9,7 @@
 //!    ▲                        │
 //!    └──────── reclaim ───────┘        (marker incarnation died)
 //!
-//! Pending / (never admitted) ──shed──▶ Shed{cause}
+//! Pending ──shed──▶ Shed                (counted by ShedReason)
 //! ```
 //!
 //! The transitions are checked, not assumed: an ack from a stale
@@ -21,28 +21,7 @@
 //! in flight, zero duplicates — is what [`super::CellReport`] asserts
 //! per cell.
 
-/// Why a submission was shed instead of marked. Mirrors the
-/// `ShedReason` idiom of `websim::server`: shedding is always an
-/// explicit, attributed decision, never a silent drop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedCause {
-    /// The submission's shard queue was at capacity on arrival — the
-    /// end-to-end backpressure signal.
-    QueueFull,
-    /// The drain window closed with the submission still queued.
-    DrainOverrun,
-}
-
-impl ShedCause {
-    /// Stable label for reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedCause::QueueFull => "queue_full",
-            ShedCause::DrainOverrun => "drain_overrun",
-        }
-    }
-}
+use faultsim::ShedReason;
 
 /// One slot's position in the marking state machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,8 +61,8 @@ pub struct MarkLedger {
     slots: Vec<Slot>,
     admitted: u64,
     marked: u64,
-    shed_queue_full: u64,
-    shed_drain: u64,
+    /// Sheds per reason, indexed by `ShedReason as usize`.
+    shed: [u64; 5],
     claims: u64,
     reclaims: u64,
     redone: u64,
@@ -113,14 +92,11 @@ impl MarkLedger {
     /// Shed a `Pending` submission. Panics on a non-pending slot:
     /// shedding claimed or finished work would lose a mark, and the
     /// sequential tick loop can never legitimately try.
-    pub fn shed(&mut self, id: u64, cause: ShedCause) {
+    pub fn shed(&mut self, id: u64, reason: ShedReason) {
         let slot = &mut self.slots[id as usize];
         assert_eq!(slot.state, SlotState::Pending, "only pending work can be shed");
         slot.state = SlotState::Shed;
-        match cause {
-            ShedCause::QueueFull => self.shed_queue_full += 1,
-            ShedCause::DrainOverrun => self.shed_drain += 1,
-        }
+        self.shed[reason as usize] += 1;
     }
 
     /// Claim a `Pending` slot for `(marker, incarnation)`. Returns
@@ -208,22 +184,16 @@ impl MarkLedger {
         self.marked
     }
 
-    /// Submissions shed, by cause.
+    /// Submissions shed, across every reason.
     #[must_use]
     pub fn shed_total(&self) -> u64 {
-        self.shed_queue_full + self.shed_drain
+        self.shed.iter().sum()
     }
 
-    /// Submissions shed because their shard queue was full.
+    /// Submissions shed with `reason`.
     #[must_use]
-    pub fn shed_queue_full(&self) -> u64 {
-        self.shed_queue_full
-    }
-
-    /// Submissions shed when the drain window closed.
-    #[must_use]
-    pub fn shed_drain(&self) -> u64 {
-        self.shed_drain
+    pub fn shed_count(&self, reason: ShedReason) -> u64 {
+        self.shed[reason as usize]
     }
 
     /// Successful claims (including re-claims after reclaim).
@@ -373,15 +343,19 @@ mod tests {
     }
 
     #[test]
-    fn shed_causes_are_attributed() {
+    fn shed_reasons_are_attributed() {
         let mut ledger = MarkLedger::new();
         let a = ledger.admit(0, 0);
         let b = ledger.admit(0, 1);
-        ledger.shed(a, ShedCause::QueueFull);
-        ledger.shed(b, ShedCause::DrainOverrun);
-        assert_eq!(ledger.shed_queue_full(), 1);
-        assert_eq!(ledger.shed_drain(), 1);
-        assert_eq!(ledger.shed_total(), 2);
+        let c = ledger.admit(1, 1);
+        ledger.shed(a, ShedReason::QueueFull);
+        ledger.shed(b, ShedReason::DrainOverrun);
+        ledger.shed(c, ShedReason::Deadline);
+        assert_eq!(ledger.shed_count(ShedReason::QueueFull), 1);
+        assert_eq!(ledger.shed_count(ShedReason::DrainOverrun), 1);
+        assert_eq!(ledger.shed_count(ShedReason::Deadline), 1, "no reason is filed as another");
+        assert_eq!(ledger.shed_count(ShedReason::Admission), 0);
+        assert_eq!(ledger.shed_total(), 3);
         assert_eq!(ledger.in_flight(), 0);
         assert!(ledger.conservation_violations().is_empty());
     }

@@ -8,12 +8,12 @@
 //! [`parc_loadgen::ArrivalProcess`] (steady / diurnal /
 //! flash-crowd-at-the-deadline); a seeded hash shards them into
 //! bounded per-shard queues with explicit
-//! [`ledger::ShedCause`]-attributed backpressure; marker workers run
-//! under a **real** [`parc_supervise::Supervisor`] (one-for-one,
-//! seeded restart budgets) and execute the three marking stages —
-//! parc-analyze lint, an explorer spot-check on a sampled subset, and
-//! rubric scoring — as `partask` [`TaskRuntime::spawn_batch`]
-//! fan-outs.
+//! [`faultsim::ShedReason`]-attributed backpressure; marker workers run
+//! as [`parc_supervise::Guards`] under a **real** supervisor
+//! (one-for-one, seeded restart budgets) and execute the three marking
+//! stages — parc-analyze lint, an explorer spot-check on a sampled
+//! subset, and rubric scoring — as `partask`
+//! [`TaskRuntime::spawn_batch`] fan-outs.
 //!
 //! # Exactly-once under storms
 //!
@@ -47,12 +47,12 @@ pub mod ledger;
 pub mod report;
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
-use faultsim::{FaultInjector, FaultStorm, RetryPolicy, StormPhase};
+use faultsim::{FaultStorm, RetryPolicy, ShedReason, StormPhase};
 use parc_loadgen::ArrivalProcess;
-use parc_supervise::{ChildError, Supervisor, SupervisionReport};
+use parc_supervise::{Guards, Supervisor};
 use parc_trace::{LatencyHistogram, MarkKind, MarkingTag, SpanKind, TraceHandle};
 use parc_util::fnv1a;
 use parc_util::rng::{SplitMix64, Xoshiro256};
@@ -60,7 +60,7 @@ use partask::TaskRuntime;
 
 use crate::assessment::AutoMarkRubric;
 use cohort::{generate_tick, mark_submission, shard_for, spot_eligible, SpotVerdict};
-use ledger::{MarkLedger, ShedCause};
+use ledger::MarkLedger;
 pub use report::{CellReport, MarkerStats, ShardStats};
 
 /// Everything a pipeline cell needs beyond its arrival process and
@@ -121,99 +121,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Commands the tick loop sends a marker's supervised guard child.
-enum GuardCmd {
-    /// The storm killed this marker: the current incarnation must
-    /// fail (charging the restart budget).
-    Kill,
-    /// The cell is over: complete.
-    Done,
-}
-
-/// The real supervision tree behind the markers: one guard child per
-/// marker, run by a [`Supervisor`] on its own thread. A scripted kill
-/// *is* the child's failure, and the model's restart is gated on the
-/// supervisor actually granting one — so "supervised restart" and
-/// "escalation" in the report are literal, not simulated. (This is
-/// the `websim::cluster` outage-guard protocol, generalised to a
-/// pool.)
-struct MarkerGuards {
-    cmd_tx: Vec<mpsc::Sender<GuardCmd>>,
-    ready_rx: Vec<mpsc::Receiver<u32>>,
-    join: Option<std::thread::JoinHandle<SupervisionReport>>,
-}
-
-impl MarkerGuards {
-    fn spawn(markers: u32, restart_budget: u32, seed: u64, trace: &TraceHandle) -> Self {
-        let mut cmd_tx = Vec::new();
-        let mut ready_rx = Vec::new();
-        let mut builder = Supervisor::builder("marker-pool")
-            .restart_policy(
-                RetryPolicy::fixed(Duration::from_millis(1))
-                    .with_max_attempts(restart_budget + 1),
-            )
-            .backoff_seed(seed)
-            .backoff_time_scale(1e-3)
-            .trace(trace);
-        for m in 0..markers {
-            let (ctx_tx, crx) = mpsc::channel::<GuardCmd>();
-            let (rtx, rrx) = mpsc::channel::<u32>();
-            cmd_tx.push(ctx_tx);
-            ready_rx.push(rrx);
-            let crx = Arc::new(parking_lot::Mutex::new(crx));
-            builder = builder.child(&format!("marker-{m}"), move |ctx| {
-                // Announce this incarnation, then wait for the tick
-                // loop's verdict on it.
-                let _ = rtx.send(ctx.incarnation);
-                match crx.lock().recv() {
-                    Ok(GuardCmd::Kill) => {
-                        Err(ChildError::Failed("marker killed by storm".into()))
-                    }
-                    Ok(GuardCmd::Done) | Err(_) => Ok(()),
-                }
-            });
-        }
-        let join = std::thread::Builder::new()
-            .name("marker-pool-supervisor".into())
-            .spawn(move || builder.run())
-            .expect("spawn marker supervisor thread");
-        let guards = Self { cmd_tx, ready_rx, join: Some(join) };
-        // Consume every first incarnation's ready signal so a later
-        // `await_restart` blocks on the *restarted* incarnation.
-        for rx in &guards.ready_rx {
-            assert_eq!(rx.recv().expect("guard must start"), 1);
-        }
-        guards
-    }
-
-    /// Fail the marker's current incarnation; the supervisor will
-    /// restart it (budget permitting).
-    fn kill(&self, marker: u32) {
-        self.cmd_tx[marker as usize].send(GuardCmd::Kill).expect("guard alive at kill");
-    }
-
-    /// Block until the supervisor restarts the marker; returns the
-    /// new incarnation number.
-    fn await_restart(&self, marker: u32) -> u32 {
-        self.ready_rx[marker as usize].recv().expect("supervisor must restart the marker")
-    }
-
-    /// Finish the run: complete every surviving guard and collect the
-    /// supervision report.
-    fn finish(mut self) -> SupervisionReport {
-        for tx in &self.cmd_tx {
-            // Escalated children are already gone; a dead receiver is
-            // expected for them.
-            let _ = tx.send(GuardCmd::Done);
-        }
-        self.join
-            .take()
-            .expect("finish called once")
-            .join()
-            .expect("marker supervisor thread must not panic")
-    }
-}
-
 /// Run one cell — one arrival process crossed with one fault storm —
 /// to completion and return its conservation-checked report.
 ///
@@ -241,7 +148,20 @@ pub fn run_cell(
     let mut arrivals_rng = Xoshiro256::seed_from_u64(SplitMix64::mix(cell_seed ^ 0xA221));
 
     let pid = trace.register_track(&format!("pipeline/{}/{}", arrival.name(), storm.name));
-    let guards = MarkerGuards::spawn(cfg.markers, cfg.restart_budget, cell_seed, trace);
+    // One supervised guard per marker: a storm kill *is* the guard's
+    // failure, and the model's restart is gated on the supervisor
+    // actually granting one.
+    let guards = Guards::spawn(
+        Supervisor::builder("marker-pool")
+            .restart_policy(
+                RetryPolicy::fixed(Duration::from_millis(1))
+                    .with_max_attempts(cfg.restart_budget + 1),
+            )
+            .backoff_seed(cell_seed)
+            .backoff_time_scale(1e-3)
+            .trace(trace),
+        (0..cfg.markers).map(|m| format!("marker-{m}")),
+    );
 
     let mut ledger = MarkLedger::new();
     // Sources and student attribution, indexed by ledger id; a source
@@ -294,7 +214,7 @@ pub fn run_cell(
                 let st = &mut shard_stats[shard as usize];
                 st.arrived += 1;
                 if queues[shard as usize].len() >= cfg.queue_cap {
-                    ledger.shed(id, ShedCause::QueueFull);
+                    ledger.shed(id, ShedReason::QueueFull);
                     st.shed_full += 1;
                     shed_this_tick += 1;
                     sources.push(String::new());
@@ -494,7 +414,7 @@ pub fn run_cell(
                     // Budget exhausted: the real supervisor escalates
                     // (no restart); the marker is dead for good and
                     // its shards are reassigned to the survivors.
-                    guards.kill(m);
+                    guards.kill(m as usize);
                     alive[m as usize] = false;
                     marker_stats[m as usize].escalated = true;
                     escalations += 1;
@@ -506,8 +426,8 @@ pub fn run_cell(
                 } else {
                     // A real supervised restart: the model does not
                     // proceed until the supervisor has granted it.
-                    guards.kill(m);
-                    let next = guards.await_restart(m);
+                    guards.kill(m as usize);
+                    let next = guards.await_restart(m as usize);
                     assert_eq!(next, inc + 1, "incarnations are dense");
                     incarnation[m as usize] = next;
                     restarts += 1;
@@ -530,7 +450,7 @@ pub fn run_cell(
             let mut shed = 0u64;
             for s in 0..cfg.shards {
                 while let Some(id) = queues[s as usize].pop_front() {
-                    ledger.shed(id, ShedCause::DrainOverrun);
+                    ledger.shed(id, ShedReason::DrainOverrun);
                     shard_stats[s as usize].shed_drain += 1;
                     sources[id as usize] = String::new();
                     shed += 1;
@@ -612,9 +532,7 @@ pub fn run_cell(
 /// decision (storm peaks kill often, calm phases never), thinned 4×
 /// so markers spend most of a storm marking rather than restarting.
 fn storm_kills_marker(phase: &StormPhase, seed: u64, m: u32, tick: u32) -> bool {
-    let mut plan = phase.plan.clone();
-    plan.seed = SplitMix64::mix(plan.seed ^ (0xBEEF ^ (u64::from(m) << 8)));
-    let fault = FaultInjector::new(plan).decide(u64::from(m), tick + 1);
+    let fault = phase.injector(u64::from(m)).decide(u64::from(m), tick + 1);
     fault.is_failure()
         && SplitMix64::mix(seed ^ (u64::from(tick) << 32) ^ u64::from(m).rotate_left(51))
             .is_multiple_of(4)

@@ -22,6 +22,10 @@
 //! * [`FaultStorm`] — named, phase-structured storm schedules (burst,
 //!   brownout, flapping) layered on [`FaultPlan`], for soak tests that
 //!   exercise degradation *and* recovery in one seeded narrative.
+//!   [`StormPhase::injector`] gives each lane (a replica, a marker) of
+//!   a phase its own reproducible fault stream.
+//! * [`ShedReason`] — the one attributed shed cause every bounded
+//!   queue in the workspace uses.
 //!
 //! Consumers: `websim` wires an injector into its simulated server
 //! and drives `try_fetch_all` with a `RetryPolicy`; `partask` and
@@ -30,11 +34,13 @@
 mod breaker;
 mod inject;
 mod retry;
+mod shed;
 mod storm;
 
 pub use breaker::{Breaker, BreakerState};
 pub use inject::{Fault, FaultInjector, FaultPlan};
 pub use retry::{Backoff, Retried, RetryError, RetryPolicy};
+pub use shed::ShedReason;
 pub use storm::{FaultStorm, StormPhase};
 
 /// Prefix of every panic message this crate injects (see

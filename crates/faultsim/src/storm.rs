@@ -21,7 +21,7 @@
 
 use parc_util::rng::SplitMix64;
 
-use crate::inject::FaultPlan;
+use crate::inject::{FaultInjector, FaultPlan};
 
 /// One phase of a storm: a fault plan plus the load-model knobs the
 /// serving layer should apply while the phase is active.
@@ -36,6 +36,18 @@ pub struct StormPhase {
     /// Deadline budget (model milliseconds) used for load shedding:
     /// requests predicted to exceed it are shed rather than served.
     pub shed_budget_ms: f64,
+}
+
+impl StormPhase {
+    /// The phase's fault stream for one `lane` (a replica, a marker):
+    /// the phase plan re-seeded per lane, so lanes fail independently
+    /// but reproducibly.
+    #[must_use]
+    pub fn injector(&self, lane: u64) -> FaultInjector {
+        let mut plan = self.plan.clone();
+        plan.seed = SplitMix64::mix(plan.seed ^ 0xBEEF ^ (lane << 8));
+        FaultInjector::new(plan)
+    }
 }
 
 /// A named, seeded sequence of [`StormPhase`]s.
@@ -304,6 +316,17 @@ mod tests {
                 storm.phases.last().unwrap().label
             );
         }
+    }
+
+    #[test]
+    fn lanes_draw_independent_reproducible_streams() {
+        let peak = &FaultStorm::burst(0x1A4E).phases[1];
+        let draws = |lane: u64| -> Vec<Fault> {
+            let inj = peak.injector(lane);
+            (0..64).map(|key| inj.decide(key, 1)).collect()
+        };
+        assert_eq!(draws(3), draws(3), "a lane's stream is a pure function of the phase");
+        assert_ne!(draws(0), draws(1), "lanes must not share a stream");
     }
 
     #[test]

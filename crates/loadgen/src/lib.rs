@@ -14,27 +14,19 @@
 //!   waves, [`ArrivalProcess::FlashCrowd`] a step surge with
 //!   exponential decay) sampled tick by tick with a seeded RNG, plus a
 //!   Zipf page-popularity model so hot pages concentrate on their
-//!   owner replicas the way real traffic does.
-//! * [`traffic`] — materialises a whole run up front as a
-//!   [`traffic::TrafficTrace`] (one `Vec<page>` per tick), and a
-//!   [`traffic::ClosedLoop`] variant where a finite user population
-//!   waits for answers before re-issuing — the regime where
-//!   backpressure visibly flattens offered load.
-//! * [`harness`] — [`harness::run_load_cell`] glues a trace, a
-//!   [`faultsim::FaultStorm`] and a [`websim::cluster::Cluster`] into
-//!   one measured cell: sustained requests/s, goodput, and latency
-//!   quantiles from the conservation-checked
-//!   [`websim::cluster::ClusterReport`].
+//!   owner replicas the way real traffic does. The auto-marking
+//!   pipeline (`course::pipeline`) draws its submission arrivals from
+//!   the same processes.
+//! * [`traffic`] — materialises a whole open-loop run up front as a
+//!   [`traffic::TrafficTrace`] (one `Vec<page>` per tick), ready for
+//!   `websim::cluster::Cluster::run_storm`.
 //!
-//! Same seeds → bit-identical traces → bit-identical reports, across
-//! reruns and worker-pool sizes. The E-LOAD experiment
-//! (`examples/load_storm.rs`) and CI's `load` job gate on exactly
-//! that.
+//! Same seeds → bit-identical traces → bit-identical cluster reports,
+//! across reruns and worker-pool sizes. The E-LOAD experiment
+//! (`examples/load_storm.rs`) gates on exactly that.
 
 pub mod arrival;
-pub mod harness;
 pub mod traffic;
 
 pub use arrival::{ArrivalProcess, Popularity};
-pub use harness::{run_load_cell, LoadCell, LoadCellConfig};
-pub use traffic::{ClosedLoop, ClosedLoopConfig, TrafficConfig, TrafficTrace};
+pub use traffic::{TrafficConfig, TrafficTrace};

@@ -1,6 +1,5 @@
 //! Materialised traffic: a whole run's arrivals decided up front
-//! (open loop), or generated tick-by-tick by a finite user population
-//! reacting to answers (closed loop).
+//! (open loop).
 
 use parc_util::rng::{SplitMix64, Xoshiro256};
 
@@ -13,15 +12,13 @@ pub struct TrafficConfig {
     pub seed: u64,
     /// Number of ticks to generate.
     pub ticks: usize,
-    /// Pages in the catalogue (must match the cluster's server).
-    pub pages: usize,
     /// Zipf exponent for page popularity (0 = uniform).
     pub zipf_s: f64,
 }
 
 impl Default for TrafficConfig {
     fn default() -> Self {
-        Self { seed: 0x074A_FF1C, ticks: 48, pages: 200, zipf_s: 0.9 }
+        Self { seed: 0x074A_FF1C, ticks: 48, zipf_s: 0.9 }
     }
 }
 
@@ -36,18 +33,19 @@ pub struct TrafficTrace {
 }
 
 impl TrafficTrace {
-    /// Generate the trace for `process` under `cfg`. Same
-    /// `(process, cfg)` → identical trace, always.
+    /// Generate the trace for `process` under `cfg` over a catalogue
+    /// of `pages` pages (pass the serving tier's own page count). Same
+    /// `(process, cfg, pages)` → identical trace, always.
     #[must_use]
-    pub fn generate(process: &ArrivalProcess, cfg: &TrafficConfig) -> Self {
+    pub fn generate(process: &ArrivalProcess, cfg: &TrafficConfig, pages: usize) -> Self {
         let mut arrivals =
             Xoshiro256::seed_from_u64(SplitMix64::mix(cfg.seed ^ 0xA44));
-        let mut pages = Xoshiro256::seed_from_u64(SplitMix64::mix(cfg.seed ^ 0xBEE));
-        let pop = Popularity::zipf(cfg.seed, cfg.pages, cfg.zipf_s);
+        let mut picks = Xoshiro256::seed_from_u64(SplitMix64::mix(cfg.seed ^ 0xBEE));
+        let pop = Popularity::zipf(cfg.seed, pages, cfg.zipf_s);
         let ticks = (0..cfg.ticks)
             .map(|t| {
                 let n = process.sample(t, &mut arrivals);
-                (0..n).map(|_| pop.sample(&mut pages)).collect()
+                (0..n).map(|_| pop.sample(&mut picks)).collect()
             })
             .collect();
         Self { ticks }
@@ -66,122 +64,27 @@ impl TrafficTrace {
     }
 }
 
-/// Knobs of a closed-loop population.
-#[derive(Clone, Debug)]
-pub struct ClosedLoopConfig {
-    /// Seed for think times and page choices.
-    pub seed: u64,
-    /// Concurrent users in the population.
-    pub users: usize,
-    /// Pages in the catalogue.
-    pub pages: usize,
-    /// Zipf exponent for page popularity.
-    pub zipf_s: f64,
-    /// Mean think time between an answer and the next request, in
-    /// ticks (exponential).
-    pub think_ticks: f64,
-    /// Simulated ms per tick (converts answer latency to ticks).
-    pub tick_ms: f64,
-}
-
-impl Default for ClosedLoopConfig {
-    fn default() -> Self {
-        Self { seed: 0xC105ED, users: 64, pages: 200, zipf_s: 0.9, think_ticks: 2.0, tick_ms: 100.0 }
-    }
-}
-
-/// A closed-loop user population: each user issues one request, waits
-/// for its (modelled) answer plus a think time, then issues the next.
-/// Slow answers *reduce* offered load — the stabilising feedback that
-/// open-loop traffic lacks, and the regime where backpressure shows
-/// up as a smaller next tick rather than a deeper queue.
-#[derive(Clone, Debug)]
-pub struct ClosedLoop {
-    cfg: ClosedLoopConfig,
-    pop: Popularity,
-    rng: Xoshiro256,
-    /// Tick at which each user becomes ready to issue again.
-    ready_at: Vec<f64>,
-    issued_total: u64,
-}
-
-impl ClosedLoop {
-    /// Build a population, all users ready at tick 0.
-    #[must_use]
-    pub fn new(cfg: ClosedLoopConfig) -> Self {
-        let pop = Popularity::zipf(cfg.seed, cfg.pages, cfg.zipf_s);
-        let rng = Xoshiro256::seed_from_u64(SplitMix64::mix(cfg.seed ^ 0x0_5E5));
-        let ready_at = vec![0.0; cfg.users];
-        Self { cfg, pop, rng, ready_at, issued_total: 0 }
-    }
-
-    /// Requests issued across all ticks so far.
-    #[must_use]
-    pub fn issued_total(&self) -> u64 {
-        self.issued_total
-    }
-
-    /// The pages requested at `tick` — every user whose ready time
-    /// has come issues exactly one request, in user order.
-    #[must_use]
-    pub fn arrivals(&mut self, tick: usize) -> Vec<usize> {
-        #[allow(clippy::cast_precision_loss)]
-        let now = tick as f64;
-        let mut pages = Vec::new();
-        for user in 0..self.cfg.users {
-            if self.ready_at[user] <= now {
-                pages.push(self.pop.sample(&mut self.rng));
-                // Busy until the answer lands; `complete` refines it.
-                self.ready_at[user] = f64::INFINITY;
-                self.issued_total += 1;
-            }
-        }
-        pages
-    }
-
-    /// Report the tick's outcomes back to the population, in the same
-    /// order `arrivals` returned pages: `latency_ms[i] = Some(l)` if
-    /// request `i` was answered in `l` simulated ms, `None` if it was
-    /// shed or failed (the user backs off one think time and retries).
-    pub fn complete(&mut self, tick: usize, latency_ms: &[Option<f64>]) {
-        #[allow(clippy::cast_precision_loss)]
-        let now = tick as f64;
-        let mut idx = 0usize;
-        for user in 0..self.cfg.users {
-            if self.ready_at[user].is_infinite() {
-                let think = self.rng.next_exp(1.0 / self.cfg.think_ticks.max(1e-9));
-                let wait = match latency_ms.get(idx).copied().flatten() {
-                    Some(l) => l / self.cfg.tick_ms.max(1e-9),
-                    None => 0.0,
-                };
-                self.ready_at[user] = now + 1.0 + wait + think;
-                idx += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn traces_are_reproducible_and_seed_sensitive() {
-        let cfg = TrafficConfig { seed: 0xAB, ticks: 24, pages: 80, zipf_s: 0.9 };
+        let cfg = TrafficConfig { seed: 0xAB, ticks: 24, zipf_s: 0.9 };
         let p = ArrivalProcess::PoissonSteady { rate: 15.0 };
-        let a = TrafficTrace::generate(&p, &cfg);
-        let b = TrafficTrace::generate(&p, &cfg);
+        let a = TrafficTrace::generate(&p, &cfg, 80);
+        let b = TrafficTrace::generate(&p, &cfg, 80);
         assert_eq!(a, b, "same seed, same trace");
-        let other = TrafficTrace::generate(&p, &TrafficConfig { seed: 0xAC, ..cfg });
+        let other = TrafficTrace::generate(&p, &TrafficConfig { seed: 0xAC, ..cfg }, 80);
         assert_ne!(a, other, "different seed, different trace");
         assert!(a.total_requests() > 200, "15/tick × 24 ticks should top 200");
     }
 
     #[test]
     fn flash_crowd_trace_has_its_spike() {
-        let cfg = TrafficConfig { seed: 0xF1A5, ticks: 30, pages: 80, zipf_s: 0.0 };
+        let cfg = TrafficConfig { seed: 0xF1A5, ticks: 30, zipf_s: 0.0 };
         let p = ArrivalProcess::FlashCrowd { base: 5.0, peak: 60.0, at_tick: 10, decay_ticks: 5 };
-        let trace = TrafficTrace::generate(&p, &cfg);
+        let trace = TrafficTrace::generate(&p, &cfg, 80);
         let pre: usize = trace.ticks[..10].iter().map(Vec::len).sum();
         let surge: usize = trace.ticks[10..15].iter().map(Vec::len).sum();
         #[allow(clippy::cast_precision_loss)]
@@ -191,51 +94,5 @@ mod tests {
             "surge rate {surge_rate} should dwarf pre-rate {pre_rate}"
         );
         assert!(trace.peak_tick() >= 30, "peak tick should reflect the crowd");
-    }
-
-    #[test]
-    fn closed_loop_slows_down_when_answers_slow_down() {
-        let cfg = ClosedLoopConfig {
-            seed: 0xD00D,
-            users: 40,
-            pages: 50,
-            zipf_s: 0.5,
-            think_ticks: 1.0,
-            tick_ms: 100.0,
-        };
-        // Fast tier: answers in 20ms. Slow tier: answers in 900ms.
-        let run = |answer_ms: f64| -> u64 {
-            let mut pop = ClosedLoop::new(cfg.clone());
-            for tick in 0..40 {
-                let pages = pop.arrivals(tick);
-                let outcomes: Vec<Option<f64>> = pages.iter().map(|_| Some(answer_ms)).collect();
-                pop.complete(tick, &outcomes);
-            }
-            pop.issued_total()
-        };
-        let fast = run(20.0);
-        let slow = run(900.0);
-        assert!(
-            slow < fast * 3 / 4,
-            "closed loop must self-throttle: slow {slow} !< 3/4 of fast {fast}"
-        );
-    }
-
-    #[test]
-    fn closed_loop_is_deterministic() {
-        let cfg = ClosedLoopConfig::default();
-        let run = || -> Vec<Vec<usize>> {
-            let mut pop = ClosedLoop::new(cfg.clone());
-            (0..20)
-                .map(|t| {
-                    let pages = pop.arrivals(t);
-                    let outcomes: Vec<Option<f64>> =
-                        pages.iter().map(|&p| if p % 7 == 0 { None } else { Some(120.0) }).collect();
-                    pop.complete(t, &outcomes);
-                    pages
-                })
-                .collect()
-        };
-        assert_eq!(run(), run());
     }
 }

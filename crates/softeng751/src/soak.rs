@@ -335,7 +335,6 @@ pub fn run_soak_cell(
                 // the seeds.
                 let mut crawler = ResilientCrawler::new(ResilientConfig {
                     connections: 4,
-                    max_in_flight: 6,
                     retry: RetryPolicy::fixed(Duration::from_millis(2)).with_max_attempts(3),
                     breaker_threshold: 3,
                     breaker_cooldown: 4,

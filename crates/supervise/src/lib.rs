@@ -1,6 +1,6 @@
 //! `parc-supervise` — structured cancellation and supervision trees.
 //!
-//! Two layers, both deterministic under a fixed seed:
+//! Three pieces, all deterministic under a fixed seed:
 //!
 //! * [`CancelToken`] — hierarchical cancellation with deadline
 //!   propagation. Tokens form a tree: cancelling a parent cancels the
@@ -17,6 +17,10 @@
 //!   subtree. Every lifecycle step is recorded both in trace marks and
 //!   in a canonical [`SupervisionReport`] whose event log is
 //!   bit-identical across same-seed reruns (for one-for-one trees).
+//! * [`Guards`] — one supervised child per simulated worker, so a
+//!   tick-driven model (the auto-marking pipeline, the sharded web
+//!   tier) can kill a worker and block until the supervisor restarts
+//!   it, or see the kill escalate once the budget is spent.
 //!
 //! The teaching goal (see the course material in `softeng751`): the
 //! same determinism discipline the workspace applies to *speedup*
@@ -27,9 +31,11 @@
 
 #![warn(missing_docs)]
 
+mod guard;
 mod supervisor;
 mod token;
 
+pub use guard::Guards;
 pub use supervisor::{
     ChildCtx, ChildError, ChildOutcome, ChildReport, RestartPolicy, SupEvent, SupEventKind,
     SupervisionReport, Supervisor, SupervisorBuilder,

@@ -396,7 +396,7 @@ impl SupervisionReport {
 /// Configures and runs a [`Supervisor`].
 #[derive(Clone)]
 pub struct SupervisorBuilder {
-    name: String,
+    pub(crate) name: String,
     policy: RestartPolicy,
     restart: RetryPolicy,
     backoff_seed: u64,

@@ -13,10 +13,10 @@
 //!   ring successors (the property `tests/load.rs` pins).
 //! * **Bounded queues + backpressure** — each replica accepts at most
 //!   `queue_capacity` requests per tick; when every candidate's queue
-//!   is full the balancer answers
-//!   [`RequestError::Shed`]`{ reason: `[`ShedReason::QueueFull`]` }`
-//!   instead of letting queues collapse. A global per-tick admission
-//!   cap sheds with [`ShedReason::Admission`] before routing.
+//!   is full the balancer sheds the request with
+//!   [`ShedReason::QueueFull`] instead of letting queues collapse. A
+//!   global per-tick admission cap sheds with [`ShedReason::Admission`]
+//!   before routing. Sheds are counted per reason in [`ClusterReport`].
 //! * **Per-replica breakers feeding the routing table** — a
 //!   [`Breaker`] per replica (state advanced in deterministic request
 //!   order) steers traffic to the next owner while open; if every
@@ -35,7 +35,7 @@
 //!   immediately.
 //! * **Supervised replica restart** — a mid-storm kill wipes the
 //!   replica's store; the restart runs under a [`parc_supervise`]
-//!   supervisor (the guard child's failure *is* the kill), and the
+//!   supervisor (the [`Guards`] child's failure *is* the kill), and the
 //!   conservation check proves no acknowledged page was lost: every
 //!   acked page stays readable from a surviving owner's store.
 //!
@@ -46,17 +46,16 @@
 //! across pool sizes and reruns.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 use std::time::Duration;
 
-use faultsim::{Breaker, Fault, FaultInjector, FaultStorm, RetryPolicy, StormPhase};
-use parc_supervise::{ChildError, Supervisor};
+use faultsim::{Breaker, Fault, FaultInjector, FaultStorm, RetryPolicy, ShedReason, StormPhase};
+use parc_supervise::{Guards, Supervisor};
 use parc_trace::LatencyHistogram;
 use parc_util::rng::SplitMix64;
 use partask::TaskRuntime;
 
-use crate::server::{ServerConfig, ShedReason, SimServer};
+use crate::server::{ServerConfig, SimServer};
 
 /// A seeded consistent-hash ring of virtual nodes.
 ///
@@ -519,22 +518,6 @@ impl ClusterReport {
         }
         out
     }
-
-    /// One line for storm tables.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "acked {}/{} (p {} h {} f {}) shed {} failed {} p99 {:.0}ms",
-            self.acked,
-            self.issued,
-            self.served_primary,
-            self.served_hedge,
-            self.served_failover,
-            self.shed_total(),
-            self.failed,
-            self.latency.p99()
-        )
-    }
 }
 
 /// One queued unit of work on a replica for one tick.
@@ -613,26 +596,10 @@ impl Cluster {
         Self { cfg, ring, replicas }
     }
 
-    /// The ring (exposed for partitioning tests and tooling).
-    #[must_use]
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
-    /// Give every replica the fault stream of `phase`, derived from
-    /// the phase seed mixed per replica so replicas fail
-    /// independently but reproducibly.
+    /// Give every replica its own lane of `phase`'s fault stream.
     fn set_phase(&mut self, phase: &StormPhase) {
         for (i, rep) in self.replicas.iter_mut().enumerate() {
-            let mut plan = phase.plan.clone();
-            plan.seed = SplitMix64::mix(plan.seed ^ (0xBEEF ^ (i as u64) << 8));
-            rep.injector = FaultInjector::new(plan);
+            rep.injector = phase.injector(i as u64);
         }
     }
 
@@ -687,10 +654,18 @@ impl Cluster {
             assert!(o.kill_tick < o.restart_tick, "kill must precede restart");
             assert!(o.restart_tick < schedule.len(), "restart must land inside the run");
         }
-        let mut guard = outage.map(OutageGuard::spawn);
+        // The supervised outage: one guard child stands for the
+        // replica's process, and its supervised restart gates the
+        // replica's readmission.
+        let guard = outage.map(|o| {
+            let builder = Supervisor::builder("cluster-outage")
+                .restart_policy(RetryPolicy::fixed(Duration::from_millis(1)).with_max_attempts(3))
+                .backoff_time_scale(1e-3);
+            (o, Guards::spawn(builder, ["replica-guard"]))
+        });
 
         let ticks = schedule.len();
-        let mut acc = RunAccounting::new(&self.cfg, ticks, self.replicas.len());
+        let mut acc = RunAccounting::new();
         let mut last_phase_label: Option<&'static str> = None;
 
         for (tick, requests) in schedule.iter().enumerate() {
@@ -702,29 +677,29 @@ impl Cluster {
             }
 
             // Scripted outage: kill/supervised-restart between ticks.
-            if let Some(g) = guard.as_mut() {
-                if tick == g.script.kill_tick {
-                    self.kill(g.script.replica);
+            if let Some((o, g)) = &guard {
+                if tick == o.kill_tick {
+                    self.kill(o.replica);
                     acc.kills += 1;
-                    acc.events.push(format!("tick {tick:03} replica {} killed", g.script.replica));
-                    g.signal_kill();
+                    acc.events.push(format!("tick {tick:03} replica {} killed", o.replica));
+                    g.kill(0);
                 }
-                if tick == g.script.restart_tick {
+                if tick == o.restart_tick {
                     // Block until the supervisor has restarted the
                     // guard child — the replica's readmission is gated
                     // on its supervised incarnation being alive.
-                    let incarnation = g.await_restart();
-                    self.restart(g.script.replica);
+                    let incarnation = g.await_restart(0);
+                    self.restart(o.replica);
                     acc.restarts += 1;
                     acc.events.push(format!(
                         "tick {tick:03} replica {} restarted (supervised incarnation {incarnation})",
-                        g.script.replica
+                        o.replica
                     ));
                 }
             }
 
             self.health_check(tick, &mut acc);
-            self.run_tick(rt, tick, requests, phase, &mut acc);
+            self.run_tick(rt, requests, phase, &mut acc);
         }
 
         // Durability audit: every acked page must still be readable
@@ -744,8 +719,8 @@ impl Cluster {
             }
         }
 
-        let (sup_restarts, sup_escalations, sup_violations) = match guard.take() {
-            Some(g) => {
+        let (sup_restarts, sup_escalations, sup_violations) = match guard {
+            Some((_, g)) => {
                 let report = g.finish();
                 (
                     report.restarts_total,
@@ -767,10 +742,10 @@ impl Cluster {
             served_hedge: acc.served_hedge,
             served_failover: acc.served_failover,
             failed: acc.failed,
-            shed_admission: acc.shed[0],
-            shed_deadline: acc.shed[1],
-            shed_breaker: acc.shed[2],
-            shed_queue_full: acc.shed[3],
+            shed_admission: acc.shed[ShedReason::Admission as usize],
+            shed_deadline: acc.shed[ShedReason::Deadline as usize],
+            shed_breaker: acc.shed[ShedReason::Breaker as usize],
+            shed_queue_full: acc.shed[ShedReason::QueueFull as usize],
             hedges_fired: acc.hedges_fired,
             hedge_redundant: acc.hedge_redundant,
             hedge_wasted: acc.hedge_wasted,
@@ -840,7 +815,6 @@ impl Cluster {
     fn run_tick(
         &mut self,
         rt: &TaskRuntime,
-        tick: usize,
         requests: &[usize],
         phase: &StormPhase,
         acc: &mut RunAccounting,
@@ -966,19 +940,15 @@ impl Cluster {
         let width_slots = self.cfg.service_width.max(1);
         let max_attempts = self.cfg.max_attempts.max(1);
         let latency_factor = phase.latency_factor;
-        let multi = rt.spawn_multi(n, {
-            let inputs = Arc::clone(&exec_inputs);
-            move |replica| {
-                let (queue, server, injector) = &inputs[replica];
+        let per_replica: Vec<(Vec<ExecResult>, f64)> = rt
+            .spawn_batch(n, move |replica| {
+                let (queue, server, injector) = &exec_inputs[replica];
                 execute_queue(queue, server, injector, width_slots, max_attempts, latency_factor)
-            }
-        });
-        let per_replica: Vec<(Vec<ExecResult>, f64)> = multi
-            .join_reduce(Vec::new(), |mut v: Vec<(Vec<ExecResult>, f64)>, part| {
-                v.push(part);
-                v
             })
-            .unwrap_or_default();
+            .join()
+            .into_iter()
+            .map(|r| r.expect("replica execution neither panics nor is cancelled"))
+            .collect();
 
         // Tick busy time: the slowest replica bounds the tick.
         let tick_busy = per_replica.iter().map(|(_, busy)| *busy).fold(0.0f64, f64::max);
@@ -1011,15 +981,7 @@ impl Cluster {
         // --- Collect (sequential, deterministic request order) -----
         for (req, &page) in requests.iter().enumerate() {
             match &routes[req] {
-                Route::Shed(reason) => {
-                    let slot = match reason {
-                        ShedReason::Admission => 0,
-                        ShedReason::Deadline => 1,
-                        ShedReason::Breaker => 2,
-                        ShedReason::QueueFull => 3,
-                    };
-                    acc.shed[slot] += 1;
-                }
+                Route::Shed(reason) => acc.shed[*reason as usize] += 1,
                 Route::NoOwner => acc.failed += 1,
                 Route::Queued { diverted, hedge_on, .. } => {
                     let primary = primary_result.get(&req).copied();
@@ -1038,7 +1000,6 @@ impl Cluster {
                                 // The redundant hedge already counted;
                                 // reclassify as a win, not redundant.
                                 acc.hedge_redundant -= 1;
-                                acc.hedge_primary_lost += 1;
                                 Some(h)
                             } else {
                                 Some(p)
@@ -1093,7 +1054,6 @@ impl Cluster {
                 }
             }
         }
-        let _ = tick;
     }
 
     /// Acknowledge `page`: record the latency sample, credit the
@@ -1234,14 +1194,12 @@ struct RunAccounting {
     served_hedge: u64,
     served_failover: u64,
     failed: u64,
-    /// Indexed by [`ShedReason::all`] order.
-    shed: [u64; 4],
+    /// Indexed by `ShedReason as usize`. The tier has no drain window,
+    /// so its `DrainOverrun` slot stays zero.
+    shed: [u64; 5],
     hedges_fired: u64,
     hedge_redundant: u64,
     hedge_wasted: u64,
-    /// Hedge races the primary lost (informational; the win is
-    /// already counted in `served_hedge`).
-    hedge_primary_lost: u64,
     attempts_total: u64,
     faults_seen: u64,
     ejections: u32,
@@ -1255,8 +1213,7 @@ struct RunAccounting {
 }
 
 impl RunAccounting {
-    fn new(cfg: &ClusterConfig, _ticks: usize, _replicas: usize) -> Self {
-        let _ = cfg;
+    fn new() -> Self {
         Self {
             issued: 0,
             acked: 0,
@@ -1264,11 +1221,10 @@ impl RunAccounting {
             served_hedge: 0,
             served_failover: 0,
             failed: 0,
-            shed: [0; 4],
+            shed: [0; 5],
             hedges_fired: 0,
             hedge_redundant: 0,
             hedge_wasted: 0,
-            hedge_primary_lost: 0,
             attempts_total: 0,
             faults_seen: 0,
             ejections: 0,
@@ -1280,80 +1236,6 @@ impl RunAccounting {
             sim_ms_total: 0.0,
             acked_pages: BTreeSet::new(),
         }
-    }
-}
-
-/// Commands the storm loop sends the supervised replica guard.
-enum GuardCmd {
-    /// The replica died: the current incarnation must fail.
-    Kill,
-    /// The run is over: the current incarnation completes.
-    Done,
-}
-
-/// The supervised outage: a `parc-supervise` supervisor owns a guard
-/// child standing for the replica's process. The scripted kill fails
-/// the child; the supervisor's restart (budgeted, backed off) gates
-/// the replica's readmission — so "supervised restart" is literal.
-struct OutageGuard {
-    script: OutageScript,
-    cmd_tx: mpsc::Sender<GuardCmd>,
-    ready_rx: mpsc::Receiver<u32>,
-    join: Option<thread::JoinHandle<parc_supervise::SupervisionReport>>,
-}
-
-impl OutageGuard {
-    fn spawn(script: OutageScript) -> Self {
-        let (cmd_tx, cmd_rx) = mpsc::channel::<GuardCmd>();
-        let (ready_tx, ready_rx) = mpsc::channel::<u32>();
-        let cmd_rx = Arc::new(parking_lot::Mutex::new(cmd_rx));
-        let join = thread::Builder::new()
-            .name("cluster-outage-supervisor".into())
-            .spawn(move || {
-                Supervisor::builder("cluster-outage")
-                    .restart_policy(
-                        RetryPolicy::fixed(Duration::from_millis(1)).with_max_attempts(3),
-                    )
-                    .backoff_time_scale(1e-3)
-                    .child("replica-guard", move |ctx| {
-                        // Announce this incarnation, then wait for the
-                        // storm loop's verdict.
-                        let _ = ready_tx.send(ctx.incarnation);
-                        match cmd_rx.lock().recv() {
-                            Ok(GuardCmd::Kill) => {
-                                Err(ChildError::Failed("replica killed by storm".into()))
-                            }
-                            Ok(GuardCmd::Done) | Err(_) => Ok(()),
-                        }
-                    })
-                    .run()
-            })
-            .expect("spawn outage supervisor thread");
-        let guard = Self { script, cmd_tx, ready_rx, join: Some(join) };
-        // Consume incarnation 1's ready signal so `await_restart`
-        // blocks on the *restarted* incarnation.
-        let first = guard.ready_rx.recv().expect("guard child must start");
-        assert_eq!(first, 1, "first incarnation must announce itself");
-        guard
-    }
-
-    fn signal_kill(&self) {
-        self.cmd_tx.send(GuardCmd::Kill).expect("guard alive at kill");
-    }
-
-    /// Block until the supervisor has restarted the guard child;
-    /// returns the new incarnation number.
-    fn await_restart(&self) -> u32 {
-        self.ready_rx.recv().expect("supervisor must restart the guard")
-    }
-
-    fn finish(mut self) -> parc_supervise::SupervisionReport {
-        let _ = self.cmd_tx.send(GuardCmd::Done);
-        self.join
-            .take()
-            .expect("finish called once")
-            .join()
-            .expect("outage supervisor thread must not panic")
     }
 }
 

@@ -241,13 +241,6 @@ fn fetch_one(
                     timeouts += 1;
                     (Err(AttemptError::Timeout), FetchTag::TimedOut)
                 }
-                // The plain server never sheds (only the admission
-                // layer in `crate::resilient` does); treat one like a
-                // retryable transient if it ever surfaces here.
-                Ok(Err(RequestError::Shed { .. })) => {
-                    transient_errors += 1;
-                    (Err(AttemptError::Transient), FetchTag::Transient)
-                }
                 Err(_panic_payload) => {
                     panics += 1;
                     (Err(AttemptError::Panicked), FetchTag::Panicked)

@@ -25,16 +25,16 @@
 //! millisecond so the sweep runs quickly; shapes are scale-invariant.
 //!
 //! [`resilient`] adds the graceful-degradation layer for fault-storm
-//! soaks: admission control, deadline-aware load shedding, per-
-//! connection circuit breakers, and stale-cache serving with
-//! quantified coverage/staleness.
+//! soaks: deadline-aware load shedding, per-connection circuit
+//! breakers, and stale-cache serving with quantified
+//! coverage/staleness.
 //!
 //! [`cluster`] scales the story from one server to a sharded tier:
 //! a consistent-hash load balancer over N replicas with R-way
 //! replication, health-check ejection, hedged requests, bounded
-//! per-replica queues propagating [`server::ShedReason`] backpressure
-//! to the client, and supervised replica kill/restart that loses zero
-//! acknowledged pages.
+//! per-replica queues that shed with an attributed
+//! [`faultsim::ShedReason`], and supervised replica kill/restart that
+//! loses zero acknowledged pages.
 
 pub mod cluster;
 pub mod fetcher;
@@ -47,4 +47,4 @@ pub use fetcher::{
     PageOutcome, SweepPoint,
 };
 pub use resilient::{ResilientConfig, ResilientCrawler, ResilientPage, ResilientReport};
-pub use server::{PageMeta, RequestError, ServerConfig, ShedReason, SimServer};
+pub use server::{PageMeta, RequestError, ServerConfig, SimServer};

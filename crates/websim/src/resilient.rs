@@ -1,5 +1,5 @@
-//! Graceful degradation: admission control, load shedding, breakers
-//! and a stale-metadata cache layered over the fault-tolerant crawler.
+//! Graceful degradation: load shedding, breakers and a stale-metadata
+//! cache layered over the fault-tolerant crawler.
 //!
 //! [`fetcher::try_fetch_all`](crate::fetcher::try_fetch_all) keeps
 //! retrying until budgets run out — correct when faults are rare, but
@@ -9,12 +9,8 @@
 //!
 //! * **Load shedding** — a page whose *predicted* cost
 //!   (`model_duration_ms × latency_factor`) exceeds the phase's
-//!   deadline budget is shed without touching the server
-//!   ([`RequestError::Shed`]).
-//! * **Admission control** — at most `max_in_flight` requests are on
-//!   the simulated wire at once; excess connections block at the gate.
-//!   The gate shapes *timing* only, never outcomes, so reports stay
-//!   deterministic.
+//!   deadline budget is shed without touching the server; its
+//!   [`ResilientPage::shed`] flag is set.
 //! * **Per-connection breakers** — a [`Breaker`] per connection stops
 //!   hammering a failing server; while it is open, pages are served
 //!   degraded instead of retried.
@@ -37,7 +33,7 @@ use std::time::Duration;
 
 use faultsim::{Breaker, RetryPolicy};
 use parc_util::rng::SplitMix64;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use partask::TaskRuntime;
 
 use crate::server::{RequestError, SimServer};
@@ -49,8 +45,6 @@ use crate::server::{RequestError, SimServer};
 pub struct ResilientConfig {
     /// Parallel connections (also the page-partition stride).
     pub connections: usize,
-    /// Maximum requests in flight at once (admission gate width).
-    pub max_in_flight: usize,
     /// Per-page retry schedule for admitted requests.
     pub retry: RetryPolicy,
     /// Consecutive failures before a connection's breaker trips.
@@ -65,7 +59,6 @@ impl Default for ResilientConfig {
     fn default() -> Self {
         Self {
             connections: 4,
-            max_in_flight: 8,
             retry: RetryPolicy::fixed(Duration::from_millis(5)).with_max_attempts(3),
             breaker_threshold: 3,
             breaker_cooldown: 4,
@@ -154,58 +147,6 @@ impl ResilientReport {
         let n = ages.len() as f64;
         sum / n
     }
-
-    /// One line for storm tables: `"fresh 180 stale 12 shed 5 …"`.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "fresh {} stale {} shed {} denied {} lost {} coverage {:.3} staleness {:.2}",
-            self.fresh,
-            self.stale,
-            self.shed,
-            self.breaker_denied,
-            self.unavailable,
-            self.coverage(),
-            self.staleness(),
-        )
-    }
-}
-
-/// A counting semaphore bounding requests in flight. Purely a timing
-/// valve: blocking here cannot change any fetch outcome.
-struct AdmissionGate {
-    width: usize,
-    in_flight: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl AdmissionGate {
-    fn new(width: usize) -> Self {
-        Self { width: width.max(1), in_flight: Mutex::new(0), freed: Condvar::new() }
-    }
-
-    fn acquire(self: &Arc<Self>) -> GateSlot {
-        let mut n = self.in_flight.lock();
-        while *n >= self.width {
-            self.freed.wait(&mut n);
-        }
-        *n += 1;
-        GateSlot { gate: Arc::clone(self) }
-    }
-}
-
-/// RAII in-flight slot; releasing wakes one blocked connection.
-struct GateSlot {
-    gate: Arc<AdmissionGate>,
-}
-
-impl Drop for GateSlot {
-    fn drop(&mut self) {
-        let mut n = self.gate.in_flight.lock();
-        *n -= 1;
-        drop(n);
-        self.gate.freed.notify_one();
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -266,7 +207,6 @@ impl ResilientCrawler {
         let cfg = self.cfg.clone();
         let connections = cfg.connections.max(1);
         let page_count = server.page_count();
-        let gate = Arc::new(AdmissionGate::new(cfg.max_in_flight));
         let multi = rt.spawn_multi(connections, {
             let server = Arc::clone(server);
             let cache = Arc::clone(&self.cache);
@@ -283,7 +223,6 @@ impl ResilientCrawler {
                     out.push(fetch_degradable(
                         &server,
                         &cache,
-                        &gate,
                         &breaker,
                         &cfg,
                         page,
@@ -297,12 +236,14 @@ impl ResilientCrawler {
                 out
             }
         });
+        // A lost connection task must fail the crawl: an empty page
+        // list would read as full coverage.
         let mut pages = multi
             .join_reduce(Vec::new(), |mut acc: Vec<ResilientPage>, part| {
                 acc.extend(part);
                 acc
             })
-            .unwrap_or_default();
+            .expect("connection tasks contain their panics and are never cancelled");
         pages.sort_by_key(|p| p.page);
         let fresh = pages
             .iter()
@@ -327,12 +268,12 @@ impl ResilientCrawler {
     }
 }
 
-/// Fetch one page fresh if admission allows, else answer degraded.
+/// Fetch one page fresh unless it is shed or breaker-denied, else
+/// answer degraded.
 #[allow(clippy::too_many_arguments)]
 fn fetch_degradable(
     server: &Arc<SimServer>,
     cache: &Arc<Mutex<HashMap<usize, Cached>>>,
-    gate: &Arc<AdmissionGate>,
     breaker: &Breaker,
     cfg: &ResilientConfig,
     page: usize,
@@ -346,9 +287,6 @@ fn fetch_degradable(
     //    so the shed set is identical on every rerun.
     let predicted_ms = server.model_duration_ms(page, connections) * latency_factor;
     if predicted_ms > shed_budget_ms {
-        // The canonical verdict for this path is `RequestError::Shed`
-        // with `ShedReason::Deadline`; the report encodes it as the
-        // `shed` flag.
         return degrade(cache, page, epoch, 0, true, false);
     }
     // 2. Breaker: while this connection's dependency view is open,
@@ -359,7 +297,7 @@ fn fetch_degradable(
         return degrade(cache, page, epoch, 0, false, true);
     }
     // 3. Admitted: retry under the policy, panics contained per
-    //    attempt, holding a gate slot only while on the wire.
+    //    attempt.
     let time_scale = server.config().time_scale;
     let page_seed =
         SplitMix64::mix(server.config().seed ^ (page as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -368,7 +306,6 @@ fn fetch_degradable(
         std::thread::sleep(Duration::from_secs_f64(sim_ms * time_scale));
     };
     let result = cfg.retry.execute_with(page_seed, sleep_scaled, |attempt| {
-        let _slot = gate.acquire();
         match catch_unwind(AssertUnwindSafe(|| server.try_request(page, attempt))) {
             Ok(Ok(kb)) => Ok(kb),
             Ok(Err(err)) => Err(err),
@@ -530,14 +467,5 @@ mod tests {
             rt.shutdown();
         }
         assert_eq!(reports[0], reports[1], "worker count leaked into outcomes");
-    }
-
-    #[test]
-    fn shed_error_renders_its_own_message() {
-        use crate::server::ShedReason;
-        let err = RequestError::Shed { page: 7, attempt: 1, reason: ShedReason::Deadline };
-        assert_eq!(err.page(), 7);
-        assert!(err.to_string().contains("shed by admission control"));
-        assert!(err.to_string().contains("deadline"));
     }
 }

@@ -67,55 +67,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Machine-readable reason a request was shed instead of served —
-/// carried by [`RequestError::Shed`] so balancers and reports can
-/// distinguish *why* load was dropped (and, under backpressure,
-/// which stage of the pipeline pushed back).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ShedReason {
-    /// An admission gate refused the request before routing (global
-    /// in-flight or per-tick cap reached).
-    Admission,
-    /// The predicted cost exceeded the active deadline budget, so
-    /// serving the request would only have added load.
-    Deadline,
-    /// Every candidate replica's circuit breaker was open.
-    Breaker,
-    /// Every candidate replica's bounded queue was full — the
-    /// end-to-end backpressure signal.
-    QueueFull,
-}
-
-impl ShedReason {
-    /// Stable label for reports and benchmark JSON.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedReason::Admission => "admission",
-            ShedReason::Deadline => "deadline",
-            ShedReason::Breaker => "breaker",
-            ShedReason::QueueFull => "queue_full",
-        }
-    }
-
-    /// All reasons, in canonical (enum) order — for report tables.
-    #[must_use]
-    pub fn all() -> [ShedReason; 4] {
-        [
-            ShedReason::Admission,
-            ShedReason::Deadline,
-            ShedReason::Breaker,
-            ShedReason::QueueFull,
-        ]
-    }
-}
-
-impl fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Why a [`SimServer::try_request`] attempt failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestError {
@@ -133,18 +84,6 @@ pub enum RequestError {
         /// The 1-based attempt that failed.
         attempt: u32,
     },
-    /// The request was shed by admission control before reaching the
-    /// server: its predicted cost exceeded the deadline budget, so
-    /// serving it would only have added load. Produced by
-    /// [`crate::resilient`], never by [`SimServer::try_request`].
-    Shed {
-        /// The page requested.
-        page: usize,
-        /// The 1-based attempt that was shed.
-        attempt: u32,
-        /// Which stage of the pipeline dropped the request.
-        reason: ShedReason,
-    },
 }
 
 impl RequestError {
@@ -152,9 +91,7 @@ impl RequestError {
     #[must_use]
     pub fn page(&self) -> usize {
         match self {
-            RequestError::Transient { page, .. }
-            | RequestError::TimedOut { page, .. }
-            | RequestError::Shed { page, .. } => *page,
+            RequestError::Transient { page, .. } | RequestError::TimedOut { page, .. } => *page,
         }
     }
 }
@@ -167,12 +104,6 @@ impl fmt::Display for RequestError {
             }
             RequestError::TimedOut { page, attempt } => {
                 write!(f, "timeout fetching page {page} (attempt {attempt})")
-            }
-            RequestError::Shed { page, attempt, reason } => {
-                write!(
-                    f,
-                    "request for page {page} shed by admission control ({reason}, attempt {attempt})"
-                )
             }
         }
     }
@@ -521,29 +452,6 @@ mod tests {
         let trace = col.snapshot();
         assert_eq!(trace.counts_by_name()["fault.injected"], 2);
         assert_eq!(server.faults_injected(), 2);
-    }
-
-    #[test]
-    fn shed_reason_is_machine_readable_and_pinned() {
-        // The reason taxonomy is part of the report/JSON contract:
-        // names and order are pinned here so downstream consumers
-        // (balancer accounting, BENCH_load.json) can rely on them.
-        assert_eq!(
-            ShedReason::all().map(ShedReason::name),
-            ["admission", "deadline", "breaker", "queue_full"]
-        );
-        for (a, b) in ShedReason::all().iter().zip(ShedReason::all().iter().skip(1)) {
-            assert!(a < b, "canonical order must match enum order");
-        }
-        let err = RequestError::Shed { page: 3, attempt: 1, reason: ShedReason::QueueFull };
-        assert_eq!(err.page(), 3);
-        match err {
-            RequestError::Shed { reason, .. } => assert_eq!(reason, ShedReason::QueueFull),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let text = err.to_string();
-        assert!(text.contains("queue_full"), "display must carry the reason: {text}");
-        assert!(text.contains("shed"), "display must still read as a shed: {text}");
     }
 
     #[test]

@@ -27,35 +27,28 @@
 //! (default seed `0x10AD6E4`).
 
 use faultsim::FaultStorm;
-use parc_loadgen::{run_load_cell, ArrivalProcess, LoadCellConfig, TrafficConfig};
+use parc_loadgen::{ArrivalProcess, TrafficConfig, TrafficTrace};
 use partask::TaskRuntime;
 use softeng751_repro::experiment::{self, hex, Report, Spec};
-use websim::cluster::{ClusterConfig, OutageScript};
+use websim::cluster::{Cluster, ClusterConfig, OutageScript};
 use websim::server::ServerConfig;
 
 /// The fixed tail budget every cell is judged against (model ms).
 const P99_BUDGET_MS: f64 = 250.0;
 const TICKS: usize = 36;
 const RATE_PER_TICK: f64 = 14.0;
+/// Kill replica 1 a third of the way in, supervised restart two thirds
+/// in — every cell is also a failover drill.
+const OUTAGE: OutageScript =
+    OutageScript { replica: 1, kill_tick: TICKS / 3, restart_tick: 2 * TICKS / 3 };
 
-fn cell_config(seed: u64) -> LoadCellConfig {
-    let cluster = ClusterConfig {
+fn cluster_config(seed: u64) -> ClusterConfig {
+    ClusterConfig {
         replicas: 4,
         replication: 2,
         seed,
         server: ServerConfig { pages: 120, time_scale: 5e-7, ..ServerConfig::default() },
         ..ClusterConfig::default()
-    };
-    LoadCellConfig {
-        traffic: TrafficConfig { seed, ticks: TICKS, pages: 120, zipf_s: 0.9 },
-        cluster,
-        // Kill replica 1 a third of the way in, supervised restart
-        // two thirds in — every cell is also a failover drill.
-        outage: Some(OutageScript {
-            replica: 1,
-            kill_tick: TICKS / 3,
-            restart_tick: 2 * TICKS / 3,
-        }),
     }
 }
 
@@ -75,11 +68,17 @@ fn main() {
     experiment::run(
         Spec { name: "load", seed: 0x010A_D6E4, pool: Some(4), cells },
         |&(pi, si), seed, pool| {
+            let cluster = cluster_config(seed);
+            let traffic = TrafficConfig { seed, ticks: TICKS, zipf_s: 0.9 };
+            let trace = TrafficTrace::generate(&processes[pi], &traffic, cluster.server.pages);
             let rt = TaskRuntime::builder().workers(pool).build();
-            let cell =
-                run_load_cell(&rt, &processes[pi], &FaultStorm::all(seed)[si], &cell_config(seed));
+            let r = Cluster::new(cluster).run_storm(
+                &rt,
+                &trace.ticks,
+                &FaultStorm::all(seed)[si],
+                Some(OUTAGE),
+            );
             rt.shutdown();
-            let r = &cell.report;
             Report::new()
                 .det("fingerprint_hash", hex(parc_util::fnv1a(r.fingerprint().as_bytes())))
                 .det("issued", r.issued)
@@ -98,12 +97,12 @@ fn main() {
                 .det("reserved_from_replica", r.reserved_from_replica)
                 .det("lost_acked", r.lost_acked)
                 .det("events", r.events.clone())
-                .model("offered_rps", cell.offered_rps)
-                .model("acked_rps", cell.acked_rps)
-                .model("p50_ms", cell.p50_ms)
-                .model("p99_ms", cell.p99_ms)
-                .model("p999_ms", cell.p999_ms)
-                .model("within_p99_budget", cell.within_p99_budget(P99_BUDGET_MS))
+                .model("offered_rps", r.offered_rps())
+                .model("acked_rps", r.acked_rps())
+                .model("p50_ms", r.latency.p50())
+                .model("p99_ms", r.latency.p99())
+                .model("p999_ms", r.latency.p999())
+                .model("within_p99_budget", r.latency.p99() <= P99_BUDGET_MS)
                 .violations(r.violations())
                 .check(
                     r.supervision_restarts == 1,
