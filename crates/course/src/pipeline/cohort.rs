@@ -16,11 +16,9 @@ use parc_util::rng::SplitMix64;
 
 use crate::assessment::{score_analysis, AutoMarkRubric, MarkScore};
 
-/// One queued submission, as carried by a shard queue.
+/// One generated submission, before admission assigns its ledger id.
 #[derive(Clone, Debug)]
 pub struct Submission {
-    /// Ledger id (dense, admission-ordered).
-    pub id: u64,
     /// The synthetic student who submitted it.
     pub student: u32,
     /// Generator family (`"race/plain"` etc.), for the report.
@@ -39,7 +37,6 @@ pub fn generate_tick(seed: u64, tick: u32, count: usize, students: u32) -> Vec<S
     genprog::generate(tick_seed, count)
         .into_iter()
         .map(|p| Submission {
-            id: 0, // assigned at admission
             student: (SplitMix64::mix(tick_seed ^ (p.index as u64).rotate_left(13)) % u64::from(students.max(1)))
                 as u32,
             family: p.family,

@@ -10,17 +10,19 @@
 //! bounded per-shard queues with explicit
 //! [`faultsim::ShedReason`]-attributed backpressure; marker workers run
 //! as [`parc_supervise::Guards`] under a **real** supervisor
-//! (one-for-one, seeded restart budgets) and execute the three marking
-//! stages — parc-analyze lint, an explorer spot-check on a sampled
-//! subset, and rubric scoring — as `partask`
-//! [`TaskRuntime::spawn_batch`] fan-outs.
+//! (one-for-one, seeded restart budgets). Each tick, every live marker
+//! claims its batch in turn, and one `partask`
+//! [`TaskRuntime::spawn_batch`] fan-out runs the three marking stages —
+//! parc-analyze lint, an explorer spot-check on a sampled subset, and
+//! rubric scoring — over all of those batches at once, while the tick
+//! thread generates the next tick's arrivals.
 //!
 //! # Exactly-once under storms
 //!
 //! [`faultsim::FaultStorm`] phases kill markers mid-batch. The
 //! [`ledger::MarkLedger`] claim/complete checkpoint protocol makes
-//! marking exactly-once anyway: a marker claims its batch, acks each
-//! submission as it completes, and a kill tears up only the
+//! marking exactly-once anyway: a marker claims its batch, each
+//! submission it marks is acked, and a kill tears up only the
 //! *unacknowledged* tail — which the restarted incarnation (a real
 //! supervised restart, gated on the supervisor actually granting it)
 //! re-claims later. Stale acks from dead incarnations bounce off the
@@ -138,7 +140,10 @@ pub fn run_cell(
     cfg: &PipelineConfig,
     trace: &TraceHandle,
 ) -> CellReport {
-    assert!(cfg.markers > 0 && cfg.shards > 0 && cfg.batch_per_marker > 0);
+    assert!(
+        cfg.markers > 0 && cfg.shards > 0 && cfg.batch_per_marker > 0 && cfg.students > 0,
+        "PipelineConfig: markers, shards, batch_per_marker and students must all be > 0"
+    );
     let started = std::time::Instant::now();
     let cell_seed = SplitMix64::mix(
         cfg.seed ^ fnv1a(arrival.name().as_bytes()).rotate_left(17) ^ fnv1a(storm.name.as_bytes()),
@@ -165,8 +170,8 @@ pub fn run_cell(
 
     let mut ledger = MarkLedger::new();
     // Sources and student attribution, indexed by ledger id; a source
-    // is dropped the moment its slot goes terminal, bounding memory
-    // to the queued backlog.
+    // moves out when its submission is fanned out for marking and is
+    // dropped when it is shed, bounding memory to the queued backlog.
     let mut sources: Vec<String> = Vec::new();
     let mut students_of: Vec<u32> = Vec::new();
     let mut queues: Vec<VecDeque<u64>> = (0..cfg.shards).map(|_| VecDeque::new()).collect();
@@ -191,6 +196,14 @@ pub fn run_cell(
 
     let total_ticks = cfg.arrival_ticks as usize;
     let rubric = Arc::new(cfg.rubric.clone());
+    // One arrival sample and one generated cohort per arrival tick, in
+    // tick order: tick 0's here, every later tick's during the
+    // previous tick's marking fan-out.
+    let mut arrivals_at = move |tick: u32| {
+        let n = arrival.sample(tick as usize, &mut arrivals_rng);
+        generate_tick(cell_seed, tick, n, cfg.students)
+    };
+    let mut arriving = if cfg.arrival_ticks > 0 { arrivals_at(0) } else { Vec::new() };
     let mut tick = 0u32;
     loop {
         let phase = storm.phase_at(tick as usize, total_ticks);
@@ -200,12 +213,10 @@ pub fn run_cell(
         }
         let _tick_span = trace.span(pid, SpanKind::MarkingTick { tick: u64::from(tick) });
 
-        // ---- arrivals: generate, shard, admit or shed ----
+        // ---- arrivals: shard, admit or shed ----
         if tick < cfg.arrival_ticks {
-            let n = arrival.sample(tick as usize, &mut arrivals_rng);
-            let batch = generate_tick(cell_seed, tick, n, cfg.students);
             let mut shed_this_tick = 0u32;
-            for sub in batch {
+            for sub in std::mem::take(&mut arriving) {
                 // Ledger ids are dense and admission-ordered, so the
                 // shard hash can be computed before admitting.
                 let shard = shard_for(shard_seed, ledger.admitted(), cfg.shards);
@@ -253,7 +264,14 @@ pub fn run_cell(
             degraded_ticks += 1;
         }
 
-        // ---- markers: claim, mark (parallel fan-out), ack ----
+        // ---- claim: each live marker's batch, in marker order ----
+        // Prefix sources move into `items`; `lanes` holds each marker's
+        // (marker, claiming incarnation, prefix length). A kill is
+        // settled here, before the next marker claims: an escalation
+        // hands the dead marker's shards, reclaimed tail included, to
+        // later markers in this same tick.
+        let mut items: Vec<(u64, String, bool)> = Vec::new();
+        let mut lanes: Vec<(u32, u32, usize)> = Vec::new();
         for m in 0..cfg.markers {
             if !alive[m as usize] {
                 continue;
@@ -300,8 +318,9 @@ pub fn run_cell(
             // The storm's verdict on this marker, decided *before*
             // the batch runs so killed work is genuinely never
             // computed by this incarnation: a kill cuts the batch at
-            // a deterministic point, the prefix is marked and acked,
-            // the tail stays claimed until the restart reclaims it.
+            // a deterministic point, the prefix is marked and acked
+            // under the claiming incarnation, the tail goes back to
+            // the queues for a later claim.
             let killed = storm_kills_marker(phase, cell_seed, m, tick);
             let cut = if killed {
                 (SplitMix64::mix(cell_seed ^ (u64::from(tick) << 24) ^ u64::from(m))
@@ -309,83 +328,11 @@ pub fn run_cell(
             } else {
                 batch.len()
             };
-
-            // Pure parallel fan-out over the surviving prefix.
-            let items: Arc<Vec<(u64, String, bool)>> = Arc::new(
-                batch[..cut]
-                    .iter()
-                    .map(|&id| {
-                        let run_spot =
-                            spot_eligible(spot_seed, id, cfg.spot_every) && !degraded;
-                        (id, sources[id as usize].clone(), run_spot)
-                    })
-                    .collect(),
-            );
-            let rubric = Arc::clone(&rubric);
-            let worker_items = Arc::clone(&items);
-            let results = rt
-                .spawn_batch(items.len(), move |i| {
-                    let (_, source, run_spot) = &worker_items[i];
-                    mark_submission(source, &rubric, *run_spot)
-                })
-                .join();
-
-            // Sequential ack walk, index order: this is what makes
-            // acks (and the digest) pool-size independent.
-            let mut acked = 0u32;
-            for (i, res) in results.into_iter().enumerate() {
-                let (id, _, ran_spot) = items[i];
-                let result = res.expect("marking closures neither panic nor cancel");
-                assert!(ledger.ack(id, m, inc), "prefix acks cannot be stale");
-                acked += 1;
-                marker_stats[m as usize].marked += 1;
-                shard_stats[ledger.shard_of(id) as usize].served += 1;
-                let wait_ticks = f64::from(tick - ledger.arrival_tick_of(id));
-                latency.record(
-                    (wait_ticks * cfg.tick_ms + result.service_ms * phase.latency_factor)
-                        .max(1.0),
-                );
-                mark_digest =
-                    report::fold_mark_digest(mark_digest, id, result.score.mark.to_bits());
-                let student = students_of[id as usize] as usize;
-                best_mark[student] = best_mark[student].max(result.score.mark as f32);
-                if spot_eligible(spot_seed, id, cfg.spot_every) {
-                    spot_elig += 1;
-                    if ran_spot {
-                        spot_run += 1;
-                        trace.mark(
-                            pid,
-                            MarkKind::MarkingStage { stage: MarkingTag::Spot, lane: m, count: 1 },
-                        );
-                        if result.spot == Some(SpotVerdict::MissedFinding) {
-                            spot_missed += 1;
-                        }
-                    } else {
-                        spot_deg += 1;
-                        trace.mark(
-                            pid,
-                            MarkKind::MarkingStage {
-                                stage: MarkingTag::Degraded,
-                                lane: m,
-                                count: 1,
-                            },
-                        );
-                    }
-                }
-                if ledger.was_reclaimed(id) {
-                    trace.mark(
-                        pid,
-                        MarkKind::MarkingStage { stage: MarkingTag::Redone, lane: m, count: 1 },
-                    );
-                }
-                sources[id as usize] = String::new();
-            }
-            if acked > 0 {
-                trace.mark(
-                    pid,
-                    MarkKind::MarkingStage { stage: MarkingTag::Ack, lane: m, count: acked },
-                );
-            }
+            items.extend(batch[..cut].iter().map(|&id| {
+                let run_spot = spot_eligible(spot_seed, id, cfg.spot_every) && !degraded;
+                (id, std::mem::take(&mut sources[id as usize]), run_spot)
+            }));
+            lanes.push((m, inc, cut));
 
             if killed {
                 kills += 1;
@@ -436,6 +383,78 @@ pub fn run_cell(
                     // tick; its reclaimed work is waiting in the
                     // queues for the next one.
                 }
+            }
+        }
+
+        // ---- mark: one pure fan-out over every prefix ----
+        // While the workers mark, this thread generates the next
+        // tick's arrivals. Generation stays off the pool, so partask
+        // runs exactly one task per marked submission.
+        let items = Arc::new(items);
+        let worker_items = Arc::clone(&items);
+        let rubric = Arc::clone(&rubric);
+        let marking = rt.spawn_batch(items.len(), move |i| {
+            let (_, source, run_spot) = &worker_items[i];
+            mark_submission(source, &rubric, *run_spot)
+        });
+        if tick + 1 < cfg.arrival_ticks {
+            arriving = arrivals_at(tick + 1);
+        }
+        let mut results = items.iter().zip(marking.join());
+
+        // ---- ack: sequential, (marker, index) order ----
+        // This order is what makes acks (and the digest) pool-size
+        // independent.
+        for (m, inc, len) in lanes {
+            for (&(id, _, ran_spot), res) in results.by_ref().take(len) {
+                let result = res.expect("marking closures neither panic nor cancel");
+                assert!(ledger.ack(id, m, inc), "prefix acks cannot be stale");
+                marker_stats[m as usize].marked += 1;
+                shard_stats[ledger.shard_of(id) as usize].served += 1;
+                let wait_ticks = f64::from(tick - ledger.arrival_tick_of(id));
+                latency.record(
+                    (wait_ticks * cfg.tick_ms + result.service_ms * phase.latency_factor)
+                        .max(1.0),
+                );
+                mark_digest =
+                    report::fold_mark_digest(mark_digest, id, result.score.mark.to_bits());
+                let student = students_of[id as usize] as usize;
+                best_mark[student] = best_mark[student].max(result.score.mark as f32);
+                if spot_eligible(spot_seed, id, cfg.spot_every) {
+                    spot_elig += 1;
+                    if ran_spot {
+                        spot_run += 1;
+                        trace.mark(
+                            pid,
+                            MarkKind::MarkingStage { stage: MarkingTag::Spot, lane: m, count: 1 },
+                        );
+                        if result.spot == Some(SpotVerdict::MissedFinding) {
+                            spot_missed += 1;
+                        }
+                    } else {
+                        spot_deg += 1;
+                        trace.mark(
+                            pid,
+                            MarkKind::MarkingStage {
+                                stage: MarkingTag::Degraded,
+                                lane: m,
+                                count: 1,
+                            },
+                        );
+                    }
+                }
+                if ledger.was_reclaimed(id) {
+                    trace.mark(
+                        pid,
+                        MarkKind::MarkingStage { stage: MarkingTag::Redone, lane: m, count: 1 },
+                    );
+                }
+            }
+            if len > 0 {
+                trace.mark(
+                    pid,
+                    MarkKind::MarkingStage { stage: MarkingTag::Ack, lane: m, count: len as u32 },
+                );
             }
         }
 
@@ -696,6 +715,15 @@ mod tests {
         }
         // Supervision marks flow through the same collector.
         assert!(counts.get("sup.child_start").copied().unwrap_or(0) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "students must all be > 0")]
+    fn a_cell_without_students_is_refused_up_front() {
+        let rt = TaskRuntime::builder().workers(1).build();
+        let cfg = PipelineConfig { students: 0, ..small_cfg(1) };
+        let arrival = ArrivalProcess::PoissonSteady { rate: 10.0 };
+        let _ = run_cell(&rt, &arrival, &FaultStorm::burst(1), &cfg, &TraceHandle::disabled());
     }
 
     fn diff_hint(a: &str, b: &str) -> String {
