@@ -81,7 +81,6 @@ pub struct RetryPolicy {
     backoff: Backoff,
     max_attempts: u32,
     jitter: f64,
-    per_attempt_timeout: Option<Duration>,
     overall_deadline: Option<Duration>,
 }
 
@@ -93,7 +92,6 @@ impl RetryPolicy {
             backoff: Backoff::Fixed(delay),
             max_attempts: 3,
             jitter: 0.0,
-            per_attempt_timeout: None,
             overall_deadline: None,
         }
     }
@@ -107,7 +105,6 @@ impl RetryPolicy {
             backoff: Backoff::Exponential { base, factor, max },
             max_attempts: 3,
             jitter: 0.0,
-            per_attempt_timeout: None,
             overall_deadline: None,
         }
     }
@@ -129,14 +126,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Budget for any single attempt (enforced by the caller's
-    /// operation, surfaced here for introspection).
-    #[must_use]
-    pub fn with_per_attempt_timeout(mut self, t: Duration) -> Self {
-        self.per_attempt_timeout = Some(t);
-        self
-    }
-
     /// Budget for the whole retry loop, counted over backoff delays.
     #[must_use]
     pub fn with_overall_deadline(mut self, t: Duration) -> Self {
@@ -148,12 +137,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn max_attempts(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// The per-attempt budget, if configured.
-    #[must_use]
-    pub fn per_attempt_timeout(&self) -> Option<Duration> {
-        self.per_attempt_timeout
     }
 
     /// The overall budget, if configured.

@@ -10,23 +10,16 @@
 //!   need — [`kernels`], [`imaging`], [`docsearch`], [`websim`],
 //!   [`taskcol`], [`memmodel`], [`parsort`];
 //! * the course model itself — [`course`];
-//! * and, in [`catalogue`], the **ten projects of Section IV-C** as
-//!   self-checking scenario drivers: each exercises its subsystem end
-//!   to end and returns a [`catalogue::ProjectReport`].
+//! * a [`prelude`] of the types a course workbook imports, and the
+//!   supervised chaos-soak cells in [`soak`].
 //!
-//! ```
-//! use softeng751::catalogue::{self, ProjectId};
-//!
-//! let engines = catalogue::Engines::small();
-//! let report = catalogue::run_project(ProjectId::ParallelQuicksort, &engines);
-//! assert!(report.violations.is_empty());
-//! ```
+//! The ten projects of Section IV-C are experiment cells of the
+//! workspace's `projects` example, and the paper's own figures, tables
+//! and survey are cells of its `course` example.
 
-pub mod catalogue;
 pub mod prelude;
 pub mod soak;
 
-pub use catalogue::{run_project, Engines, ProjectId, ProjectReport};
 pub use soak::{run_soak_cell, run_soak_matrix, SoakCellReport};
 
 // Re-export the subsystem crates under one roof.

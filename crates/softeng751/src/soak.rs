@@ -2,7 +2,7 @@
 //!
 //! One **cell** = one [`FaultStorm`] shape × one [`RestartPolicy`].
 //! Inside the cell a [`Supervisor`] runs three children drawn from the
-//! project catalogue — the resilient crawler (E10), parallel quicksort
+//! student projects — the resilient crawler (E10), parallel quicksort
 //! (E2) and the imaging filter pipeline (E1/E3) — while each child
 //! walks the storm's phases doing one unit of work per phase. Children
 //! additionally fail on a *scripted, seeded schedule* (failures at

@@ -3,14 +3,15 @@
 //! Emits the `{"traceEvents": [...]}` JSON that `chrome://tracing` and
 //! Perfetto load directly: one *process* per registered track (i.e.
 //! per instrumented runtime), one *thread* per recording OS thread,
-//! `B`/`E` duration pairs for spans and `i` instants for marks.
+//! `B`/`E` duration pairs for spans and `i` instants for marks. Each
+//! event is one [`Json`] object, written one line at a time.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::collector::Trace;
 use crate::event::{EventKind, MarkKind, SpanKind};
-use crate::json::escape;
+use crate::json::Json;
 
 /// Render `trace` as a Chrome Trace Event Format JSON document.
 #[must_use]
@@ -18,13 +19,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.events.len() * 96 + 256);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    let push = |entry: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&entry);
+    let mut push = |event: Json| {
+        out.push_str(if first { "\n" } else { ",\n" });
+        first = false;
+        let _ = write!(out, "{event}");
     };
 
     // Metadata: name every (pid) and (pid, tid) lane actually used, so
@@ -35,162 +33,128 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         pids.insert(ev.pid);
         lanes.insert((ev.pid, ev.tid));
     }
-    for pid in &pids {
-        push(
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                pid,
-                escape(trace.track_name(*pid)),
-            ),
-            &mut out,
-            &mut first,
-        );
+    for &pid in &pids {
+        let name = vec![("name", trace.track_name(pid).into())];
+        push(event("process_name", "M", pid, 0, None, name));
     }
-    for (pid, tid) in &lanes {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                pid,
-                tid,
-                escape(trace.lane_name(*tid)),
-            ),
-            &mut out,
-            &mut first,
-        );
+    for &(pid, tid) in &lanes {
+        let name = vec![("name", trace.lane_name(tid).into())];
+        push(event("thread_name", "M", pid, tid, None, name));
     }
-    // Ring-overflow metadata: one instant per overflowing lane, so a
+    // Ring-overflow metadata: one entry per overflowing lane, so a
     // viewer shows *where* the trace is incomplete.
     for lane in trace.lanes.iter().filter(|l| l.dropped > 0) {
-        push(
-            format!(
-                "{{\"name\":\"trace_dropped_events\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                 \"args\":{{\"dropped\":{}}}}}",
-                lane.tid, lane.dropped,
-            ),
-            &mut out,
-            &mut first,
-        );
+        let dropped = vec![("dropped", lane.dropped.into())];
+        push(event("trace_dropped_events", "M", 0, lane.tid, None, dropped));
     }
 
     for ev in &trace.events {
-        let ts_us = ev.ts_ns as f64 / 1000.0;
-        let entry = match ev.kind {
-            EventKind::SpanBegin { id, parent, what } => format!(
-                "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"span\":{},\"parent\":{}{}}}}}",
-                escape(what.name()),
-                ts_us,
-                ev.pid,
-                ev.tid,
-                id,
-                parent,
-                span_args(what),
-            ),
-            EventKind::SpanEnd { id, what } => format!(
-                "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"span\":{}}}}}",
-                escape(what.name()),
-                ts_us,
-                ev.pid,
-                ev.tid,
-                id,
-            ),
-            EventKind::Mark { what } => format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\
-                 \"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
-                escape(what.name()),
-                ts_us,
-                ev.pid,
-                ev.tid,
-                mark_args(what),
-            ),
+        let (name, ph, args) = match ev.kind {
+            EventKind::SpanBegin { id, parent, what } => {
+                let mut args = span_args(what);
+                args.push(("span", id.into()));
+                args.push(("parent", parent.into()));
+                (what.name(), "B", args)
+            }
+            EventKind::SpanEnd { id, what } => (what.name(), "E", vec![("span", id.into())]),
+            EventKind::Mark { what } => (what.name(), "i", mark_args(what)),
         };
-        push(entry, &mut out, &mut first);
+        push(event(name, ph, ev.pid, ev.tid, Some(ev.ts_ns), args));
     }
     // `otherData` is the Chrome-format slot for document-level
     // metadata; record the loss total so consumers need not sum lanes.
-    let _ = write!(
-        out,
-        "\n],\"otherData\":{{\"dropped_events\":{}}}}}\n",
-        trace.dropped
-    );
+    let other: Json = [("dropped_events", trace.dropped)].into_iter().collect();
+    let _ = writeln!(out, "\n],\"otherData\":{other}}}");
     out
 }
 
-/// Extra `args` members for a span begin, with a leading comma.
-fn span_args(what: SpanKind) -> String {
-    let mut s = String::new();
-    match what {
-        SpanKind::TaskRun { task } => {
-            let _ = write!(s, ",\"task\":{task}");
-        }
-        SpanKind::BarrierWait { member } | SpanKind::Region { member } => {
-            let _ = write!(s, ",\"member\":{member}");
-        }
-        SpanKind::FetchAttempt { page, attempt } => {
-            let _ = write!(s, ",\"page\":{page},\"attempt\":{attempt}");
-        }
-        SpanKind::Crawl { pages } => {
-            let _ = write!(s, ",\"pages\":{pages}");
-        }
-        SpanKind::RetryOp { key } => {
-            let _ = write!(s, ",\"key\":{key}");
-        }
-        SpanKind::MarkingTick { tick } => {
-            let _ = write!(s, ",\"tick\":{tick}");
-        }
+/// The members of an event's `args` object.
+type Args = Vec<(&'static str, Json)>;
+
+/// One event object. Timestamped events (`ts_ns`) carry `ts` in
+/// microseconds; instants are thread-scoped.
+fn event(name: &str, ph: &str, pid: u32, tid: u32, ts_ns: Option<u64>, args: Args) -> Json {
+    let mut members = vec![
+        ("name", Json::from(name)),
+        ("ph", ph.into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("args", args.into_iter().collect()),
+    ];
+    if let Some(ts_ns) = ts_ns {
+        members.push(("ts", (ts_ns as f64 / 1000.0).into()));
     }
-    s
+    if ph == "i" {
+        members.push(("s", "t".into()));
+    }
+    members.into_iter().collect()
 }
 
-/// The `args` members for a mark (no leading comma).
-fn mark_args(what: MarkKind) -> String {
+/// The `args` members a span kind adds to its begin event.
+fn span_args(what: SpanKind) -> Args {
+    match what {
+        SpanKind::TaskRun { task } => vec![("task", task.into())],
+        SpanKind::BarrierWait { member } | SpanKind::Region { member } => {
+            vec![("member", member.into())]
+        }
+        SpanKind::FetchAttempt { page, attempt } => {
+            vec![("page", page.into()), ("attempt", attempt.into())]
+        }
+        SpanKind::Crawl { pages } => vec![("pages", pages.into())],
+        SpanKind::RetryOp { key } => vec![("key", key.into())],
+        SpanKind::MarkingTick { tick } => vec![("tick", tick.into())],
+    }
+}
+
+/// The `args` members of a mark.
+fn mark_args(what: MarkKind) -> Args {
     match what {
         MarkKind::TaskSpawn { task, parent_span } => {
-            format!("\"task\":{task},\"parent_span\":{parent_span}")
+            vec![("task", task.into()), ("parent_span", parent_span.into())]
         }
         MarkKind::TaskOutcome { task, outcome } => {
-            format!("\"task\":{task},\"outcome\":\"{}\"", outcome.name())
+            vec![("task", task.into()), ("outcome", outcome.name().into())]
         }
-        MarkKind::Steal { victim } => format!("\"victim\":{victim}"),
+        MarkKind::Steal { victim } => vec![("victim", victim.into())],
         MarkKind::BarrierRelease { member, waited_ns } => {
-            format!("\"member\":{member},\"waited_ns\":{waited_ns}")
+            vec![("member", member.into()), ("waited_ns", waited_ns.into())]
         }
-        MarkKind::BarrierPoison { member } => format!("\"member\":{member}"),
-        MarkKind::ChunkDispatch { construct, lo, len, schedule } => format!(
-            "\"construct\":{construct},\"lo\":{lo},\"len\":{len},\"schedule\":\"{}\"",
-            schedule.name()
-        ),
-        MarkKind::FetchResult { page, attempt, result } => format!(
-            "\"page\":{page},\"attempt\":{attempt},\"result\":\"{}\"",
-            result.name()
-        ),
-        MarkKind::RetryWait { key, failed_attempt, delay_ns } => {
-            format!("\"key\":{key},\"failed_attempt\":{failed_attempt},\"delay_ns\":{delay_ns}")
-        }
+        MarkKind::BarrierPoison { member } => vec![("member", member.into())],
+        MarkKind::ChunkDispatch { construct, lo, len, schedule } => vec![
+            ("construct", construct.into()),
+            ("lo", lo.into()),
+            ("len", len.into()),
+            ("schedule", schedule.name().into()),
+        ],
+        MarkKind::FetchResult { page, attempt, result } => vec![
+            ("page", page.into()),
+            ("attempt", attempt.into()),
+            ("result", result.name().into()),
+        ],
+        MarkKind::RetryWait { key, failed_attempt, delay_ns } => vec![
+            ("key", key.into()),
+            ("failed_attempt", failed_attempt.into()),
+            ("delay_ns", delay_ns.into()),
+        ],
         MarkKind::BreakerTransition { from, to } => {
-            format!("\"from\":\"{}\",\"to\":\"{}\"", from.name(), to.name())
+            vec![("from", from.name().into()), ("to", to.name().into())]
         }
-        MarkKind::FaultInjected { key, attempt, fault } => format!(
-            "\"key\":{key},\"attempt\":{attempt},\"fault\":\"{}\"",
-            fault.name()
-        ),
-        MarkKind::GuiProbe { latency_ns } => format!("\"latency_ns\":{latency_ns}"),
-        MarkKind::ChildStart { child, incarnation } => {
-            format!("\"child\":{child},\"incarnation\":{incarnation}")
+        MarkKind::FaultInjected { key, attempt, fault } => {
+            vec![("key", key.into()), ("attempt", attempt.into()), ("fault", fault.name().into())]
         }
-        MarkKind::ChildExit { child, incarnation, outcome } => format!(
-            "\"child\":{child},\"incarnation\":{incarnation},\"outcome\":\"{}\"",
-            outcome.name()
-        ),
-        MarkKind::ChildRestart { child, incarnation } => {
-            format!("\"child\":{child},\"incarnation\":{incarnation}")
+        MarkKind::GuiProbe { latency_ns } => vec![("latency_ns", latency_ns.into())],
+        MarkKind::ChildStart { child, incarnation }
+        | MarkKind::ChildRestart { child, incarnation } => {
+            vec![("child", child.into()), ("incarnation", incarnation.into())]
         }
-        MarkKind::ChildEscalate { child } => format!("\"child\":{child}"),
+        MarkKind::ChildExit { child, incarnation, outcome } => vec![
+            ("child", child.into()),
+            ("incarnation", incarnation.into()),
+            ("outcome", outcome.name().into()),
+        ],
+        MarkKind::ChildEscalate { child } => vec![("child", child.into())],
         MarkKind::MarkingStage { stage, lane, count } => {
-            format!("\"stage\":\"{}\",\"lane\":{lane},\"count\":{count}", stage.name())
+            vec![("stage", stage.name().into()), ("lane", lane.into()), ("count", count.into())]
         }
     }
 }

@@ -393,8 +393,7 @@ impl Parser<'_> {
 }
 
 /// Escape `s` as the *contents* of a JSON string literal (no quotes).
-#[must_use]
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

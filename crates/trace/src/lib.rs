@@ -70,5 +70,5 @@ pub use event::{
     SchedTag, SpanKind,
 };
 pub use json::{parse as parse_json, Json, JsonError};
-pub use metrics::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
+pub use metrics::{Counter, LatencyHistogram, MetricsRegistry};
 pub use timeline::{render_event_counts, render_timeline};

@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges and log-bucketed
+//! The metrics registry: named counters and log-bucketed
 //! [`LatencyHistogram`]s.
 //!
 //! Runtimes own their counters (`Arc<Counter>`) so increments stay a
@@ -8,7 +8,7 @@
 //! the experiment reports.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parc_util::table::Table;
@@ -40,36 +40,6 @@ impl Counter {
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value (queue depths, live-job counts).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add a (possibly negative) delta.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -276,7 +246,6 @@ impl LatencyHistogram {
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Mutex<LatencyHistogram>>>>,
 }
 
@@ -305,17 +274,6 @@ impl MetricsRegistry {
         self.counters.lock().insert(name.to_string(), Arc::clone(counter));
     }
 
-    /// Get or create the gauge `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(
-            self.gauges
-                .lock()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
     /// Get or create the histogram `name` over `[lo, hi)` with
     /// `buckets_per_decade` log buckets (see [`LatencyHistogram::new`]).
     /// The shape of an existing histogram wins.
@@ -342,16 +300,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Every gauge's current value, alphabetised.
-    #[must_use]
-    pub fn gauge_values(&self) -> BTreeMap<String, i64> {
-        self.gauges
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
     /// Histogram names with sample totals, alphabetised.
     #[must_use]
     pub fn histogram_totals(&self) -> BTreeMap<String, u64> {
@@ -370,9 +318,6 @@ impl MetricsRegistry {
         for (name, value) in self.counter_values() {
             table.row(&[name, "counter".into(), value.to_string()]);
         }
-        for (name, value) in self.gauge_values() {
-            table.row(&[name, "gauge".into(), value.to_string()]);
-        }
         for (name, total) in self.histogram_totals() {
             table.row(&[name, "histogram".into(), format!("{total} samples")]);
         }
@@ -385,15 +330,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
     }
 
     #[test]
@@ -510,13 +451,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("b.count").add(2);
         reg.counter("a.count").add(1);
-        reg.gauge("depth").set(3);
         let _ = reg.histogram("lat", 0.1, 1.0, 2);
         let text = reg.render();
         let a = text.find("a.count").unwrap();
         let b = text.find("b.count").unwrap();
         assert!(a < b, "counters must render alphabetised");
-        assert!(text.contains("gauge"));
         assert!(text.contains("histogram"));
         assert!(text.contains("== metrics =="));
     }

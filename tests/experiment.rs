@@ -1,6 +1,7 @@
 //! Gate tests for the experiment harness: one seeded mutation per
-//! runner gate, each of which the runner must catch, plus a round trip
-//! of the artifact through the JSON parser.
+//! runner gate, each of which the runner must catch, a round trip of
+//! the artifact through the JSON parser, and a check that every
+//! experiment program under `examples/` runs through the harness.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -93,4 +94,21 @@ fn the_artifact_round_trips_through_the_parser() {
         doc.get("summary").and_then(|s| s.get("deterministic")).and_then(|d| d.get("cells")),
         Some(&Json::Num(2.0))
     );
+}
+
+#[test]
+fn every_example_but_quickstart_runs_through_the_harness() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut drivers = 0;
+    for entry in std::fs::read_dir(dir).expect("examples directory") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if !name.ends_with(".rs") || name == "quickstart.rs" {
+            continue;
+        }
+        let source = std::fs::read_to_string(&path).expect("readable example");
+        assert!(source.contains("experiment::run("), "examples/{name} is not a harness driver");
+        drivers += 1;
+    }
+    assert!(drivers > 0, "no harness drivers found");
 }
