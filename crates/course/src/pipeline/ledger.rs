@@ -62,7 +62,7 @@ pub struct MarkLedger {
     admitted: u64,
     marked: u64,
     /// Sheds per reason, indexed by `ShedReason as usize`.
-    shed: [u64; 5],
+    shed: [u64; 4],
     claims: u64,
     reclaims: u64,
     redone: u64,
@@ -354,7 +354,6 @@ mod tests {
         assert_eq!(ledger.shed_count(ShedReason::QueueFull), 1);
         assert_eq!(ledger.shed_count(ShedReason::DrainOverrun), 1);
         assert_eq!(ledger.shed_count(ShedReason::Deadline), 1, "no reason is filed as another");
-        assert_eq!(ledger.shed_count(ShedReason::Admission), 0);
         assert_eq!(ledger.shed_total(), 3);
         assert_eq!(ledger.in_flight(), 0);
         assert!(ledger.conservation_violations().is_empty());

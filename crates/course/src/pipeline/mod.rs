@@ -542,6 +542,7 @@ pub fn run_cell(
         latency,
         events,
         supervision,
+        ledger_violations: ledger.conservation_violations(),
         elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
     }
 }

@@ -107,6 +107,11 @@ pub struct CellReport {
     pub events: Vec<String>,
     /// The supervision tree's own report for the marker guards.
     pub supervision: SupervisionReport,
+    /// The ledger's own check of its slot states against its counters
+    /// ([`super::ledger::MarkLedger::conservation_violations`]), taken when the
+    /// cell finished (empty = conserved). Checked by
+    /// [`CellReport::violations`]; not part of the fingerprint.
+    pub ledger_violations: Vec<String>,
     /// Wall-clock for the whole cell — the only nondeterministic
     /// field, excluded from the fingerprint.
     pub elapsed_ms: f64,
@@ -194,6 +199,7 @@ impl CellReport {
         for v in self.supervision.conservation_violations() {
             bad.push(format!("supervision: {v}"));
         }
+        bad.extend(self.ledger_violations.iter().cloned());
         bad
     }
 

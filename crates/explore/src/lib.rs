@@ -2,7 +2,7 @@
 //!
 //! The workspace's first *analysis* layer: a model-checking executor
 //! for the concurrency demos. `memmodel`'s own docs used to concede
-//! that a demo "allows a race [but] cannot force the scheduler to
+//! that a demo "allows a race \[but\] cannot force the scheduler to
 //! exhibit it" — this crate removes the scheduler from the equation.
 //! Programs are written against shim primitives
 //! ([`sync::AtomicU64`], [`sync::PlainCell`], [`sync::Mutex`],

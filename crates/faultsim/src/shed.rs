@@ -6,14 +6,11 @@ use std::fmt;
 /// Machine-readable reason a unit of work was shed instead of served.
 /// Shedding is always an explicit, attributed decision, never a silent
 /// drop: the sharded web tier (`websim::cluster`) sheds requests with
-/// the first four reasons, the auto-marking pipeline
+/// the first three reasons, the auto-marking pipeline
 /// (`course::pipeline`) sheds submissions with `QueueFull` and
 /// `DrainOverrun`, and both count every reason on its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShedReason {
-    /// An admission gate refused the work before routing (a per-tick
-    /// cap was reached).
-    Admission,
     /// The predicted cost exceeded the active deadline budget, so
     /// serving the work would only have added load.
     Deadline,
@@ -31,7 +28,6 @@ impl ShedReason {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            ShedReason::Admission => "admission",
             ShedReason::Deadline => "deadline",
             ShedReason::Breaker => "breaker",
             ShedReason::QueueFull => "queue_full",
@@ -42,9 +38,8 @@ impl ShedReason {
     /// All reasons, in canonical (enum) order — for report tables and
     /// per-reason counters indexed by `reason as usize`.
     #[must_use]
-    pub fn all() -> [ShedReason; 5] {
+    pub fn all() -> [ShedReason; 4] {
         [
-            ShedReason::Admission,
             ShedReason::Deadline,
             ShedReason::Breaker,
             ShedReason::QueueFull,
@@ -70,7 +65,7 @@ mod tests {
         // (per-reason counters, BENCH_load.json) can rely on them.
         assert_eq!(
             ShedReason::all().map(ShedReason::name),
-            ["admission", "deadline", "breaker", "queue_full", "drain_overrun"]
+            ["deadline", "breaker", "queue_full", "drain_overrun"]
         );
         for (i, reason) in ShedReason::all().into_iter().enumerate() {
             assert_eq!(reason as usize, i, "canonical order must match enum order");

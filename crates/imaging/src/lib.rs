@@ -11,7 +11,7 @@
 //!
 //! Substitution (documented in DESIGN.md): no image corpus exists in
 //! this container, so [`gen`] synthesises deterministic RGBA images;
-//! the resize arithmetic in [`resize`] and the parallel structure in
+//! the resize arithmetic in [`resize`](mod@resize) and the parallel structure in
 //! [`gallery`] are the real thing.
 
 pub mod filter;

@@ -6,7 +6,7 @@
 //! boxed closure, and one shared-queue episode for the whole
 //! submission instead of one lock per task. Each member job captures
 //! only `(Arc<BatchCore>, Arc<F>, Weak<runtime>, index)` — 32 bytes,
-//! stored inline in a [`crate::job::SmallJob`] — and writes its result
+//! stored inline in a `SmallJob` — and writes its result
 //! into a preallocated slot.
 //!
 //! Results come back in index order regardless of execution order, so

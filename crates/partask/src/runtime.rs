@@ -12,10 +12,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::batch::{BatchCore, BatchHandle};
 use crate::job::SmallJob;
-use crate::sched::{
-    new_latency_hist, per_worker_hists, Job, LocalQueue, PaddedHist, SchedCounters, SchedulerKind,
-    SharedSched,
-};
+use crate::sched::{Job, LocalQueue, SchedCounters, SchedulerKind, SharedSched};
 use crate::task::{CancelToken, Core, TaskHandle, TaskId, TaskWatcher};
 
 /// Snapshot of runtime activity counters.
@@ -54,11 +51,13 @@ pub struct RuntimeStats {
 /// Kept separate from [`RuntimeStats`] on purpose: stats are compared
 /// with `==` across reruns and pool sizes in the determinism suites,
 /// while latencies are wall-clock measurements that legitimately vary.
+///
+/// Task run durations are not recorded here: a runtime built with
+/// [`Builder::trace`] records every executed body as one `task.run`
+/// span, which carries its duration, and an untraced runtime pays
+/// nothing per task.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeLatencies {
-    /// Task-body run duration, from a worker picking the job up to the
-    /// body returning (one sample per executed task).
-    pub run_ms: LatencyHistogram,
     /// Steal latency: elapsed time from a worker's failed local pop to
     /// the successful steal *episode* that ended its search for work
     /// (one sample per episode — a batch steal claiming several jobs
@@ -131,11 +130,6 @@ pub(crate) struct RtInner {
     timed_out: Arc<Counter>,
     pub(crate) trace: TraceHandle,
     pub(crate) pid: u32,
-    /// Per-worker task-body run-duration histograms (ms), one slot per
-    /// worker plus a shared slot for threads outside the pool — same
-    /// layout as the steal-wait histograms in [`SchedCounters`],
-    /// merged on demand.
-    run_ms: Box<[PaddedHist]>,
     deadlines: DeadlineWatch,
 }
 
@@ -306,7 +300,6 @@ impl Builder {
             timed_out,
             trace: self.trace,
             pid,
-            run_ms: per_worker_hists(self.workers),
             deadlines: DeadlineWatch::default(),
         });
         let mut joiners = Vec::with_capacity(self.workers);
@@ -429,26 +422,6 @@ impl RtInner {
         })
     }
 
-    /// The per-worker histogram slot for the calling thread (the extra
-    /// shared slot when the caller is not one of this pool's workers).
-    fn run_ms_slot(self: &Arc<Self>) -> usize {
-        let shared = self.run_ms.len() - 1;
-        self.with_worker(|_, index| index.min(shared)).unwrap_or(shared)
-    }
-
-    pub(crate) fn record_run_ms(self: &Arc<Self>, ms: f64) {
-        self.run_ms[self.run_ms_slot()].0.lock().record(ms);
-    }
-
-    /// All per-worker run-duration histograms merged into one.
-    fn merged_run_ms(&self) -> LatencyHistogram {
-        let mut merged = new_latency_hist();
-        for slot in self.run_ms.iter() {
-            merged.merge(&slot.0.lock());
-        }
-        merged
-    }
-
     /// Push a job, preferring the current worker's local deque when the
     /// caller is one of this runtime's workers.
     pub(crate) fn push_job(self: &Arc<Self>, job: Job) {
@@ -508,8 +481,24 @@ impl RtInner {
         true
     }
 
+    /// Help until no job is pending, or until `deadline` passes: the
+    /// one help-while-waiting loop of quiescence waits and drains.
+    fn help_until_quiescent(self: &Arc<Self>, deadline: Option<Instant>) {
+        while self.pending() != 0 && deadline.is_none_or(|at| Instant::now() < at) {
+            if !self.help_once() {
+                let mut guard = self.idle.lock();
+                if self.pending() == 0 {
+                    break;
+                }
+                let _ = self
+                    .quiescent_cv
+                    .wait_for(&mut guard, Duration::from_micros(500));
+            }
+        }
+    }
+
     /// Count one submitted job in the packed progress word.
-    pub(crate) fn job_spawned(&self) {
+    fn job_spawned(&self) {
         self.progress.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -523,7 +512,20 @@ impl RtInner {
         unpack_pending(self.progress.load(Ordering::Acquire))
     }
 
-    pub(crate) fn job_finished(&self) {
+    /// The epilogue of every job that ran on this runtime, task or
+    /// batch member: count it executed (and cancelled, when its body
+    /// was skipped), mark its outcome, and move it from pending to
+    /// finished in the progress word.
+    fn job_ran(&self, task: u64, cancelled: bool) {
+        self.executed.inc();
+        let outcome = if cancelled {
+            self.cancelled.inc();
+            Outcome::Cancelled
+        } else {
+            Outcome::Completed
+        };
+        self.trace
+            .mark(self.pid, MarkKind::TaskOutcome { task, outcome });
         let prev = self.progress.fetch_add(FINISH_DELTA, Ordering::AcqRel);
         debug_assert!(unpack_pending(prev) > 0);
         if unpack_pending(prev) == 1 {
@@ -823,18 +825,7 @@ impl TaskRuntime {
     /// ones) has finished, running help steps while waiting (see
     /// [`RuntimeHandle::help_once`] for which jobs a thread may take).
     pub fn wait_quiescent(&self) {
-        let inner = &self.inner;
-        while inner.pending() != 0 {
-            if !inner.help_once() {
-                let mut guard = inner.idle.lock();
-                if inner.pending() == 0 {
-                    break;
-                }
-                let _ = inner
-                    .quiescent_cv
-                    .wait_for(&mut guard, Duration::from_micros(500));
-            }
-        }
+        self.inner.help_until_quiescent(None);
     }
 
     /// An exactly-consistent progress snapshot, from a single atomic
@@ -905,20 +896,20 @@ impl TaskRuntime {
         }
     }
 
-    /// Latency distributions recorded so far (task run duration and
-    /// steal-search latency). A snapshot: the histograms keep growing
-    /// in the runtime after this returns.
+    /// Latency distributions recorded so far (steal-search latency).
+    /// A snapshot: the histograms keep growing in the runtime after
+    /// this returns.
     #[must_use]
     pub fn latencies(&self) -> RuntimeLatencies {
         RuntimeLatencies {
-            run_ms: self.inner.merged_run_ms(),
             steal_wait_ms: self.inner.counters.merged_steal_wait(),
         }
     }
 
-    /// Wait for quiescence, then stop and join all workers.
+    /// Wait for quiescence, then stop and join all workers (what
+    /// dropping the runtime does).
     pub fn shutdown(self) {
-        self.shutdown_impl();
+        drop(self);
     }
 
     /// Cancel every outstanding task, then drain in-flight work with a
@@ -938,29 +929,9 @@ impl TaskRuntime {
         let deadline = Instant::now() + budget;
         self.inner.root_token.cancel();
         self.inner.wake_all();
-        let inner = &self.inner;
-        while inner.pending() != 0 && Instant::now() < deadline {
-            if !inner.help_once() {
-                let mut guard = inner.idle.lock();
-                if inner.pending() == 0 {
-                    break;
-                }
-                let _ = inner
-                    .quiescent_cv
-                    .wait_for(&mut guard, Duration::from_micros(500));
-            }
-        }
-        let leftover = inner.pending();
-        inner.stop.store(true, Ordering::Release);
-        inner.stop_deadline_watch();
-        inner.wake_all();
-        let joiners = std::mem::take(&mut *self.joiners.lock());
-        let self_id = thread::current().id();
-        for j in joiners {
-            if j.thread().id() != self_id {
-                let _ = j.join();
-            }
-        }
+        self.inner.help_until_quiescent(Some(deadline));
+        let leftover = self.inner.pending();
+        self.stop_and_join();
         DrainReport {
             drained: leftover == 0,
             leftover,
@@ -968,8 +939,9 @@ impl TaskRuntime {
         }
     }
 
-    fn shutdown_impl(&self) {
-        self.wait_quiescent();
+    /// Stop the workers and the deadline watchdog, then join every
+    /// worker (idempotent: a second call finds no workers to join).
+    fn stop_and_join(&self) {
         self.inner.stop.store(true, Ordering::Release);
         self.inner.stop_deadline_watch();
         self.inner.wake_all();
@@ -992,7 +964,8 @@ impl Default for TaskRuntime {
 
 impl Drop for TaskRuntime {
     fn drop(&mut self) {
-        self.shutdown_impl();
+        self.wait_quiescent();
+        self.stop_and_join();
     }
 }
 
@@ -1049,9 +1022,7 @@ impl RuntimeHandle {
             None => {
                 let core = BatchCore::new(n, TaskId::fresh_block(n as u64), CancelToken::new());
                 for i in 0..n {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                        .map_err(|p| crate::TaskError::Panicked(crate::task::panic_message(&p)));
-                    core.store(i, result);
+                    run_batch_member(&core, &f, &Weak::new(), i);
                 }
                 BatchHandle { core, rt: Weak::new() }
             }
@@ -1118,22 +1089,12 @@ fn make_traced_job<T: Send + 'static>(
     // slot (no allocation) whenever `f` captures ≤ 48 bytes.
     SmallJob::new(move || {
         let rt = job_inner.upgrade();
-        let run_start = Instant::now();
         let was_cancelled = {
             let _span = rt.as_ref().map(|i| i.trace.span(i.pid, SpanKind::TaskRun { task }));
             job_core.run(f, settle)
         };
         if let Some(inner) = rt {
-            inner.record_run_ms(run_start.elapsed().as_secs_f64() * 1e3);
-            inner.executed.inc();
-            let outcome = if was_cancelled {
-                inner.cancelled.inc();
-                Outcome::Cancelled
-            } else {
-                Outcome::Completed
-            };
-            inner.trace.mark(inner.pid, MarkKind::TaskOutcome { task, outcome });
-            inner.job_finished();
+            inner.job_ran(task, was_cancelled);
         }
     })
 }
@@ -1167,7 +1128,7 @@ fn spawn_batch_on<T: Send + 'static>(
             let core = Arc::clone(&core);
             let f = Arc::clone(&shared_f);
             let weak = Arc::downgrade(inner);
-            SmallJob::new(move || run_batch_member(&core, &f, &weak, index))
+            SmallJob::new(move || run_batch_member(&core, &*f, &weak, index))
         })
         .collect();
     inner.push_job_batch(jobs);
@@ -1177,18 +1138,19 @@ fn spawn_batch_on<T: Send + 'static>(
     }
 }
 
-/// Worker-side body of one batch member: the [`Core::run`] analogue
-/// against a batch slot (cancellation check, panic containment,
-/// outcome accounting), with no per-task completion structure.
+/// Body of one batch member: the [`Core::run`] analogue against a
+/// batch slot (cancellation check, panic containment, outcome
+/// accounting), with no per-task completion structure. With the
+/// runtime gone (`weak` dangling) it runs untraced and uncounted, as
+/// the inline fallback of [`RuntimeHandle::spawn_batch`].
 fn run_batch_member<T: Send + 'static>(
-    core: &Arc<BatchCore<T>>,
-    f: &Arc<impl Fn(usize) -> T + Send + Sync + 'static>,
+    core: &BatchCore<T>,
+    f: &impl Fn(usize) -> T,
     weak: &Weak<RtInner>,
     index: usize,
 ) {
     let rt = weak.upgrade();
     let task = core.base_id() + index as u64;
-    let run_start = Instant::now();
     let token = core.cancel_token();
     let result = {
         let _span = rt.as_ref().map(|i| i.trace.span(i.pid, SpanKind::TaskRun { task }));
@@ -1202,16 +1164,7 @@ fn run_batch_member<T: Send + 'static>(
     let was_cancelled = matches!(result, Err(crate::task::TaskError::Cancelled));
     core.store(index, result);
     if let Some(inner) = rt {
-        inner.record_run_ms(run_start.elapsed().as_secs_f64() * 1e3);
-        inner.executed.inc();
-        let outcome = if was_cancelled {
-            inner.cancelled.inc();
-            Outcome::Cancelled
-        } else {
-            Outcome::Completed
-        };
-        inner.trace.mark(inner.pid, MarkKind::TaskOutcome { task, outcome });
-        inner.job_finished();
+        inner.job_ran(task, was_cancelled);
     }
 }
 

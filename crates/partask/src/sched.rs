@@ -14,6 +14,10 @@
 //! * [`SchedulerKind::WorkStealingLocked`] — the same policy on the
 //!   previous `Mutex<VecDeque>` deque substrate, kept as the measured
 //!   baseline for the E-SCHED ablation (`examples/sched_bench.rs`).
+//!   The policy is one function over both substrates, which differ
+//!   only in what the substrate does: the locked one steals one job at
+//!   a time, takes one lock per injected job, and refills at most 16
+//!   jobs from the injector (31 on the lock-free one).
 //! * [`SchedulerKind::WorkSharing`] — one global FIFO protected by a
 //!   mutex. Trivially fair, but every push and pop contends on a
 //!   single lock; the A1 benchmark shows the overhead gap grow with
@@ -43,10 +47,10 @@ pub enum SchedulerKind {
     WorkSharing,
 }
 
-/// Bounds shared by the runtime's latency histograms: 100 ns to 100 s
-/// in milliseconds, 12 geometric buckets per decade (~21% relative
+/// Bounds of the steal-wait histograms: 100 ns to 100 s in
+/// milliseconds, 12 geometric buckets per decade (~21% relative
 /// bucket width — fine enough for p99/p99.9 reporting).
-pub(crate) fn new_latency_hist() -> LatencyHistogram {
+fn new_latency_hist() -> LatencyHistogram {
     LatencyHistogram::new(1e-4, 1e5, 12)
 }
 
@@ -56,18 +60,12 @@ pub(crate) fn new_latency_hist() -> LatencyHistogram {
 /// `i` (the final slot serves all non-worker threads), and other
 /// threads touch it only in [`SchedCounters::merged_steal_wait`].
 #[repr(align(64))]
-pub(crate) struct PaddedHist(pub(crate) Mutex<LatencyHistogram>);
+pub(crate) struct PaddedHist(Mutex<LatencyHistogram>);
 
 impl PaddedHist {
     fn new() -> Self {
         PaddedHist(Mutex::new(new_latency_hist()))
     }
-}
-
-/// Build `workers + 1` padded per-thread histogram slots (one per
-/// worker plus a shared slot for threads outside the pool).
-pub(crate) fn per_worker_hists(workers: usize) -> Box<[PaddedHist]> {
-    (0..=workers).map(|_| PaddedHist::new()).collect()
 }
 
 /// Counters describing where jobs were found, shared with the metrics
@@ -111,7 +109,8 @@ impl SchedCounters {
             local_pops: Arc::default(),
             global_pops: Arc::default(),
             steals: Arc::default(),
-            steal_wait_ms: per_worker_hists(workers),
+            // One slot per worker plus the shared slot.
+            steal_wait_ms: (0..=workers).map(|_| PaddedHist::new()).collect(),
             trace: TraceHandle::default(),
             pid: 0,
         }
@@ -264,103 +263,33 @@ impl SharedSched {
         counters: &SchedCounters,
         steal: bool,
     ) -> Option<Job> {
+        let thief = Some(index);
         match (self, local) {
-            (SharedSched::Stealing { injector, stealers }, LocalQueue::Stealing(w)) => {
-                if let Some(job) = w.pop() {
-                    counters.local_pops.inc();
-                    return Some(job);
-                }
-                // The local deque missed: the search for remote work
-                // starts here, and a successful *steal* records how
-                // long it took.
-                let search_start = Instant::now();
-                // Refill from the injector in a batch, then steal.
-                loop {
-                    match injector.steal_batch_and_pop(w) {
-                        Steal::Success(job) => {
-                            counters.global_pops.inc();
-                            return Some(job);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {}
-                    }
-                }
-                if !steal {
-                    return None;
-                }
-                for (victim, stealer) in stealers.iter().enumerate() {
-                    if victim == index {
-                        continue;
-                    }
-                    loop {
-                        // Batch steal: one walk of the victim's ring
-                        // claims a run of jobs (a CAS per job — the
-                        // victim may be popping the other end), the
-                        // surplus lands in our own deque for
-                        // subsequent local pops.
-                        match stealer.steal_batch_and_pop_with_count(w) {
-                            Steal::Success((job, items)) => {
-                                counters.record_steal(
-                                    Some(index),
-                                    victim,
-                                    items as u64,
-                                    search_start,
-                                );
-                                return Some(job);
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => {}
-                        }
-                    }
-                }
-                None
+            (SharedSched::Stealing { injector, stealers }, LocalQueue::Stealing(w)) => find_job(
+                w.pop(),
+                || injector.steal_batch_and_pop(w),
+                stealers,
+                // Batch steal: one walk of the victim's ring claims a
+                // run of jobs (a CAS per job — the victim may be
+                // popping the other end); the surplus lands in our own
+                // deque for subsequent local pops.
+                |stealer| stealer.steal_batch_and_pop_with_count(w),
+                thief,
+                steal,
+                counters,
+            ),
+            (SharedSched::StealingLocked { injector, stealers }, LocalQueue::StealingLocked(w)) => {
+                find_job(
+                    w.pop(),
+                    || injector.steal_batch_and_pop(w),
+                    stealers,
+                    |stealer| one_item(stealer.steal()),
+                    thief,
+                    steal,
+                    counters,
+                )
             }
-            (
-                SharedSched::StealingLocked { injector, stealers },
-                LocalQueue::StealingLocked(w),
-            ) => {
-                if let Some(job) = w.pop() {
-                    counters.local_pops.inc();
-                    return Some(job);
-                }
-                let search_start = Instant::now();
-                loop {
-                    match injector.steal_batch_and_pop(w) {
-                        locked::Steal::Success(job) => {
-                            counters.global_pops.inc();
-                            return Some(job);
-                        }
-                        locked::Steal::Empty => break,
-                        locked::Steal::Retry => {}
-                    }
-                }
-                if !steal {
-                    return None;
-                }
-                for (victim, stealer) in stealers.iter().enumerate() {
-                    if victim == index {
-                        continue;
-                    }
-                    loop {
-                        match stealer.steal() {
-                            locked::Steal::Success(job) => {
-                                counters.record_steal(Some(index), victim, 1, search_start);
-                                return Some(job);
-                            }
-                            locked::Steal::Empty => break,
-                            locked::Steal::Retry => {}
-                        }
-                    }
-                }
-                None
-            }
-            (SharedSched::Sharing { queue }, LocalQueue::Sharing) => {
-                let job = queue.lock().pop_front();
-                if job.is_some() {
-                    counters.global_pops.inc();
-                }
-                job
-            }
+            (SharedSched::Sharing { .. }, LocalQueue::Sharing) => self.pop_shared(counters),
             _ => unreachable!("scheduler kind mismatch"),
         }
     }
@@ -370,58 +299,24 @@ impl SharedSched {
     /// the help step of a thread that is not one of the pool's workers.
     pub(crate) fn pop_shared(&self, counters: &SchedCounters) -> Option<Job> {
         match self {
-            SharedSched::Stealing { injector, stealers } => {
-                let search_start = Instant::now();
-                loop {
-                    match injector.steal() {
-                        Steal::Success(job) => {
-                            counters.global_pops.inc();
-                            return Some(job);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {}
-                    }
-                }
-                for (victim, stealer) in stealers.iter().enumerate() {
-                    loop {
-                        match stealer.steal() {
-                            Steal::Success(job) => {
-                                counters.record_steal(None, victim, 1, search_start);
-                                return Some(job);
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => {}
-                        }
-                    }
-                }
-                None
-            }
-            SharedSched::StealingLocked { injector, stealers } => {
-                let search_start = Instant::now();
-                loop {
-                    match injector.steal() {
-                        locked::Steal::Success(job) => {
-                            counters.global_pops.inc();
-                            return Some(job);
-                        }
-                        locked::Steal::Empty => break,
-                        locked::Steal::Retry => {}
-                    }
-                }
-                for (victim, stealer) in stealers.iter().enumerate() {
-                    loop {
-                        match stealer.steal() {
-                            locked::Steal::Success(job) => {
-                                counters.record_steal(None, victim, 1, search_start);
-                                return Some(job);
-                            }
-                            locked::Steal::Empty => break,
-                            locked::Steal::Retry => {}
-                        }
-                    }
-                }
-                None
-            }
+            SharedSched::Stealing { injector, stealers } => find_job(
+                None,
+                || injector.steal(),
+                stealers,
+                |stealer| one_item(stealer.steal()),
+                None,
+                true,
+                counters,
+            ),
+            SharedSched::StealingLocked { injector, stealers } => find_job(
+                None,
+                || injector.steal(),
+                stealers,
+                |stealer| one_item(stealer.steal()),
+                None,
+                true,
+                counters,
+            ),
             SharedSched::Sharing { queue } => {
                 let job = queue.lock().pop_front();
                 if job.is_some() {
@@ -430,6 +325,71 @@ impl SharedSched {
                 job
             }
         }
+    }
+}
+
+/// The work-stealing policy, written once for both deque substrates
+/// and for helpers outside the pool. `own` is the searching worker's
+/// pop of its own deque (`None` without one). On a miss the search
+/// starts: `refill` drains the injector, then — only when steals are
+/// allowed — `claim` takes jobs from each other worker's deque in
+/// index order. `thief` is the searching worker (`None` outside the
+/// pool): it is never its own victim, and it picks the steal-latency
+/// slot. A claim reports how many jobs it took; all of them count as
+/// steals.
+fn find_job<S>(
+    own: Option<Job>,
+    mut refill: impl FnMut() -> Steal<Job>,
+    stealers: &[S],
+    mut claim: impl FnMut(&S) -> Steal<(Job, usize)>,
+    thief: Option<usize>,
+    steal: bool,
+    counters: &SchedCounters,
+) -> Option<Job> {
+    if let Some(job) = own {
+        counters.local_pops.inc();
+        return Some(job);
+    }
+    // The own deque missed: a successful *steal* records how long the
+    // search took from here.
+    let search_start = Instant::now();
+    loop {
+        match refill() {
+            Steal::Success(job) => {
+                counters.global_pops.inc();
+                return Some(job);
+            }
+            Steal::Empty => break,
+            Steal::Retry => {}
+        }
+    }
+    if !steal {
+        return None;
+    }
+    for (victim, stealer) in stealers.iter().enumerate() {
+        if thief == Some(victim) {
+            continue;
+        }
+        loop {
+            match claim(stealer) {
+                Steal::Success((job, items)) => {
+                    counters.record_steal(thief, victim, items as u64, search_start);
+                    return Some(job);
+                }
+                Steal::Empty => break,
+                Steal::Retry => {}
+            }
+        }
+    }
+    None
+}
+
+/// A single-item steal as a one-job claim.
+fn one_item(steal: Steal<Job>) -> Steal<(Job, usize)> {
+    match steal {
+        Steal::Success(job) => Steal::Success((job, 1)),
+        Steal::Empty => Steal::Empty,
+        Steal::Retry => Steal::Retry,
     }
 }
 
@@ -544,6 +504,8 @@ mod tests {
         }
         assert_eq!(stolen, 5);
         assert_eq!(counters.steals.get(), 5);
+        // Single-item steals: nothing is banked in the thief's deque.
+        assert_eq!(counters.local_pops.get(), 0);
         assert_eq!(count.load(Ordering::Relaxed), 5);
     }
 

@@ -1,6 +1,6 @@
 //! Per-region shared state.
 //!
-//! Each `parallel` region gets a fresh [`RegionState`] holding the
+//! Each `parallel` region gets a fresh `RegionState` holding the
 //! region barrier and an anonymous *construct table*. Worksharing
 //! constructs (`pfor`, `single`, `sections`, reductions) encountered
 //! inside the region are numbered in program order — every team thread

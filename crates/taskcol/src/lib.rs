@@ -12,8 +12,9 @@
 //!   strategies here:
 //!   [`counter`] (mutex / atomic / sharded counters),
 //!   [`stack`] (coarse-locked, spinlocked, lock-free Treiber),
-//!   [`queue`] (coarse-locked, two-lock Michael–Scott, segmented
-//!   lock-free), and [`map`] (coarse mutex, `RwLock`, sharded).
+//!   [`queue`] (coarse-locked, two-lock Michael–Scott, and the
+//!   library `SegQueue`, a mutex FIFO in the vendored shim), and
+//!   [`map`] (coarse mutex, `RwLock`, sharded).
 //! * **Project 6 — task-aware libraries**: "using a 'thread-safe'
 //!   class in a tasking environment does not necessarily equate to a
 //!   correct solution" — a task that *blocks* on a collection wedges
@@ -37,7 +38,7 @@ pub mod workload;
 pub use counter::{AtomicCounter, MutexCounter, ShardedCounter, SharedCounter};
 pub use list::{CoarseSet, ConcurrentSet, FineSet};
 pub use map::{ConcurrentMap, MutexMap, RwLockMap, ShardedMap};
-pub use queue::{ConcurrentQueue, MutexQueue, SegLockFreeQueue, TwoLockQueue};
+pub use queue::{ConcurrentQueue, LibraryQueue, MutexQueue, TwoLockQueue};
 pub use stack::{ConcurrentStack, MutexStack, SpinStack, TreiberStack};
 pub use sync::SpinLock;
 pub use task_safe::{TaskAwareQueue, TaskCell};

@@ -5,8 +5,10 @@
 //! * [`TwoLockQueue`] — the Michael & Scott two-lock queue: separate
 //!   head and tail locks let one producer and one consumer proceed
 //!   concurrently.
-//! * [`SegLockFreeQueue`] — `crossbeam`'s segmented lock-free queue as
-//!   the `ConcurrentLinkedQueue` stand-in.
+//! * [`LibraryQueue`] — the library queue, `crossbeam::queue::SegQueue`,
+//!   as the `ConcurrentLinkedQueue` stand-in. Upstream's `SegQueue` is
+//!   lock-free, but this workspace's vendored shim is a mutex FIFO, so
+//!   here it is a third locked strategy, not a lock-free comparator.
 
 use std::collections::VecDeque;
 
@@ -154,12 +156,13 @@ impl<T> Drop for TwoLockQueue<T> {
     }
 }
 
-/// `crossbeam::queue::SegQueue` — the library lock-free comparator.
-pub struct SegLockFreeQueue<T> {
+/// `crossbeam::queue::SegQueue` — the library queue (a mutex FIFO in
+/// the vendored shim).
+pub struct LibraryQueue<T> {
     inner: SegQueue<T>,
 }
 
-impl<T> SegLockFreeQueue<T> {
+impl<T> LibraryQueue<T> {
     /// New empty queue.
     #[must_use]
     pub fn new() -> Self {
@@ -169,13 +172,13 @@ impl<T> SegLockFreeQueue<T> {
     }
 }
 
-impl<T> Default for SegLockFreeQueue<T> {
+impl<T> Default for LibraryQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Send> ConcurrentQueue<T> for SegLockFreeQueue<T> {
+impl<T: Send> ConcurrentQueue<T> for LibraryQueue<T> {
     fn push(&self, value: T) {
         self.inner.push(value);
     }
@@ -186,7 +189,7 @@ impl<T: Send> ConcurrentQueue<T> for SegLockFreeQueue<T> {
         self.inner.is_empty()
     }
     fn strategy(&self) -> &'static str {
-        "lock-free"
+        "library"
     }
 }
 
@@ -200,7 +203,7 @@ mod tests {
         vec![
             Arc::new(MutexQueue::new()),
             Arc::new(TwoLockQueue::new()),
-            Arc::new(SegLockFreeQueue::new()),
+            Arc::new(LibraryQueue::new()),
         ]
     }
 

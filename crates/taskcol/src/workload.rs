@@ -154,7 +154,7 @@ where
 mod tests {
     use super::*;
     use crate::map::{MutexMap, RwLockMap, ShardedMap};
-    use crate::queue::{MutexQueue, SegLockFreeQueue, TwoLockQueue};
+    use crate::queue::{LibraryQueue, MutexQueue, TwoLockQueue};
 
     #[test]
     fn map_workload_runs_all_strategies() {
@@ -181,7 +181,7 @@ mod tests {
     fn queue_workload_conserves_items() {
         let mutex = Arc::new(MutexQueue::new());
         let twolock = Arc::new(TwoLockQueue::new());
-        let lockfree = Arc::new(SegLockFreeQueue::new());
+        let library = Arc::new(LibraryQueue::new());
         for (consumed, q_empty) in [
             {
                 let r = run_queue_workload(&mutex, 2, 1000);
@@ -192,8 +192,8 @@ mod tests {
                 (r.read_hits, twolock.is_empty())
             },
             {
-                let r = run_queue_workload(&lockfree, 2, 1000);
-                (r.read_hits, lockfree.is_empty())
+                let r = run_queue_workload(&library, 2, 1000);
+                (r.read_hits, library.is_empty())
             },
         ] {
             assert_eq!(consumed, 2000);

@@ -14,9 +14,8 @@
 //! * **Bounded queues + backpressure** — each replica accepts at most
 //!   `queue_capacity` requests per tick; when every candidate's queue
 //!   is full the balancer sheds the request with
-//!   [`ShedReason::QueueFull`] instead of letting queues collapse. A
-//!   global per-tick admission cap sheds with [`ShedReason::Admission`]
-//!   before routing. Sheds are counted per reason in [`ClusterReport`].
+//!   [`ShedReason::QueueFull`] instead of letting queues collapse.
+//!   Sheds are counted per reason in [`ClusterReport`].
 //! * **Per-replica breakers feeding the routing table** — a
 //!   [`Breaker`] per replica (state advanced in deterministic request
 //!   order) steers traffic to the next owner while open; if every
@@ -29,9 +28,9 @@
 //!   seeded quantile of the observed latency histogram, a backup copy
 //!   is enqueued on the next owner; the first (modelled) success wins
 //!   and the loser is deduplicated, never double-counted.
-//! * **Health checks** — every `health_every` ticks the balancer
-//!   ejects replicas whose failure ratio crossed `unhealthy_ratio`
-//!   and readmits them after `eject_ticks`; kills are observed
+//! * **Health checks** — every 4 ticks the balancer ejects replicas
+//!   that failed at least half of 8 or more requests since the last
+//!   check, and readmits them 8 ticks later; kills are observed
 //!   immediately.
 //! * **Supervised replica restart** — a mid-storm kill wipes the
 //!   replica's store; the restart runs under a [`parc_supervise`]
@@ -152,6 +151,27 @@ impl HashRing {
     }
 }
 
+/// Virtual nodes per replica on the hash ring.
+const VNODES: usize = 128;
+/// Concurrent service slots per replica (latency model width).
+const SERVICE_WIDTH: usize = 4;
+/// Attempts per request on the serving replica before failover.
+const MAX_ATTEMPTS: u32 = 3;
+/// Consecutive failures before a replica's breaker opens.
+const BREAKER_THRESHOLD: u32 = 4;
+/// Denied calls before an open breaker half-opens.
+const BREAKER_COOLDOWN: u32 = 6;
+/// Health-check cadence in ticks.
+const HEALTH_EVERY: usize = 4;
+/// Window failure ratio that ejects a replica.
+const UNHEALTHY_RATIO: f64 = 0.5;
+/// Minimum window samples before a health verdict.
+const MIN_HEALTH_SAMPLES: u64 = 8;
+/// Ticks an ejected replica sits out before readmission.
+const EJECT_TICKS: usize = 8;
+/// Simulated milliseconds per traffic tick.
+const TICK_MS: f64 = 100.0;
+
 /// Knobs of the sharded tier. Everything that shapes *outcomes* is
 /// part of the determinism contract; worker-pool size is not a field
 /// here precisely because it must not matter.
@@ -162,36 +182,13 @@ pub struct ClusterConfig {
     /// Copies of every page (R ≤ N). R ≥ 2 is what makes a single
     /// kill survivable.
     pub replication: usize,
-    /// Virtual nodes per replica on the hash ring.
-    pub vnodes: usize,
     /// Bounded queue: requests one replica accepts per tick.
     pub queue_capacity: usize,
-    /// Concurrent service slots per replica (latency model width).
-    pub service_width: usize,
-    /// Global per-tick admission cap (requests routed per tick);
-    /// beyond it requests shed with [`ShedReason::Admission`].
-    pub tick_admission_cap: usize,
-    /// Attempts per request on the serving replica before failover.
-    pub max_attempts: u32,
-    /// Consecutive failures before a replica's breaker opens.
-    pub breaker_threshold: u32,
-    /// Denied calls before an open breaker half-opens.
-    pub breaker_cooldown: u32,
     /// Hedge when predicted latency exceeds this quantile of observed
     /// latencies (e.g. 0.95).
     pub hedge_quantile: f64,
     /// Observed samples required before hedging activates.
     pub hedge_min_samples: u64,
-    /// Health-check cadence in ticks.
-    pub health_every: usize,
-    /// Window failure ratio that ejects a replica.
-    pub unhealthy_ratio: f64,
-    /// Minimum window samples before a health verdict.
-    pub min_health_samples: u64,
-    /// Ticks an ejected replica sits out before readmission.
-    pub eject_ticks: usize,
-    /// Simulated milliseconds per traffic tick.
-    pub tick_ms: f64,
     /// Root seed for the ring and per-replica fault streams.
     pub seed: u64,
     /// Template for every replica's server. The seed is shared so all
@@ -205,20 +202,9 @@ impl Default for ClusterConfig {
         Self {
             replicas: 3,
             replication: 2,
-            vnodes: 128,
             queue_capacity: 32,
-            service_width: 4,
-            tick_admission_cap: usize::MAX,
-            max_attempts: 3,
-            breaker_threshold: 4,
-            breaker_cooldown: 6,
             hedge_quantile: 0.95,
             hedge_min_samples: 64,
-            health_every: 4,
-            unhealthy_ratio: 0.5,
-            min_health_samples: 8,
-            eject_ticks: 8,
-            tick_ms: 100.0,
             seed: 0xC1_0AD,
             server: ServerConfig { time_scale: 5e-7, ..ServerConfig::default() },
         }
@@ -276,8 +262,6 @@ pub struct ClusterReport {
     pub served_failover: u64,
     /// Requests answered by nobody (true losses, never acked).
     pub failed: u64,
-    /// Shed before routing by the global admission cap.
-    pub shed_admission: u64,
     /// Shed because predicted latency blew the phase deadline budget.
     pub shed_deadline: u64,
     /// Shed because every candidate's breaker was open.
@@ -334,7 +318,7 @@ impl ClusterReport {
     /// Total requests shed, across all reasons.
     #[must_use]
     pub fn shed_total(&self) -> u64 {
-        self.shed_admission + self.shed_deadline + self.shed_breaker + self.shed_queue_full
+        self.shed_deadline + self.shed_breaker + self.shed_queue_full
     }
 
     /// Offered load in requests per simulated second.
@@ -477,8 +461,8 @@ impl ClusterReport {
             self.failed
         ));
         out.push_str(&format!(
-            "shed admission={} deadline={} breaker={} queue_full={}\n",
-            self.shed_admission, self.shed_deadline, self.shed_breaker, self.shed_queue_full
+            "shed deadline={} breaker={} queue_full={}\n",
+            self.shed_deadline, self.shed_breaker, self.shed_queue_full
         ));
         out.push_str(&format!(
             "hedges fired={} redundant={} wasted={}\n",
@@ -577,7 +561,7 @@ impl Cluster {
             cfg.replication >= 1 && cfg.replication <= cfg.replicas,
             "replication factor must be in [1, replicas]"
         );
-        let ring = HashRing::new(cfg.seed, cfg.replicas, cfg.vnodes);
+        let ring = HashRing::new(cfg.seed, cfg.replicas, VNODES);
         let replicas = (0..cfg.replicas)
             .map(|i| Replica {
                 server: Arc::new(SimServer::new(cfg.server.clone())),
@@ -585,7 +569,7 @@ impl Cluster {
                     SplitMix64::mix(cfg.seed ^ i as u64),
                 )),
                 store: HashMap::new(),
-                breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+                breaker: Breaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
                 alive: true,
                 ejected_until: None,
                 window_requests: 0,
@@ -617,19 +601,19 @@ impl Cluster {
     /// Restart `replica`: alive again with an empty store, a fresh
     /// breaker and a clean health window.
     fn restart(&mut self, replica: usize) {
-        let cfg_threshold = self.cfg.breaker_threshold;
-        let cfg_cooldown = self.cfg.breaker_cooldown;
         let rep = &mut self.replicas[replica];
         rep.alive = true;
         rep.store.clear();
-        rep.breaker = Breaker::new(cfg_threshold, cfg_cooldown);
+        rep.breaker = Breaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN);
         rep.window_requests = 0;
         rep.window_failures = 0;
     }
 
     /// Modelled cost of serving `page` on a replica during `phase`.
     fn service_ms(&self, page: usize, phase: &StormPhase) -> f64 {
-        self.replicas[0].server.model_duration_ms(page, self.cfg.service_width)
+        self.replicas[0]
+            .server
+            .model_duration_ms(page, SERVICE_WIDTH)
             * phase.latency_factor
     }
 
@@ -735,14 +719,13 @@ impl Cluster {
             ticks,
             replicas: self.replicas.len(),
             replication: self.cfg.replication,
-            tick_ms: self.cfg.tick_ms,
+            tick_ms: TICK_MS,
             issued: acc.issued,
             acked: acc.acked,
             served_primary: acc.served_primary,
             served_hedge: acc.served_hedge,
             served_failover: acc.served_failover,
             failed: acc.failed,
-            shed_admission: acc.shed[ShedReason::Admission as usize],
             shed_deadline: acc.shed[ShedReason::Deadline as usize],
             shed_breaker: acc.shed[ShedReason::Breaker as usize],
             shed_queue_full: acc.shed[ShedReason::QueueFull as usize],
@@ -784,21 +767,20 @@ impl Cluster {
                 }
             }
         }
-        if self.cfg.health_every == 0 || !tick.is_multiple_of(self.cfg.health_every) {
+        if !tick.is_multiple_of(HEALTH_EVERY) {
             return;
         }
-        let eject_ticks = self.cfg.eject_ticks;
         for (i, rep) in self.replicas.iter_mut().enumerate() {
             if !rep.alive || rep.ejected_until.is_some() {
                 continue;
             }
-            if rep.window_requests < self.cfg.min_health_samples {
+            if rep.window_requests < MIN_HEALTH_SAMPLES {
                 continue;
             }
             #[allow(clippy::cast_precision_loss)]
             let ratio = rep.window_failures as f64 / rep.window_requests as f64;
-            if ratio >= self.cfg.unhealthy_ratio {
-                rep.ejected_until = Some(tick + eject_ticks);
+            if ratio >= UNHEALTHY_RATIO {
+                rep.ejected_until = Some(tick + EJECT_TICKS);
                 acc.ejections += 1;
                 acc.events.push(format!(
                     "tick {tick:03} replica {i} ejected ({}/{} failed in window)",
@@ -842,15 +824,10 @@ impl Cluster {
         // Predicted busy ms already enqueued per replica this tick.
         let mut pending_ms: Vec<f64> = vec![0.0; n];
         let mut routes: Vec<Route> = Vec::with_capacity(requests.len());
-        let mut admitted = 0usize;
         #[allow(clippy::cast_precision_loss)]
-        let width = self.cfg.service_width.max(1) as f64;
+        let width = SERVICE_WIDTH as f64;
 
         for (req, &page) in requests.iter().enumerate() {
-            if admitted >= self.cfg.tick_admission_cap {
-                routes.push(Route::Shed(ShedReason::Admission));
-                continue;
-            }
             let owners = self.ring.owners_among(page, self.cfg.replication, &eligible);
             if owners.is_empty() {
                 routes.push(Route::NoOwner);
@@ -896,7 +873,6 @@ impl Cluster {
                     Some((o, p)) if p <= phase.shed_budget_ms => {
                         queues[o].push(QueueEntry { req, page, hedge: false });
                         pending_ms[o] += service;
-                        admitted += 1;
                         routes.push(Route::Queued { diverted: o != owners[0], hedge_on: None });
                         continue;
                     }
@@ -922,7 +898,6 @@ impl Cluster {
                 pending_ms[h] += service;
                 acc.hedges_fired += 1;
             }
-            admitted += 1;
             routes.push(Route::Queued { diverted: replica != owners[0], hedge_on });
         }
 
@@ -937,13 +912,11 @@ impl Cluster {
                 })
                 .collect(),
         );
-        let width_slots = self.cfg.service_width.max(1);
-        let max_attempts = self.cfg.max_attempts.max(1);
         let latency_factor = phase.latency_factor;
         let per_replica: Vec<(Vec<ExecResult>, f64)> = rt
             .spawn_batch(n, move |replica| {
                 let (queue, server, injector) = &exec_inputs[replica];
-                execute_queue(queue, server, injector, width_slots, max_attempts, latency_factor)
+                execute_queue(queue, server, injector, latency_factor)
             })
             .join()
             .into_iter()
@@ -1098,8 +1071,6 @@ impl Cluster {
                 &queue,
                 &self.replicas[owner].server,
                 &self.replicas[owner].injector,
-                self.cfg.service_width.max(1),
-                self.cfg.max_attempts.max(1),
                 phase.latency_factor,
             );
             let r = results[0];
@@ -1119,7 +1090,7 @@ impl Cluster {
     }
 }
 
-/// Execute one replica's tick queue sequentially: a `width`-slot
+/// Execute one replica's tick queue sequentially: a `SERVICE_WIDTH`-slot
 /// deterministic queueing model for latency, the replica's seeded
 /// fault stream for outcomes, and a real (scaled) server request per
 /// successful attempt so the simulated tier does actual work.
@@ -1128,25 +1099,23 @@ fn execute_queue(
     queue: &[QueueEntry],
     server: &Arc<SimServer>,
     injector: &FaultInjector,
-    width: usize,
-    max_attempts: u32,
     latency_factor: f64,
 ) -> (Vec<ExecResult>, f64) {
-    let mut slots = vec![0.0f64; width];
+    let mut slots = [0.0f64; SERVICE_WIDTH];
     let mut out = Vec::with_capacity(queue.len());
     for entry in queue {
         // Earliest-free slot; ties resolve to the lowest index.
-        let slot = (0..width)
+        let slot = (0..SERVICE_WIDTH)
             .min_by(|&a, &b| slots[a].partial_cmp(&slots[b]).expect("no NaN"))
-            .expect("width >= 1");
+            .expect("SERVICE_WIDTH >= 1");
         let start = slots[slot];
         let meta = server.page(entry.page);
-        let service = server.model_duration_ms(entry.page, width) * latency_factor;
+        let service = server.model_duration_ms(entry.page, SERVICE_WIDTH) * latency_factor;
         let mut cost = 0.0f64;
         let mut kb = None;
         let mut attempts = 0u32;
         let mut faults = 0u64;
-        for attempt in 1..=max_attempts {
+        for attempt in 1..=MAX_ATTEMPTS {
             attempts = attempt;
             match injector.decide(entry.page as u64, attempt) {
                 Fault::None => {
@@ -1196,7 +1165,7 @@ struct RunAccounting {
     failed: u64,
     /// Indexed by `ShedReason as usize`. The tier has no drain window,
     /// so its `DrainOverrun` slot stays zero.
-    shed: [u64; 5],
+    shed: [u64; 4],
     hedges_fired: u64,
     hedge_redundant: u64,
     hedge_wasted: u64,
@@ -1221,7 +1190,7 @@ impl RunAccounting {
             served_hedge: 0,
             served_failover: 0,
             failed: 0,
-            shed: [0; 5],
+            shed: [0; 4],
             hedges_fired: 0,
             hedge_redundant: 0,
             hedge_wasted: 0,
@@ -1366,19 +1335,6 @@ mod tests {
         let storm = FaultStorm::burst(0x5EED);
         let report = cluster.run_storm(&rt, &schedule, &storm, None);
         assert!(report.shed_queue_full > 0, "bounded queues must shed");
-        assert_eq!(report.violations(), Vec::<String>::new());
-        rt.shutdown();
-    }
-
-    #[test]
-    fn admission_cap_sheds_before_routing() {
-        let rt = TaskRuntime::builder().workers(2).build();
-        let cfg = ClusterConfig { tick_admission_cap: 8, ..quick_cfg() };
-        let mut cluster = Cluster::new(cfg);
-        let schedule = vec![steady_schedule(1, 32, 40, 0xCAFE).remove(0)];
-        let storm = FaultStorm::burst(0x5EED);
-        let report = cluster.run_storm(&rt, &schedule, &storm, None);
-        assert_eq!(report.shed_admission, 32 - 8);
         assert_eq!(report.violations(), Vec::<String>::new());
         rt.shutdown();
     }

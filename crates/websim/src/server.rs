@@ -192,7 +192,7 @@ impl SimServer {
 
     /// The simulated duration a request for `page` costs at a given
     /// concurrency level (the analytic model, used by tests and by
-    /// [`crate::fetcher::predict_sweep`]).
+    /// [`crate::fetcher::predict_fetch_sim_ms`]).
     #[must_use]
     pub fn model_duration_ms(&self, page: usize, active: usize) -> f64 {
         let meta = self.pages[page];

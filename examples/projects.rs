@@ -55,8 +55,8 @@ use pyjama::{MapMerge, Schedule, SetUnion, SumRed, Team, TopK, VecConcat};
 use softeng751_repro::experiment::{self, hex, Report, Spec};
 use taskcol::workload::{run_map_workload, run_queue_workload, MapWorkload, WorkloadResult};
 use taskcol::{
-    AtomicCounter, CoarseSet, ConcurrentSet, ConcurrentStack, FineSet, MutexCounter, MutexMap,
-    MutexQueue, MutexStack, RwLockMap, SegLockFreeQueue, ShardedCounter, ShardedMap, SharedCounter,
+    AtomicCounter, CoarseSet, ConcurrentSet, ConcurrentStack, FineSet, LibraryQueue, MutexCounter,
+    MutexMap, MutexQueue, MutexStack, RwLockMap, ShardedCounter, ShardedMap, SharedCounter,
     SpinStack, TaskAwareQueue, TaskCell, TreiberStack, TwoLockQueue,
 };
 use websim::{
@@ -673,7 +673,7 @@ fn collections(_seed: u64, _pool: usize) -> Report {
     let queues: [Series<WorkloadResult>; 3] = [
         ("mutex", || run_queue_workload(&Arc::new(MutexQueue::new()), 2, 1_500)),
         ("two-lock", || run_queue_workload(&Arc::new(TwoLockQueue::new()), 2, 1_500)),
-        ("lock-free", || run_queue_workload(&Arc::new(SegLockFreeQueue::new()), 2, 1_500)),
+        ("library", || run_queue_workload(&Arc::new(LibraryQueue::new()), 2, 1_500)),
     ];
     for (name, run) in queues {
         r = r.measured(&format!("E9/queue-2p2c/{name}"), ms(run));

@@ -17,8 +17,9 @@
 //!   could win elements the owner already popped (double delivery).
 //! * [`locked`] preserves the previous `Mutex<VecDeque>` substrate.
 //!   The scheduler keeps it selectable (`WorkStealingLocked`) as the
-//!   measured baseline for the E-SCHED ablation: identical policy,
-//!   different queue substrate.
+//!   measured baseline for the E-SCHED ablation: identical policy
+//!   (one implementation in `partask::sched`), different queue
+//!   substrate.
 //!
 //! # Memory ordering (why each fence is where it is)
 //!
@@ -54,6 +55,8 @@ use std::mem::{self, MaybeUninit};
 use std::ptr;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+use crate::fifo::Fifo;
 
 /// Result of a steal attempt.
 pub enum Steal<T> {
@@ -473,13 +476,13 @@ impl<T> Stealer<T> {
 
 /// Global FIFO injector for work submitted from outside the pool.
 ///
-/// The injector is *not* lock-free: it is a mutex-protected FIFO whose
-/// API is batch-oriented, so the scheduler takes one lock per
+/// The injector is *not* lock-free: it is the crate's mutex FIFO with
+/// a batch-oriented API, so the scheduler takes one lock per
 /// *episode* (a [`Injector::push_batch`] of spawned jobs, a
 /// [`Injector::steal_batch_and_pop`] refill) rather than one lock per
 /// task. Workers refill from it only when their own deque runs dry.
 pub struct Injector<T> {
-    items: Mutex<std::collections::VecDeque<T>>,
+    fifo: Fifo<T>,
 }
 
 impl<T> Default for Injector<T> {
@@ -493,61 +496,38 @@ impl<T> Injector<T> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            items: Mutex::new(std::collections::VecDeque::new()),
+            fifo: Fifo::default(),
         }
     }
 
     /// Submit an item.
     pub fn push(&self, item: T) {
-        self.items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(item);
+        self.fifo.push(item);
     }
 
     /// Submit a batch under a single lock acquisition (one injector
     /// episode regardless of batch size).
     pub fn push_batch(&self, batch: impl IntoIterator<Item = T>) {
-        self.items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend(batch);
+        self.fifo.lock().extend(batch);
     }
 
     /// Steal the oldest item.
     pub fn steal(&self) -> Steal<T> {
-        match self
-            .items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            Some(item) => Steal::Success(item),
-            None => Steal::Empty,
-        }
+        steal_of(self.fifo.pop())
     }
 
     /// Move a batch into `dest` and return one item immediately.
-    /// Takes up to half of the queue (at least one, at most
-    /// `MAX_BATCH`), amortising injector contention.
+    /// Takes the oldest item plus half of the rest, at most
+    /// `MAX_BATCH - 1` more, amortising injector contention; the batch
+    /// is pushed after the lock is released.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        let mut items = self
-            .items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let first = match items.pop_front() {
-            Some(item) => item,
-            None => return Steal::Empty,
+        let Some((first, batch)) = self.fifo.pop_with_batch(MAX_BATCH - 1) else {
+            return Steal::Empty;
         };
-        let extra = (items.len() / 2).min(MAX_BATCH - 1);
-        if extra > 0 {
-            // Preserve FIFO order for the batch: the worker pops LIFO,
-            // so push the batch in reverse.
-            let batch: Vec<T> = items.drain(..extra).collect();
-            drop(items);
-            for item in batch.into_iter().rev() {
-                dest.push(item);
-            }
+        // Preserve FIFO order for the batch: the worker pops LIFO, so
+        // push the batch in reverse.
+        for item in batch.into_iter().rev() {
+            dest.push(item);
         }
         Steal::Success(first)
     }
@@ -555,10 +535,7 @@ impl<T> Injector<T> {
     /// Number of queued items.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.fifo.len()
     }
 
     /// True when no items are queued.
@@ -568,24 +545,33 @@ impl<T> Injector<T> {
     }
 }
 
+/// A mutex FIFO's pop as a steal: it never loses a race.
+fn steal_of<T>(item: Option<T>) -> Steal<T> {
+    item.map_or(Steal::Empty, Steal::Success)
+}
+
 pub mod locked {
     //! The previous `Mutex<VecDeque>` deque substrate, preserved as
     //! the measured baseline for the scheduler ablation (E-SCHED).
     //! Same API shape and correctness semantics as the lock-free
-    //! deque above; every operation takes the deque's mutex.
+    //! deque above; every operation takes the deque's mutex (the
+    //! crate's one mutex FIFO). Thieves steal one item at a time, and
+    //! an injector refill moves at most 16 items after the first.
 
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex, PoisonError};
+    use std::sync::Arc;
+
+    use super::steal_of;
+    use crate::fifo::Fifo;
 
     pub use super::Steal;
 
-    struct Shared<T> {
-        items: Mutex<VecDeque<T>>,
-    }
+    /// Items an injector refill moves into the worker's deque beyond
+    /// the one it returns.
+    const REFILL_CAP: usize = 16;
 
     /// The owner's handle: push and pop at the back (LIFO).
     pub struct Worker<T> {
-        shared: Arc<Shared<T>>,
+        fifo: Arc<Fifo<T>>,
     }
 
     impl<T> Worker<T> {
@@ -593,69 +579,52 @@ pub mod locked {
         #[must_use]
         pub fn new_lifo() -> Self {
             Self {
-                shared: Arc::new(Shared { items: Mutex::new(VecDeque::new()) }),
+                fifo: Arc::default(),
             }
         }
 
         /// Push onto the owner's end.
         pub fn push(&self, item: T) {
-            self.shared
-                .items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(item);
+            self.fifo.push(item);
         }
 
         /// Pop from the owner's end (most recently pushed first).
         pub fn pop(&self) -> Option<T> {
-            self.shared
-                .items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
+            self.fifo.lock().pop_back()
         }
 
         /// A thief's handle onto this deque.
         #[must_use]
         pub fn stealer(&self) -> Stealer<T> {
-            Stealer { shared: Arc::clone(&self.shared) }
+            Stealer {
+                fifo: Arc::clone(&self.fifo),
+            }
         }
     }
 
     /// A thief's handle: steals from the front (FIFO).
     pub struct Stealer<T> {
-        shared: Arc<Shared<T>>,
+        fifo: Arc<Fifo<T>>,
     }
 
     impl<T> Clone for Stealer<T> {
         fn clone(&self) -> Self {
-            Self { shared: Arc::clone(&self.shared) }
+            Self {
+                fifo: Arc::clone(&self.fifo),
+            }
         }
     }
 
     impl<T> Stealer<T> {
         /// Steal the oldest item.
         pub fn steal(&self) -> Steal<T> {
-            match self
-                .shared
-                .items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front()
-            {
-                Some(item) => Steal::Success(item),
-                None => Steal::Empty,
-            }
+            steal_of(self.fifo.pop())
         }
 
         /// Number of items currently visible.
         #[must_use]
         pub fn len(&self) -> usize {
-            self.shared
-                .items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len()
+            self.fifo.len()
         }
 
         /// True when no items are visible.
@@ -668,7 +637,7 @@ pub mod locked {
     /// Global FIFO injector protected by one mutex (the baseline's
     /// per-task lock).
     pub struct Injector<T> {
-        items: Mutex<VecDeque<T>>,
+        fifo: Fifo<T>,
     }
 
     impl<T> Default for Injector<T> {
@@ -681,53 +650,30 @@ pub mod locked {
         /// A new empty injector.
         #[must_use]
         pub fn new() -> Self {
-            Self { items: Mutex::new(VecDeque::new()) }
+            Self {
+                fifo: Fifo::default(),
+            }
         }
 
         /// Submit an item.
         pub fn push(&self, item: T) {
-            self.items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(item);
+            self.fifo.push(item);
         }
 
         /// Steal the oldest item.
         pub fn steal(&self) -> Steal<T> {
-            match self
-                .items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front()
-            {
-                Some(item) => Steal::Success(item),
-                None => Steal::Empty,
-            }
+            steal_of(self.fifo.pop())
         }
 
         /// Move a batch into `dest` and return one item immediately.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut items = self
-                .items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let first = match items.pop_front() {
-                Some(item) => item,
-                None => return Steal::Empty,
+            let Some((first, batch)) = self.fifo.pop_with_batch(REFILL_CAP) else {
+                return Steal::Empty;
             };
-            let extra = (items.len() / 2).min(16);
-            if extra > 0 {
-                let batch: Vec<T> = items.drain(..extra).collect();
-                drop(items);
-                let mut dest_items = dest
-                    .shared
-                    .items
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                // Preserve FIFO order for the LIFO owner.
-                for item in batch.into_iter().rev() {
-                    dest_items.push_back(item);
-                }
+            if !batch.is_empty() {
+                // Preserve FIFO order for the LIFO owner, under one
+                // lock of its deque.
+                dest.fifo.lock().extend(batch.into_iter().rev());
             }
             Steal::Success(first)
         }
@@ -735,10 +681,7 @@ pub mod locked {
         /// Number of queued items.
         #[must_use]
         pub fn len(&self) -> usize {
-            self.items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len()
+            self.fifo.len()
         }
 
         /// True when no items are queued.

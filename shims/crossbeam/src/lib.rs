@@ -9,25 +9,78 @@
 //!   `top`/`bottom`, CAS-based steal); the previous mutex-based
 //!   substrate survives as [`deque::locked`], kept selectable by the
 //!   scheduler as the measured baseline for the E-SCHED ablation.
-//! * [`queue`] — `SegQueue`, an unbounded MPMC queue (lock-based).
+//! * [`queue`] — `SegQueue`, an unbounded MPMC queue. Unlike upstream's
+//!   it is **not** lock-free: it is this crate's one mutex FIFO.
 //! * [`epoch`] — pointer-based protected reclamation for the Treiber
 //!   stack: guards count active pins and retired garbage is freed only
 //!   when no guard is live (a coarse but sound epoch scheme). Note the
 //!   deque does *not* use it — pinning takes a global lock, so the
 //!   deque parks retired ring buffers until drop instead.
+//!
+//! One `Mutex<VecDeque>` backs every queue that is not the Chase–Lev
+//! ring: `deque::Injector`, `deque::locked::{Worker, Stealer,
+//! Injector}` and `queue::SegQueue` all wrap the crate-private `Fifo`,
+//! and each of their operations is one critical section over it.
 
 pub mod deque;
+
+mod fifo {
+    use std::collections::VecDeque;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The crate's one mutex-protected FIFO.
+    pub(crate) struct Fifo<T> {
+        items: Mutex<VecDeque<T>>,
+    }
+
+    impl<T> Default for Fifo<T> {
+        fn default() -> Self {
+            Self {
+                items: Mutex::new(VecDeque::new()),
+            }
+        }
+    }
+
+    impl<T> Fifo<T> {
+        /// Take the lock. Every update leaves the `VecDeque` valid at
+        /// each step, so a poisoned lock still guards a sound queue.
+        pub(crate) fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+            self.items.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        pub(crate) fn push(&self, item: T) {
+            self.lock().push_back(item);
+        }
+
+        pub(crate) fn pop(&self) -> Option<T> {
+            self.lock().pop_front()
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.lock().len()
+        }
+
+        /// Under one lock: take the oldest item, plus half of what is
+        /// left (at most `cap` more), oldest first.
+        pub(crate) fn pop_with_batch(&self, cap: usize) -> Option<(T, Vec<T>)> {
+            let mut items = self.lock();
+            let first = items.pop_front()?;
+            let extra = (items.len() / 2).min(cap);
+            Some((first, items.drain(..extra).collect()))
+        }
+    }
+}
 
 pub mod queue {
     //! Unbounded MPMC queue with the `SegQueue` API.
 
-    use std::collections::VecDeque;
-    use std::sync::{Mutex, PoisonError};
+    use crate::fifo::Fifo;
 
     /// An unbounded FIFO queue safe for any number of producers and
-    /// consumers.
+    /// consumers. A mutex FIFO, not upstream's lock-free segmented
+    /// queue: every operation takes one lock.
     pub struct SegQueue<T> {
-        items: Mutex<VecDeque<T>>,
+        fifo: Fifo<T>,
     }
 
     impl<T> Default for SegQueue<T> {
@@ -41,33 +94,24 @@ pub mod queue {
         #[must_use]
         pub fn new() -> Self {
             Self {
-                items: Mutex::new(VecDeque::new()),
+                fifo: Fifo::default(),
             }
         }
 
         /// Enqueue at the back.
         pub fn push(&self, item: T) {
-            self.items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(item);
+            self.fifo.push(item);
         }
 
         /// Dequeue from the front.
         pub fn pop(&self) -> Option<T> {
-            self.items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front()
+            self.fifo.pop()
         }
 
         /// Number of queued items.
         #[must_use]
         pub fn len(&self) -> usize {
-            self.items
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len()
+            self.fifo.len()
         }
 
         /// True when no items are queued.

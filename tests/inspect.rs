@@ -11,8 +11,8 @@
 //!    empty, replaying a schedule reproduces it, and the time-travel
 //!    cursor re-executes prefixes consistently in both directions.
 //! 4. **Integration** — spans still open at snapshot time surface in
-//!    the store, and the runtime's latency histograms record samples
-//!    for the same run the graph is built from.
+//!    the store, and a traced runtime records exactly one `task.run`
+//!    span per executed task in the run the graph is built from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -259,7 +259,7 @@ fn time_travel_prefixes_are_consistent_in_both_directions() {
 }
 
 // ---------------------------------------------------------------
-// 4. Integration: open spans and runtime latencies.
+// 4. Integration: open spans and the runtime's task spans.
 
 #[test]
 fn open_spans_surface_in_store_and_graph() {
@@ -279,7 +279,7 @@ fn open_spans_surface_in_store_and_graph() {
 }
 
 #[test]
-fn runtime_latency_histograms_record_the_inspected_run() {
+fn trace_holds_one_task_run_span_per_executed_task() {
     let collector = Collector::new();
     let rt = TaskRuntime::builder()
         .workers(4)
@@ -288,22 +288,19 @@ fn runtime_latency_histograms_record_the_inspected_run() {
         .build();
     let mut v = data::random(60_000, 0xC0FFEE);
     quicksort_partask(&rt, &mut v);
-    let latencies = rt.latencies();
+    // Quiescent: every body's span closed before its job counted as
+    // executed, so the two tallies must agree exactly.
+    rt.wait_quiescent();
+    let executed = rt.stats().executed;
     rt.shutdown();
 
     let (store, graph, _) = parc_inspect::analyze(collector.snapshot());
     let tasks_run = store.kind_indices("task.run").len() / 2; // begin + end
-    assert!(tasks_run > 0);
-    // One run-duration sample per executed task. The histogram write
-    // and the trace-span close are not one atomic step, so a task
-    // finishing right at the `latencies()` read may be counted by one
-    // and not (yet) the other — allow one in-flight task per worker.
-    let samples = latencies.run_ms.total() as usize;
-    assert!(
-        samples.abs_diff(tasks_run) <= 4,
-        "run-duration samples ({samples}) must track executed tasks ({tasks_run})",
+    assert!(executed > 0);
+    assert_eq!(
+        tasks_run as u64, executed,
+        "one task.run span per executed task"
     );
-    assert!(latencies.run_ms.p50() >= 0.0);
     assert!(!graph.is_empty());
     let report = CriticalReport::analyze(&store, &graph);
     assert!(report.logical.total > 0);

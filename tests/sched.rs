@@ -5,7 +5,9 @@
 //! scheduler (with the helping joins' depth bound), and — via
 //! proptest — the shim deque's sequential equivalence to a
 //! `Mutex<VecDeque>`-style reference model (the substrate it replaced,
-//! still available as `SchedulerKind::WorkStealingLocked`).
+//! still available as `SchedulerKind::WorkStealingLocked`), and the
+//! same for both injectors and the locked substrate, with their
+//! refill caps pinned.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -185,24 +187,29 @@ fn batch_results_come_back_in_index_order() {
 #[test]
 fn batch_member_panic_is_contained_to_its_slot() {
     let rt = TaskRuntime::builder().workers(2).build();
-    let batch = rt.spawn_batch(16, |i| {
+    let handle = rt.handle();
+    let body = |i: usize| {
         assert!(i != 5 && i != 11, "boom at {i}");
         i as u64
-    });
-    let results = rt.join_batch(batch);
-    for (i, r) in results.into_iter().enumerate() {
-        if i == 5 || i == 11 {
-            match r {
-                Err(TaskError::Panicked(msg)) => {
-                    assert!(msg.contains("boom"), "panic message lost: {msg}")
+    };
+    let on_pool = rt.join_batch(rt.spawn_batch(16, body));
+    rt.shutdown();
+    // With the runtime gone, the handle runs the batch inline.
+    let inline = handle.spawn_batch(16, body).join();
+    for results in [on_pool, inline] {
+        for (i, r) in results.into_iter().enumerate() {
+            if i == 5 || i == 11 {
+                match r {
+                    Err(TaskError::Panicked(msg)) => {
+                        assert!(msg.contains("boom"), "panic message lost: {msg}")
+                    }
+                    other => panic!("index {i}: expected panic, got {other:?}"),
                 }
-                other => panic!("index {i}: expected panic, got {other:?}"),
+            } else {
+                assert_eq!(r.unwrap(), i as u64);
             }
-        } else {
-            assert_eq!(r.unwrap(), i as u64);
         }
     }
-    rt.shutdown();
 }
 
 #[test]
@@ -405,6 +412,100 @@ enum DeqOp {
     BatchSteal,
 }
 
+/// Jobs one injector refill moves into the worker's deque beyond the
+/// one it returns, per substrate.
+const LOCKFREE_REFILL_CAP: usize = 31;
+const LOCKED_REFILL_CAP: usize = 16;
+
+/// Reference model of `steal_batch_and_pop` on an injector: the oldest
+/// item is returned, and half of the rest (at most `cap`) moves to
+/// `dest` so that its owner, popping newest-first, sees them oldest
+/// first — FIFO across the refill.
+fn ref_refill(injector: &mut VecDeque<u32>, dest: &mut RefDeque, cap: usize) -> Option<u32> {
+    let first = injector.pop_front()?;
+    let extra = (injector.len() / 2).min(cap);
+    let batch: Vec<u32> = injector.drain(..extra).collect();
+    for v in batch.into_iter().rev() {
+        dest.push(v);
+    }
+    Some(first)
+}
+
+#[derive(Clone, Copy, Debug)]
+enum InjOp {
+    Push,
+    PushBatch(u32),
+    InjectorSteal,
+    Refill,
+    WorkerPush,
+    WorkerPop,
+    Steal,
+}
+
+/// Weighted decode: pushes and batch pushes (1 to 61 items) outweigh
+/// the takes, so the injectors regularly hold more than 2 × 31 items
+/// and refills hit both caps.
+fn decode_inj_op(raw: u8) -> InjOp {
+    match raw % 16 {
+        0..=3 => InjOp::Push,
+        4..=6 => InjOp::PushBatch(u32::from(raw / 16) * 4 + 1),
+        7 => InjOp::InjectorSteal,
+        8..=9 => InjOp::Refill,
+        10 => InjOp::WorkerPush,
+        11..=12 => InjOp::WorkerPop,
+        _ => InjOp::Steal,
+    }
+}
+
+/// A sequential steal from a mutex FIFO or an uncontended deque.
+fn taken<T>(steal: crossbeam::deque::Steal<T>) -> Option<T> {
+    match steal {
+        crossbeam::deque::Steal::Success(v) => Some(v),
+        crossbeam::deque::Steal::Empty => None,
+        crossbeam::deque::Steal::Retry => unreachable!("no concurrent CAS in a sequential test"),
+    }
+}
+
+/// The caps, pinned directly: one refill from 100 queued items takes
+/// the oldest plus 31 (lock-free) or 16 (locked), the owner pops them
+/// FIFO across the refill, and a locked thief takes exactly one item.
+#[test]
+fn injector_refills_stop_at_their_caps() {
+    use crossbeam::deque::{locked, Injector, Worker};
+
+    let injector = Injector::new();
+    injector.push_batch(0..100u32);
+    let worker = Worker::new_lifo();
+    assert_eq!(taken(injector.steal_batch_and_pop(&worker)), Some(0));
+    assert_eq!(worker.len(), LOCKFREE_REFILL_CAP);
+    assert_eq!(injector.len(), 100 - 1 - LOCKFREE_REFILL_CAP);
+    for want in 1..=31 {
+        assert_eq!(worker.pop(), Some(want), "FIFO across the refill");
+    }
+    assert_eq!(taken(injector.steal()), Some(32));
+
+    let injector = locked::Injector::new();
+    for v in 0..100u32 {
+        injector.push(v);
+    }
+    let worker = locked::Worker::new_lifo();
+    let thief = worker.stealer();
+    assert_eq!(taken(injector.steal_batch_and_pop(&worker)), Some(0));
+    assert_eq!(thief.len(), LOCKED_REFILL_CAP);
+    assert_eq!(injector.len(), 100 - 1 - LOCKED_REFILL_CAP);
+    // The refill is pushed newest-first, so the steal end holds 16.
+    assert_eq!(
+        taken(thief.steal()),
+        Some(16),
+        "a locked steal takes the steal end"
+    );
+    assert_eq!(thief.len(), LOCKED_REFILL_CAP - 1, "and only it");
+    for want in 1..=15 {
+        assert_eq!(worker.pop(), Some(want), "FIFO across the refill");
+    }
+    assert_eq!(taken(injector.steal()), Some(17));
+}
+
 /// Weighted decode (the shim proptest has no `prop_oneof`): pushes
 /// 3/8, pops and steals 2/8 each, batch steals 1/8 — enough pushes
 /// that the deque regularly holds multi-item runs for batch claims.
@@ -485,5 +586,91 @@ proptest! {
             ref_dest_drained.push(v);
         }
         prop_assert_eq!(dest_drained, ref_dest_drained);
+    }
+
+    /// The same kind of op sequence drives both injectors, each
+    /// refilling its own substrate's worker, and the locked worker and
+    /// stealer, against `VecDeque` models: every take returns the same
+    /// item, refills move the same run (capped at 31 and 16), a locked
+    /// steal takes one item, and the queues drain in the same order.
+    #[test]
+    fn injectors_and_locked_substrate_match_vecdeque_models(
+        raw_ops in prop::collection::vec(0u8..=255, 0..200),
+    ) {
+        use crossbeam::deque::{locked, Injector, Worker};
+
+        let injector = Injector::new();
+        let worker = Worker::new_lifo();
+        let thief = worker.stealer();
+        let locked_injector = locked::Injector::new();
+        let locked_worker = locked::Worker::new_lifo();
+        let locked_thief = locked_worker.stealer();
+        let (mut ref_injector, mut ref_worker) = (VecDeque::new(), RefDeque::default());
+        let (mut ref_locked_injector, mut ref_locked_worker) = (VecDeque::new(), RefDeque::default());
+
+        let mut next = 0u32;
+        for op in raw_ops.into_iter().map(decode_inj_op) {
+            match op {
+                InjOp::Push => {
+                    injector.push(next);
+                    locked_injector.push(next);
+                    ref_injector.push_back(next);
+                    ref_locked_injector.push_back(next);
+                    next += 1;
+                }
+                InjOp::PushBatch(k) => {
+                    let values: Vec<u32> = (next..next + k).collect();
+                    injector.push_batch(values.iter().copied());
+                    for &v in &values {
+                        locked_injector.push(v);
+                    }
+                    ref_injector.extend(values.iter().copied());
+                    ref_locked_injector.extend(values.iter().copied());
+                    next += k;
+                }
+                InjOp::InjectorSteal => {
+                    prop_assert_eq!(taken(injector.steal()), ref_injector.pop_front());
+                    prop_assert_eq!(taken(locked_injector.steal()), ref_locked_injector.pop_front());
+                }
+                InjOp::Refill => {
+                    prop_assert_eq!(
+                        taken(injector.steal_batch_and_pop(&worker)),
+                        ref_refill(&mut ref_injector, &mut ref_worker, LOCKFREE_REFILL_CAP)
+                    );
+                    prop_assert_eq!(
+                        taken(locked_injector.steal_batch_and_pop(&locked_worker)),
+                        ref_refill(&mut ref_locked_injector, &mut ref_locked_worker, LOCKED_REFILL_CAP)
+                    );
+                }
+                InjOp::WorkerPush => {
+                    worker.push(next);
+                    locked_worker.push(next);
+                    ref_worker.push(next);
+                    ref_locked_worker.push(next);
+                    next += 1;
+                }
+                InjOp::WorkerPop => {
+                    prop_assert_eq!(worker.pop(), ref_worker.pop());
+                    prop_assert_eq!(locked_worker.pop(), ref_locked_worker.pop());
+                }
+                InjOp::Steal => {
+                    prop_assert_eq!(taken(thief.steal()), ref_worker.steal());
+                    prop_assert_eq!(taken(locked_thief.steal()), ref_locked_worker.steal());
+                }
+            }
+            prop_assert_eq!(injector.len(), ref_injector.len());
+            prop_assert_eq!(worker.len(), ref_worker.items.len());
+            prop_assert_eq!(locked_injector.len(), ref_locked_injector.len());
+            prop_assert_eq!(locked_thief.len(), ref_locked_worker.items.len());
+        }
+        // Drain everything in each queue's own order.
+        let drained: Vec<u32> = std::iter::from_fn(|| taken(injector.steal())).collect();
+        prop_assert_eq!(drained, Vec::from(ref_injector));
+        let drained: Vec<u32> = std::iter::from_fn(|| taken(locked_injector.steal())).collect();
+        prop_assert_eq!(drained, Vec::from(ref_locked_injector));
+        let drained: Vec<u32> = std::iter::from_fn(|| worker.pop()).collect();
+        prop_assert_eq!(drained, std::iter::from_fn(|| ref_worker.pop()).collect::<Vec<_>>());
+        let drained: Vec<u32> = std::iter::from_fn(|| locked_worker.pop()).collect();
+        prop_assert_eq!(drained, std::iter::from_fn(|| ref_locked_worker.pop()).collect::<Vec<_>>());
     }
 }
