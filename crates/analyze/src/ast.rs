@@ -186,12 +186,6 @@ impl RegionKind {
             Self::Gui => "gui",
         }
     }
-
-    /// Is this a worksharing construct (`for` / `sections`)?
-    #[must_use]
-    pub fn is_worksharing(self) -> bool {
-        matches!(self, Self::For | Self::Sections)
-    }
 }
 
 /// A directive-introduced region with its body.

@@ -1,32 +1,33 @@
-//! The lowering bridge: compiles an analyzed directive program onto
-//! three executable back ends so static verdicts can be checked
-//! against real behaviour.
+//! The lowering bridge: runs an analyzed directive program on three
+//! executable back ends so static verdicts can be checked against real
+//! behaviour. All three run the crate's one lowering interpreter, which
+//! decides how directives map onto team threads, locks and barriers
+//! (cyclic worksharing splits, thread 0 for `single`/`master`/`gui`,
+//! one team barrier per parallel region serving every barrier point,
+//! reduction folds under `red:<var>`); a back end supplies only shared
+//! cells, teams, barriers and locks. `mhp::model` is the fourth back
+//! end, so the static engine walks the same lowering.
 //!
-//! * [`explore_program`] lowers onto the `parc-explore` shim runtime
+//! * [`explore_program`] runs on the `parc-explore` shim runtime
 //!   (plain cells, shim mutexes, the episode-counting shim barrier)
-//!   and runs the interleaving explorer over it. This is the
-//!   cross-validation engine: a fixture flagged `E001`/`E004` must
-//!   produce explorer-witnessed deadlocks, a flagged race must show a
-//!   racing schedule, and a clean fixture must be *proved* race-free
-//!   over the exhausted interleaving space.
-//! * [`run_on_pyjama`] lowers onto the real [`pyjama`] runtime
-//!   (`SeqCst` atomics for the shared scalars, so racy programs stay
-//!   UB-free). Never call it for deadlocking programs — real threads
+//!   under the interleaving explorer. This is the cross-validation
+//!   engine: a fixture flagged `E001`/`E004` must produce
+//!   explorer-witnessed deadlocks, a flagged race must show a racing
+//!   schedule, and a clean fixture must be *proved* race-free over the
+//!   exhausted interleaving space.
+//! * [`run_on_pyjama`] runs on the real [`pyjama`] runtime (`SeqCst`
+//!   atomics for the shared scalars, so racy programs stay UB-free;
+//!   `single` is claim-based, which is observably equivalent for clean
+//!   programs). Never call it for deadlocking programs — real threads
 //!   really hang.
-//! * [`interpret_seq`] is the sequential reference: it emulates the
-//!   team one thread at a time (barriers become no-ops). For clean
-//!   programs the pyjama result must equal this reference.
+//! * [`interpret_seq`] is the sequential reference: it runs the team
+//!   one thread at a time (barriers become no-ops). For clean programs
+//!   the pyjama result and every explored final must equal it.
 //!
-//! Lowering is intentionally literal and shared between back ends:
-//! worksharing splits iterations (and sections) cyclically by
-//! `index % num_threads`, `single`/`master`/`gui` pick thread 0 (on
-//! pyjama, `single` is claim-based, which is observably equivalent for
-//! clean programs), and every barrier point of a parallel region uses
-//! that region's one team barrier, exactly like an OpenMP team
-//! barrier. `schedule(...)` clauses are accepted but do not change the
-//! cyclic split. Structurally invalid programs (`E005`) should not be
-//! lowered; a stray `section` outside `sections` is executed as a
-//! plain block by every thread.
+//! `schedule(...)` clauses are accepted but do not change the cyclic
+//! split. Structurally invalid programs (`E005`) should not be
+//! lowered; a stray `section` outside `sections` runs as a plain block
+//! on every thread.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -36,14 +37,13 @@ use parc_explore::sync::Arc;
 use parc_explore::{explore, record, Config, ExploreReport};
 use pyjama::{Ctx, Team};
 
-use crate::ast::{Expr, Item, Loop, Program, RedOp, Region, RegionKind};
+use crate::ast::{Clause, Item, Program, Region, RegionKind, Span};
+use crate::lower::{self, Backend, Frame, Lock, Thread};
 
-/// Default team size when a parallel region has no `num_threads`.
-const DEFAULT_TEAM: usize = 2;
-
-/// Every variable name a program can touch (assignment targets and
-/// expression reads). Private variables keep cells too — they are
-/// simply never accessed, because frame lookups shadow them.
+/// Every variable name a program can touch: assignment targets,
+/// expression reads, firstprivate captures and reduction folds.
+/// Private variables keep cells too — they are simply never accessed,
+/// because frame lookups shadow them.
 fn var_names(items: &[Item], out: &mut BTreeSet<String>) {
     for item in items {
         match item {
@@ -54,24 +54,35 @@ fn var_names(items: &[Item], out: &mut BTreeSet<String>) {
                 });
             }
             Item::Loop(l) => var_names(&l.body, out),
-            Item::Region(r) => var_names(&r.body, out),
+            Item::Region(r) => {
+                for clause in &r.clauses {
+                    match clause {
+                        Clause::FirstPrivate(ids) => {
+                            out.extend(ids.iter().map(|id| id.name.clone()));
+                        }
+                        Clause::Reduction { var, .. } => {
+                            out.insert(var.name.clone());
+                        }
+                        _ => {}
+                    }
+                }
+                var_names(&r.body, out);
+            }
         }
     }
 }
 
-/// Every lock key a program needs: named criticals (`lock:<name>`,
-/// with `lock:` for the unnamed critical) and the internal combiner
-/// locks of reduction clauses (`red:<var>`).
+/// Every lock key a program needs: its criticals' and its reduction
+/// folds'.
 fn lock_keys(items: &[Item], out: &mut BTreeSet<String>) {
     for item in items {
         match item {
             Item::Region(r) => {
                 if r.kind == RegionKind::Critical {
-                    let name = r.name.as_ref().map(|n| n.name.as_str()).unwrap_or("");
-                    out.insert(format!("lock:{name}"));
+                    out.insert(Lock::Critical(r).key());
                 }
                 for (_, var) in r.reductions() {
-                    out.insert(format!("red:{}", var.name));
+                    out.insert(Lock::Fold(r, &var.name).key());
                 }
                 lock_keys(&r.body, out);
             }
@@ -79,50 +90,6 @@ fn lock_keys(items: &[Item], out: &mut BTreeSet<String>) {
             Item::Assign(_) => {}
         }
     }
-}
-
-/// Evaluate an expression against a variable resolver.
-fn eval(expr: &Expr, read: &mut impl FnMut(&str) -> i64) -> i64 {
-    match expr {
-        Expr::Num(n, _) => *n,
-        Expr::Var(id) => read(&id.name),
-        Expr::Bin(a, op, b) => {
-            let left = eval(a, read);
-            let right = eval(b, read);
-            op.apply(left, right)
-        }
-    }
-}
-
-/// The reduction clauses of a `for` region, resolved to plain data.
-fn reductions_of(r: &Region) -> Vec<(RedOp, String)> {
-    r.reductions().map(|(op, var)| (op, var.name.clone())).collect()
-}
-
-/// The per-thread frame a parallel region starts with: privates are
-/// zero-initialised (modelling default-initialised locals),
-/// firstprivates capture the value read by `capture`.
-fn region_frame(
-    r: &Region,
-    capture: &mut impl FnMut(&str) -> i64,
-) -> BTreeMap<String, i64> {
-    let mut frame = BTreeMap::new();
-    for clause in &r.clauses {
-        match clause {
-            crate::ast::Clause::Private(ids) => {
-                for id in ids {
-                    frame.insert(id.name.clone(), 0);
-                }
-            }
-            crate::ast::Clause::FirstPrivate(ids) => {
-                for id in ids {
-                    frame.insert(id.name.clone(), capture(&id.name));
-                }
-            }
-            _ => {}
-        }
-    }
-    frame
 }
 
 // =====================================================================
@@ -133,159 +100,35 @@ fn region_frame(
 /// shim mutex per lock key.
 struct SimShared {
     cells: BTreeMap<String, xsync::PlainCell<i64>>,
-    locks: BTreeMap<String, Arc<xsync::Mutex<()>>>,
+    locks: BTreeMap<String, xsync::Mutex<()>>,
 }
 
-/// One simulated thread's view during lowering.
-struct SimEnv {
-    tid: usize,
-    n: usize,
+/// One simulated thread: the shared state and its team's barrier.
+struct Sim {
     shared: Arc<SimShared>,
     barrier: Option<Arc<xsync::Barrier>>,
-    frames: Vec<BTreeMap<String, i64>>,
 }
 
-impl SimEnv {
-    fn read(&self, var: &str) -> i64 {
-        for frame in self.frames.iter().rev() {
-            if let Some(v) = frame.get(var) {
-                return *v;
-            }
-        }
+impl Backend for Sim {
+    fn load(&mut self, var: &str, _: Span) -> i64 {
         self.shared.cells[var].get()
     }
 
-    fn write(&mut self, var: &str, value: i64) {
-        for frame in self.frames.iter_mut().rev() {
-            if let Some(slot) = frame.get_mut(var) {
-                *slot = value;
-                return;
-            }
-        }
+    fn store(&mut self, var: &str, value: i64, _: Span) {
         self.shared.cells[var].set(value);
     }
 
-    fn eval(&mut self, expr: &Expr) -> i64 {
-        // Split borrows: frame lookups need `&self`, cell reads yield.
-        match expr {
-            Expr::Num(n, _) => *n,
-            Expr::Var(id) => self.read(&id.name),
-            Expr::Bin(a, op, b) => {
-                let left = self.eval(a);
-                let right = self.eval(b);
-                op.apply(left, right)
-            }
-        }
-    }
-
-    fn barrier_wait(&self) {
-        if let Some(b) = &self.barrier {
-            b.wait();
-        }
-    }
-
-    fn exec_items(&mut self, items: &[Item]) {
-        for item in items {
-            match item {
-                Item::Assign(a) => {
-                    let value = self.eval(&a.expr);
-                    self.write(&a.target.name, value);
-                }
-                Item::Loop(l) => self.exec_loop(l, 1, 0),
-                Item::Region(r) => self.exec_region(r),
-            }
-        }
-    }
-
-    /// Run a counted loop, executing every `stride`-th iteration
-    /// starting at `offset` (1/0 = all of them).
-    fn exec_loop(&mut self, l: &Loop, stride: usize, offset: usize) {
-        self.frames.push(BTreeMap::new());
-        for k in l.lo..l.hi {
-            if (k - l.lo) as usize % stride != offset {
-                continue;
-            }
-            self.frames
-                .last_mut()
-                .expect("loop frame just pushed")
-                .insert(l.var.name.clone(), k);
-            self.exec_items(&l.body);
-        }
-        self.frames.pop();
-    }
-
-    fn exec_region(&mut self, r: &Region) {
-        match r.kind {
-            RegionKind::Parallel => self.exec_parallel(r),
-            RegionKind::For => self.exec_for(r),
-            RegionKind::Sections => {
-                for (k, item) in r.body.iter().enumerate() {
-                    if k % self.n != self.tid {
-                        continue;
-                    }
-                    if let Item::Region(sec) = item {
-                        if sec.kind == RegionKind::Section {
-                            self.exec_items(&sec.body);
-                            continue;
-                        }
-                    }
-                    self.exec_items(std::slice::from_ref(item));
-                }
-                if !r.nowait() {
-                    self.barrier_wait();
-                }
-            }
-            RegionKind::Section => {
-                // Stray section (statically E005): run as a plain block.
-                self.exec_items(&r.body);
-            }
-            RegionKind::Single => {
-                if self.tid == 0 {
-                    self.exec_items(&r.body);
-                }
-                if !r.nowait() {
-                    self.barrier_wait();
-                }
-            }
-            RegionKind::Master | RegionKind::Gui => {
-                if self.tid == 0 {
-                    self.exec_items(&r.body);
-                }
-            }
-            RegionKind::Critical => {
-                let name = r.name.as_ref().map(|n| n.name.as_str()).unwrap_or("");
-                let lock = Arc::clone(&self.shared.locks[&format!("lock:{name}")]);
-                let guard = lock.lock();
-                self.exec_items(&r.body);
-                drop(guard);
-            }
-            RegionKind::Barrier => self.barrier_wait(),
-        }
-    }
-
-    fn exec_parallel(&mut self, r: &Region) {
-        let n = r.num_threads().unwrap_or(DEFAULT_TEAM);
-        let frame = region_frame(r, &mut |var| self.read(var));
-        let barrier = Arc::new(xsync::Barrier::new(
-            &format!("team@{}", r.span.line),
-            n,
-        ));
+    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+        let barrier = Arc::new(xsync::Barrier::new(&format!("team@{}", r.span.line), n));
+        let body = Arc::new(r.body.clone());
         let handles: Vec<_> = (0..n)
             .map(|tid| {
-                let shared = Arc::clone(&self.shared);
-                let barrier = Arc::clone(&barrier);
-                let frame = frame.clone();
-                let body = r.body.clone();
-                xsync::thread::spawn(move || {
-                    let mut env = SimEnv {
-                        tid,
-                        n,
-                        shared,
-                        barrier: Some(barrier),
-                        frames: vec![frame],
-                    };
-                    env.exec_items(&body);
-                })
+                let sim = Sim {
+                    shared: Arc::clone(&t.b.shared),
+                    barrier: Some(Arc::clone(&barrier)),
+                };
+                let (frame, body) = (frame.clone(), Arc::clone(&body));
+                xsync::thread::spawn(move || lower::member(sim, tid, n, frame, &body))
             })
             .collect();
         for handle in handles {
@@ -293,28 +136,17 @@ impl SimEnv {
         }
     }
 
-    fn exec_for(&mut self, r: &Region) {
-        let reds = reductions_of(r);
-        let mut red_frame = BTreeMap::new();
-        for (op, var) in &reds {
-            red_frame.insert(var.clone(), op.identity());
+    fn barrier(&mut self, _: Span) {
+        if let Some(b) = &self.barrier {
+            b.wait();
         }
-        self.frames.push(red_frame);
-        if let Some(Item::Loop(l)) = r.body.first() {
-            self.exec_loop(l, self.n, self.tid);
-        }
-        let red_frame = self.frames.pop().expect("reduction frame just pushed");
-        for (op, var) in &reds {
-            let acc = red_frame[var];
-            let lock = Arc::clone(&self.shared.locks[&format!("red:{var}")]);
-            let guard = lock.lock();
-            let cur = self.shared.cells[var].get();
-            self.shared.cells[var].set(op.fold(cur, acc));
-            drop(guard);
-        }
-        if !r.nowait() {
-            self.barrier_wait();
-        }
+    }
+
+    fn locked(t: &mut Thread<Self>, lock: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+        let shared = Arc::clone(&t.b.shared);
+        let guard = shared.locks[&lock.key()].lock();
+        body(t);
+        drop(guard);
     }
 }
 
@@ -330,19 +162,9 @@ fn run_sim(program: &Program) {
             .iter()
             .map(|name| (name.clone(), xsync::PlainCell::new(name, 0)))
             .collect(),
-        locks: locks
-            .iter()
-            .map(|key| (key.clone(), Arc::new(xsync::Mutex::new(key, ()))))
-            .collect(),
+        locks: locks.iter().map(|key| (key.clone(), xsync::Mutex::new(key, ()))).collect(),
     });
-    let mut env = SimEnv {
-        tid: 0,
-        n: 1,
-        shared: Arc::clone(&shared),
-        barrier: None,
-        frames: Vec::new(),
-    };
-    env.exec_items(&program.items);
+    lower::run(Sim { shared: Arc::clone(&shared), barrier: None }, &program.items);
     for (name, cell) in &shared.cells {
         record(name, cell.get());
     }
@@ -361,189 +183,50 @@ pub fn explore_program(program: &Program, config: Config) -> ExploreReport {
 // Back end 2: the real pyjama runtime
 // =====================================================================
 
-/// Per-thread lowering state on pyjama. Shared scalars are `SeqCst`
-/// atomics so even statically-racy fixtures execute without UB.
-struct PjEnv<'a, 'r> {
+/// One pyjama thread (`ctx` is `None` outside any region). Shared
+/// scalars are `SeqCst` atomics so even statically-racy fixtures
+/// execute without UB.
+struct Pj<'a, 'r> {
     ctx: Option<&'a Ctx<'r>>,
     cells: &'a BTreeMap<String, AtomicI64>,
-    frames: Vec<BTreeMap<String, i64>>,
     team: &'a Team,
 }
 
-impl PjEnv<'_, '_> {
-    fn tid(&self) -> usize {
-        self.ctx.map_or(0, Ctx::thread_num)
-    }
-
-    fn n(&self) -> usize {
-        self.ctx.map_or(1, Ctx::num_threads)
-    }
-
-    fn read(&self, var: &str) -> i64 {
-        for frame in self.frames.iter().rev() {
-            if let Some(v) = frame.get(var) {
-                return *v;
-            }
-        }
+impl Backend for Pj<'_, '_> {
+    fn load(&mut self, var: &str, _: Span) -> i64 {
         self.cells[var].load(Ordering::SeqCst)
     }
 
-    fn write(&mut self, var: &str, value: i64) {
-        for frame in self.frames.iter_mut().rev() {
-            if let Some(slot) = frame.get_mut(var) {
-                *slot = value;
-                return;
-            }
-        }
+    fn store(&mut self, var: &str, value: i64, _: Span) {
         self.cells[var].store(value, Ordering::SeqCst);
     }
 
-    fn exec_items(&mut self, items: &[Item]) {
-        for item in items {
-            match item {
-                Item::Assign(a) => {
-                    let value = eval(&a.expr, &mut |v| self.read(v));
-                    self.write(&a.target.name, value);
-                }
-                Item::Loop(l) => self.exec_loop(l, 1, 0),
-                Item::Region(r) => self.exec_region(r),
-            }
+    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+        let Pj { cells, team, .. } = t.b;
+        team.parallel_with(n, |ctx| {
+            let pj = Pj { ctx: Some(ctx), cells, team };
+            lower::member(pj, ctx.thread_num(), ctx.num_threads(), frame.clone(), &r.body);
+        });
+    }
+
+    fn barrier(&mut self, _: Span) {
+        if let Some(ctx) = self.ctx {
+            ctx.barrier();
         }
     }
 
-    fn exec_loop(&mut self, l: &Loop, stride: usize, offset: usize) {
-        self.frames.push(BTreeMap::new());
-        for k in l.lo..l.hi {
-            if (k - l.lo) as usize % stride != offset {
-                continue;
-            }
-            self.frames
-                .last_mut()
-                .expect("loop frame just pushed")
-                .insert(l.var.name.clone(), k);
-            self.exec_items(&l.body);
+    fn locked(t: &mut Thread<Self>, lock: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+        match t.b.ctx {
+            Some(ctx) => ctx.critical(&lock.key(), || body(t)),
+            None => body(t),
         }
-        self.frames.pop();
     }
 
-    fn exec_region(&mut self, r: &Region) {
-        match r.kind {
-            RegionKind::Parallel => {
-                let n = r.num_threads().unwrap_or(DEFAULT_TEAM);
-                let frame = region_frame(r, &mut |var| self.read(var));
-                let cells = self.cells;
-                let team = self.team;
-                team.parallel_with(n, |ctx| {
-                    let mut env = PjEnv {
-                        ctx: Some(ctx),
-                        cells,
-                        frames: vec![frame.clone()],
-                        team,
-                    };
-                    env.exec_items(&r.body);
-                });
-            }
-            RegionKind::For => {
-                let reds = reductions_of(r);
-                let mut red_frame = BTreeMap::new();
-                for (op, var) in &reds {
-                    red_frame.insert(var.clone(), op.identity());
-                }
-                self.frames.push(red_frame);
-                if let Some(Item::Loop(l)) = r.body.first() {
-                    self.exec_loop(l, self.n(), self.tid());
-                }
-                let red_frame = self.frames.pop().expect("reduction frame just pushed");
-                for (op, var) in &reds {
-                    let acc = red_frame[var];
-                    let combine = || {
-                        let cell = &self.cells[var];
-                        let cur = cell.load(Ordering::SeqCst);
-                        cell.store(op.fold(cur, acc), Ordering::SeqCst);
-                    };
-                    match self.ctx {
-                        Some(ctx) => ctx.critical(&format!("red:{var}"), combine),
-                        None => combine(),
-                    }
-                }
-                if !r.nowait() {
-                    if let Some(ctx) = self.ctx {
-                        ctx.barrier();
-                    }
-                }
-            }
-            RegionKind::Sections => {
-                let (tid, n) = (self.tid(), self.n());
-                for (k, item) in r.body.iter().enumerate() {
-                    if k % n != tid {
-                        continue;
-                    }
-                    if let Item::Region(sec) = item {
-                        if sec.kind == RegionKind::Section {
-                            self.exec_items(&sec.body);
-                            continue;
-                        }
-                    }
-                    self.exec_items(std::slice::from_ref(item));
-                }
-                if !r.nowait() {
-                    if let Some(ctx) = self.ctx {
-                        ctx.barrier();
-                    }
-                }
-            }
-            RegionKind::Section => self.exec_items(&r.body),
-            RegionKind::Single => match self.ctx {
-                Some(ctx) => {
-                    let mut ran = false;
-                    ctx.single_nowait(|| {
-                        ran = true;
-                    });
-                    // `single_nowait` takes `FnOnce()`; run the body
-                    // outside the claim so `self` stays borrowable.
-                    if ran {
-                        self.exec_items(&r.body);
-                    }
-                    if !r.nowait() {
-                        ctx.barrier();
-                    }
-                }
-                None => self.exec_items(&r.body),
-            },
-            RegionKind::Master | RegionKind::Gui => {
-                if self.tid() == 0 {
-                    self.exec_items(&r.body);
-                }
-            }
-            RegionKind::Critical => {
-                let name = r.name.as_ref().map(|n| n.name.as_str()).unwrap_or("");
-                // Collect the body's effects under the lock by
-                // executing inside the critical closure.
-                let body = &r.body;
-                let cells = self.cells;
-                let team = self.team;
-                let ctx = self.ctx;
-                let frames = std::mem::take(&mut self.frames);
-                let frames_after = match ctx {
-                    Some(c) => c.critical(&format!("lock:{name}"), || {
-                        let mut env = PjEnv { ctx, cells, frames, team };
-                        env.exec_items(body);
-                        env.frames
-                    }),
-                    None => {
-                        let mut env = PjEnv { ctx, cells, frames, team };
-                        env.exec_items(body);
-                        env.frames
-                    }
-                };
-                self.frames = frames_after;
-            }
-            RegionKind::Barrier => {
-                if let Some(ctx) = self.ctx {
-                    ctx.barrier();
-                }
-            }
-        }
+    fn claims_single(&mut self, _: usize) -> bool {
+        let Some(ctx) = self.ctx else { return true };
+        let mut claimed = false;
+        ctx.single_nowait(|| claimed = true);
+        claimed
     }
 }
 
@@ -559,8 +242,7 @@ pub fn run_on_pyjama(program: &Program, team: &Team) -> BTreeMap<String, i64> {
     var_names(&program.items, &mut vars);
     let cells: BTreeMap<String, AtomicI64> =
         vars.iter().map(|name| (name.clone(), AtomicI64::new(0))).collect();
-    let mut env = PjEnv { ctx: None, cells: &cells, frames: Vec::new(), team };
-    env.exec_items(&program.items);
+    lower::run(Pj { ctx: None, cells: &cells, team }, &program.items);
     cells
         .iter()
         .map(|(name, cell)| (name.clone(), cell.load(Ordering::SeqCst)))
@@ -571,155 +253,44 @@ pub fn run_on_pyjama(program: &Program, team: &Team) -> BTreeMap<String, i64> {
 // Back end 3: the sequential reference
 // =====================================================================
 
-struct SeqEnv {
-    tid: usize,
-    n: usize,
-    cells: BTreeMap<String, i64>,
-    frames: Vec<BTreeMap<String, i64>>,
-}
+/// The shared cells of the sequential reference, one team thread at a
+/// time.
+struct Seq<'a>(&'a mut BTreeMap<String, i64>);
 
-impl SeqEnv {
-    fn read(&self, var: &str) -> i64 {
-        for frame in self.frames.iter().rev() {
-            if let Some(v) = frame.get(var) {
-                return *v;
-            }
-        }
-        self.cells.get(var).copied().unwrap_or(0)
+impl Backend for Seq<'_> {
+    fn load(&mut self, var: &str, _: Span) -> i64 {
+        self.0.get(var).copied().unwrap_or(0)
     }
 
-    fn write(&mut self, var: &str, value: i64) {
-        for frame in self.frames.iter_mut().rev() {
-            if let Some(slot) = frame.get_mut(var) {
-                *slot = value;
-                return;
-            }
-        }
-        self.cells.insert(var.to_string(), value);
+    fn store(&mut self, var: &str, value: i64, _: Span) {
+        self.0.insert(var.to_string(), value);
     }
 
-    fn exec_items(&mut self, items: &[Item]) {
-        for item in items {
-            match item {
-                Item::Assign(a) => {
-                    let value = eval(&a.expr, &mut |v| self.read(v));
-                    self.write(&a.target.name, value);
-                }
-                Item::Loop(l) => self.exec_loop(l, 1, 0),
-                Item::Region(r) => self.exec_region(r),
-            }
+    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+        // One legal serialisation: each team thread in turn.
+        for tid in 0..n {
+            lower::member(Seq(&mut *t.b.0), tid, n, frame.clone(), &r.body);
         }
     }
 
-    fn exec_loop(&mut self, l: &Loop, stride: usize, offset: usize) {
-        self.frames.push(BTreeMap::new());
-        for k in l.lo..l.hi {
-            if (k - l.lo) as usize % stride != offset {
-                continue;
-            }
-            self.frames
-                .last_mut()
-                .expect("loop frame just pushed")
-                .insert(l.var.name.clone(), k);
-            self.exec_items(&l.body);
-        }
-        self.frames.pop();
-    }
+    fn barrier(&mut self, _: Span) {}
 
-    fn exec_region(&mut self, r: &Region) {
-        match r.kind {
-            RegionKind::Parallel => {
-                let n = r.num_threads().unwrap_or(DEFAULT_TEAM);
-                let mut frame = BTreeMap::new();
-                for clause in &r.clauses {
-                    match clause {
-                        crate::ast::Clause::Private(ids) => {
-                            for id in ids {
-                                frame.insert(id.name.clone(), 0);
-                            }
-                        }
-                        crate::ast::Clause::FirstPrivate(ids) => {
-                            for id in ids {
-                                frame.insert(id.name.clone(), self.read(&id.name));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let (outer_tid, outer_n) = (self.tid, self.n);
-                // One legal serialisation: each team thread in turn.
-                for tid in 0..n {
-                    self.tid = tid;
-                    self.n = n;
-                    self.frames.push(frame.clone());
-                    let body = r.body.clone();
-                    self.exec_items(&body);
-                    self.frames.pop();
-                }
-                self.tid = outer_tid;
-                self.n = outer_n;
-            }
-            RegionKind::For => {
-                let reds = reductions_of(r);
-                let mut red_frame = BTreeMap::new();
-                for (op, var) in &reds {
-                    red_frame.insert(var.clone(), op.identity());
-                }
-                self.frames.push(red_frame);
-                if let Some(Item::Loop(l)) = r.body.first() {
-                    self.exec_loop(l, self.n, self.tid);
-                }
-                let red_frame = self.frames.pop().expect("reduction frame just pushed");
-                for (op, var) in &reds {
-                    let acc = red_frame[var];
-                    let cur = self.read(var);
-                    self.write(var, op.fold(cur, acc));
-                }
-            }
-            RegionKind::Sections => {
-                let (tid, n) = (self.tid, self.n);
-                for (k, item) in r.body.iter().enumerate() {
-                    if k % n != tid {
-                        continue;
-                    }
-                    if let Item::Region(sec) = item {
-                        if sec.kind == RegionKind::Section {
-                            let body = sec.body.clone();
-                            self.exec_items(&body);
-                            continue;
-                        }
-                    }
-                    self.exec_items(std::slice::from_ref(item));
-                }
-            }
-            RegionKind::Section => self.exec_items(&r.body),
-            RegionKind::Single | RegionKind::Master | RegionKind::Gui => {
-                if self.tid == 0 {
-                    self.exec_items(&r.body);
-                }
-            }
-            RegionKind::Critical => self.exec_items(&r.body),
-            RegionKind::Barrier => {}
-        }
+    fn locked(t: &mut Thread<Self>, _: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+        body(t);
     }
 }
 
 /// Interpret the program sequentially (one team thread at a time;
 /// barriers are no-ops) and return every variable's final value. The
-/// reference result clean programs must reproduce on pyjama.
+/// reference result clean programs must reproduce on pyjama and under
+/// the explorer.
 #[must_use]
 pub fn interpret_seq(program: &Program) -> BTreeMap<String, i64> {
     let mut vars = BTreeSet::new();
     var_names(&program.items, &mut vars);
-    let mut env = SeqEnv {
-        tid: 0,
-        n: 1,
-        cells: vars.iter().map(|name| (name.clone(), 0)).collect(),
-        frames: Vec::new(),
-    };
-    let items = program.items.clone();
-    env.exec_items(&items);
-    env.cells
+    let mut cells = vars.into_iter().map(|name| (name, 0)).collect();
+    lower::run(Seq(&mut cells), &program.items);
+    cells
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! `tests/analyze.rs`: the explorer must witness the bad schedule.
 
 use parc_trace::Json;
-use parc_util::Table;
 
 use crate::ast::Span;
 
@@ -207,24 +206,6 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| {
         (a.span, a.code, &a.message).cmp(&(b.span, b.code, &b.message))
     });
-}
-
-/// Render a per-code summary table for a batch of diagnostics.
-#[must_use]
-pub fn summary_table(title: &str, diags: &[Diagnostic]) -> String {
-    let mut table = Table::new(title, &["code", "severity", "count", "title"]);
-    for code in Code::ALL {
-        let count = diags.iter().filter(|d| d.code == code).count();
-        if count > 0 {
-            table.row(&[
-                code.as_str().to_string(),
-                code.severity().label().to_string(),
-                count.to_string(),
-                code.title().to_string(),
-            ]);
-        }
-    }
-    table.render()
 }
 
 /// Export diagnostics as a machine-readable JSON array.

@@ -26,13 +26,16 @@
 //!    barrier deadlocks (`E001`/`E006`) from proved arrival-count
 //!    mismatches, lock-order cycles (`E004`) from concurrent nesting
 //!    edges, and redundant criticals (`W104`) where nothing conflicts.
-//! 3. [`bridge`] — the same tree lowers onto the `parc-explore` shim
-//!    runtime, the real `pyjama` runtime, and a sequential reference
-//!    interpreter, so every static verdict is *cross-validated
-//!    dynamically*: flagged deadlocks must deadlock under the
-//!    explorer, flagged races must produce witnessed racing schedules,
-//!    and clean programs must be proved race-free over the exhausted
-//!    interleaving space (see `tests/analyze.rs`).
+//! 3. [`bridge`] — the same tree runs on the `parc-explore` shim
+//!    runtime, the real `pyjama` runtime, and a sequential reference,
+//!    so every static verdict is *cross-validated dynamically*:
+//!    flagged deadlocks must deadlock under the explorer, flagged
+//!    races must produce witnessed racing schedules, and clean
+//!    programs must be proved race-free over the exhausted
+//!    interleaving space (see `tests/analyze.rs`). The lowering these
+//!    three back ends run is written once, in a crate-private
+//!    interpreter, and [`mhp::model`] is its fourth back end: the
+//!    static model walks exactly the accesses the explorer executes.
 //!
 //! The [`fixtures`] corpus holds hand-written directive programs styled
 //! on the student projects — buggy originals and fixed counterparts —
@@ -51,6 +54,7 @@ pub mod fixtures;
 pub mod genprog;
 pub mod lexer;
 pub mod lockset;
+mod lower;
 pub mod mhp;
 pub mod parse;
 pub mod rules;

@@ -12,16 +12,8 @@
 //! are mutually excluded by a lock only when they reach it through
 //! **different** acquisitions of the same key — different acquisitions
 //! of one lock can never overlap, so the accesses are ordered.
-//!
-//! Per-statement locksets are the **intersection** over every dynamic
-//! instance of the statement (all threads, all phases, all loop
-//! iterations): a lock only protects a statement if it is held on
-//! *every* path to it, so intersection is the sound combine (this is
-//! the Eraser lattice with ⊑ = ⊇).
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::ast::Span;
+use std::collections::BTreeMap;
 
 /// The locks held at one program point: lock key → acquisition id.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -79,31 +71,6 @@ impl Lockset {
             .iter()
             .any(|(key, acq)| other.held.get(key).is_some_and(|o| o != acq))
     }
-
-    /// Keys held in both sets, regardless of acquisition identity.
-    #[must_use]
-    pub fn common_keys(&self, other: &Lockset) -> Vec<String> {
-        self.held.keys().filter(|k| other.held.contains_key(*k)).cloned().collect()
-    }
-}
-
-/// Intersect the locksets of every dynamic instance of each statement
-/// span: the per-statement Eraser candidate set. Statements never
-/// executed do not appear; a statement keeps a key only if **every**
-/// instance held it.
-#[must_use]
-pub fn statement_locksets<'a>(
-    instances: impl Iterator<Item = (Span, &'a Lockset)>,
-) -> BTreeMap<Span, BTreeSet<String>> {
-    let mut out: BTreeMap<Span, Option<BTreeSet<String>>> = BTreeMap::new();
-    for (span, locks) in instances {
-        let keys: BTreeSet<String> = locks.keys().map(str::to_string).collect();
-        match out.entry(span).or_insert(None) {
-            slot @ None => *slot = Some(keys),
-            Some(acc) => acc.retain(|k| keys.contains(k)),
-        }
-    }
-    out.into_iter().filter_map(|(span, set)| set.map(|s| (span, s))).collect()
 }
 
 #[cfg(test)]
@@ -137,21 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn statement_locksets_intersect_across_instances() {
-        let s = Span::new(3, 1, 5);
-        let a = ls(&[("lock:a", 1), ("lock:b", 2)]);
-        let b = ls(&[("lock:a", 3)]);
-        let table = statement_locksets([(s, &a), (s, &b)].into_iter());
-        let keys: Vec<&str> = table[&s].iter().map(String::as_str).collect();
-        assert_eq!(keys, vec!["lock:a"], "only locks held on every path survive");
-    }
-
-    #[test]
     fn release_restores_emptiness() {
         let mut l = ls(&[("lock:a", 1)]);
         assert!(l.contains("lock:a") && !l.is_empty() && l.len() == 1);
         l.release("lock:a");
         assert!(l.is_empty());
-        assert_eq!(l.common_keys(&ls(&[("lock:a", 9)])), Vec::<String>::new());
     }
 }

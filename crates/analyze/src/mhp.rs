@@ -2,13 +2,15 @@
 //!
 //! The directive language is branch-free and loop bounds are literals,
 //! so the program has exactly one control-flow path per thread. That
-//! lets the analysis be *exact* instead of a lattice approximation: we
-//! symbolically execute every thread of every team with the same
-//! lowering the explorer bridge uses (cyclic `index % num_threads`
-//! worksharing splits, thread 0 for `single`/`master`/`gui`, one team
-//! barrier per parallel region serving every barrier point, reduction
-//! accumulation in a private frame folded under an internal `red:`
-//! lock) and record an event stream:
+//! lets the analysis be *exact* instead of a lattice approximation:
+//! [`model`] runs every thread of every team, one after another, on
+//! the lowering interpreter the [`crate::bridge`] back ends run
+//! (cyclic `index % num_threads` worksharing splits, thread 0 for
+//! `single`/`master`/`gui`, one team barrier per parallel region
+//! serving every barrier point, reduction accumulation in a private
+//! frame folded under an internal `red:` lock). Its back end reads
+//! zeros — values never steer control flow — and records an event
+//! stream:
 //!
 //! * **shared accesses** — variable, read/write, the span, the held
 //!   [`Lockset`], and a stack of *context frames* `(par, tid, phase)`;
@@ -36,12 +38,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Clause, Item, Loop, Program, Region, RegionKind, Span};
+use crate::ast::{Program, Region, RegionKind, Span};
 use crate::lockset::Lockset;
-
-/// Team size when a parallel region has no `num_threads` clause
-/// (mirrors the bridge).
-pub const DEFAULT_TEAM: usize = 2;
+use crate::lower::{self, Backend, Frame, Lock, Thread};
 
 /// Symbolic-execution step budget. Loop bounds are literals, so this
 /// only trips on pathological hand-written inputs; when it does, the
@@ -313,56 +312,18 @@ pub fn barrier_deadlocks(model: &Model) -> Vec<Deadlock> {
     out
 }
 
-/// Build the event model by symbolically executing `program`.
+/// Build the event model by running `program` on the lowering's MHP
+/// back end.
 #[must_use]
 pub fn model(program: &Program) -> Model {
-    let mut walker = Walker {
-        model: Model::default(),
-        next_par: 0,
-        next_acq: 0,
-        next_seq: 0,
-        steps: 0,
-    };
-    let mut ctx = Ctx::serial();
-    walker.exec_items(&program.items, &mut ctx);
-    walker.model
+    let mut state = State::default();
+    lower::run(Walk::serial(&mut state), &program.items);
+    state.model
 }
 
-/// Per-thread execution context (mirrors the bridge's `SimEnv`).
-#[derive(Clone)]
-struct Ctx {
-    tid: usize,
-    n: usize,
-    frames: Vec<ThreadFrame>,
-    locks: Lockset,
-    acquired: BTreeSet<String>,
-    constructs: Vec<RegionKind>,
-    criticals: Vec<Span>,
-    master: Option<Span>,
-    privates: Vec<BTreeSet<String>>,
-}
-
-impl Ctx {
-    fn serial() -> Self {
-        Self {
-            tid: 0,
-            n: 1,
-            frames: Vec::new(),
-            locks: Lockset::new(),
-            acquired: BTreeSet::new(),
-            constructs: Vec::new(),
-            criticals: Vec::new(),
-            master: None,
-            privates: Vec::new(),
-        }
-    }
-
-    fn is_private(&self, var: &str) -> bool {
-        self.privates.iter().any(|frame| frame.contains(var))
-    }
-}
-
-struct Walker {
+/// The model under construction, shared by every simulated thread.
+#[derive(Default)]
+struct State {
     model: Model,
     next_par: usize,
     next_acq: u64,
@@ -370,242 +331,155 @@ struct Walker {
     steps: usize,
 }
 
-impl Walker {
-    fn tick(&mut self) -> bool {
-        self.steps += 1;
-        if self.steps > STEP_BUDGET {
-            self.model.truncated = true;
-            return false;
+/// The MHP back end: one simulated thread's context over the shared
+/// model. Shared reads yield zero; every shared access, barrier arrival
+/// and lock acquisition becomes an event.
+struct Walk<'m> {
+    state: &'m mut State,
+    frames: Vec<ThreadFrame>,
+    locks: Lockset,
+    acquired: BTreeSet<String>,
+    constructs: Vec<RegionKind>,
+    criticals: Vec<Span>,
+    master: Option<Span>,
+}
+
+impl<'m> Walk<'m> {
+    fn serial(state: &'m mut State) -> Self {
+        Self {
+            state,
+            frames: Vec::new(),
+            locks: Lockset::new(),
+            acquired: BTreeSet::new(),
+            constructs: Vec::new(),
+            criticals: Vec::new(),
+            master: None,
         }
-        true
     }
 
-    fn record_access(&mut self, ctx: &Ctx, var: &str, write: bool, span: Span) {
-        if ctx.is_private(var) {
-            return;
-        }
-        self.model.accesses.push(Access {
+    fn record_access(&mut self, var: &str, write: bool, span: Span) {
+        let seq = self.state.next_seq;
+        self.state.next_seq += 1;
+        self.state.model.accesses.push(Access {
             var: var.to_string(),
             write,
             span,
-            frames: ctx.frames.clone(),
-            locks: ctx.locks.clone(),
-            criticals: ctx.criticals.clone(),
-            master: ctx.master,
-            seq: self.next_seq,
+            frames: self.frames.clone(),
+            locks: self.locks.clone(),
+            criticals: self.criticals.clone(),
+            master: self.master,
+            seq,
         });
-        self.next_seq += 1;
-    }
-
-    fn barrier_arrive(&mut self, ctx: &mut Ctx, span: Span) {
-        let Some(top) = ctx.frames.last_mut() else { return };
-        let blockers: Vec<RegionKind> = ctx.constructs.iter().rev().copied().collect();
-        self.model.arrivals.push(Arrival {
-            par: top.par,
-            tid: top.tid,
-            index: top.phase,
-            span,
-            held: ctx.locks.clone(),
-            acquired: std::mem::take(&mut ctx.acquired),
-            blockers,
-        });
-        top.phase += 1;
     }
 
     /// Acquire `key`, recording nesting edges against everything held.
-    fn lock_acquire(&mut self, ctx: &mut Ctx, key: &str, span: Span) {
-        for outer in ctx.locks.keys() {
-            self.model.lock_edges.push(LockEdge {
+    fn lock_acquire(&mut self, key: &str, span: Span) {
+        for outer in self.locks.keys() {
+            self.state.model.lock_edges.push(LockEdge {
                 outer: outer.to_string(),
                 inner: key.to_string(),
                 span,
-                frames: ctx.frames.clone(),
+                frames: self.frames.clone(),
             });
         }
-        ctx.locks.acquire(key, self.next_acq);
-        self.next_acq += 1;
-        ctx.acquired.insert(key.to_string());
+        self.locks.acquire(key, self.state.next_acq);
+        self.state.next_acq += 1;
+        self.acquired.insert(key.to_string());
+    }
+}
+
+impl Backend for Walk<'_> {
+    fn load(&mut self, var: &str, span: Span) -> i64 {
+        self.record_access(var, false, span);
+        0
     }
 
-    fn exec_items(&mut self, items: &[Item], ctx: &mut Ctx) {
-        for item in items {
-            if !self.tick() {
-                return;
-            }
-            match item {
-                Item::Assign(a) => {
-                    a.expr.each_var(&mut |id| {
-                        self.record_access(ctx, &id.name, false, id.span);
-                    });
-                    self.record_access(ctx, &a.target.name, true, a.span);
-                }
-                Item::Loop(l) => self.exec_loop(l, 1, 0, ctx),
-                Item::Region(r) => self.exec_region(r, ctx),
-            }
-        }
+    fn store(&mut self, var: &str, _: i64, span: Span) {
+        self.record_access(var, true, span);
     }
 
-    fn exec_loop(&mut self, l: &Loop, stride: usize, offset: usize, ctx: &mut Ctx) {
-        ctx.privates.push(BTreeSet::from([l.var.name.clone()]));
-        for k in l.lo..l.hi {
-            if (k - l.lo) as usize % stride != offset {
-                continue;
-            }
-            if !self.tick() {
-                break;
-            }
-            self.exec_items(&l.body, ctx);
-        }
-        ctx.privates.pop();
-    }
-
-    fn exec_region(&mut self, r: &Region, ctx: &mut Ctx) {
-        match r.kind {
-            RegionKind::Parallel => self.exec_parallel(r, ctx),
-            RegionKind::For => self.exec_for(r, ctx),
-            RegionKind::Sections => {
-                ctx.constructs.push(RegionKind::Sections);
-                for (k, item) in r.body.iter().enumerate() {
-                    if k % ctx.n != ctx.tid {
-                        continue;
-                    }
-                    if let Item::Region(sec) = item {
-                        if sec.kind == RegionKind::Section {
-                            ctx.constructs.push(RegionKind::Section);
-                            self.exec_items(&sec.body, ctx);
-                            ctx.constructs.pop();
-                            continue;
-                        }
-                    }
-                    self.exec_items(std::slice::from_ref(item), ctx);
-                }
-                ctx.constructs.pop();
-                if !r.nowait() {
-                    self.barrier_arrive(ctx, r.span);
-                }
-            }
-            RegionKind::Section => {
-                // Stray section (statically E005): the bridge runs it
-                // as a plain block on every thread; mirror that.
-                ctx.constructs.push(RegionKind::Section);
-                self.exec_items(&r.body, ctx);
-                ctx.constructs.pop();
-            }
-            RegionKind::Single => {
-                ctx.constructs.push(RegionKind::Single);
-                if ctx.tid == 0 {
-                    self.exec_items(&r.body, ctx);
-                }
-                ctx.constructs.pop();
-                if !r.nowait() {
-                    self.barrier_arrive(ctx, r.span);
-                }
-            }
-            RegionKind::Master | RegionKind::Gui => {
-                ctx.constructs.push(r.kind);
-                if ctx.tid == 0 {
-                    let saved = ctx.master;
-                    if r.kind == RegionKind::Master {
-                        ctx.master = Some(r.span);
-                    }
-                    self.exec_items(&r.body, ctx);
-                    ctx.master = saved;
-                }
-                ctx.constructs.pop();
-            }
-            RegionKind::Critical => {
-                let name = r.name.as_ref().map(|n| n.name.as_str()).unwrap_or("");
-                let key = format!("lock:{name}");
-                self.model.critical_sites.push(CriticalSite { span: r.span, key: key.clone() });
-                let reentrant = ctx.locks.contains(&key);
-                if reentrant {
-                    self.model.self_nests.push(SelfNest { key: key.clone(), span: r.span });
-                } else {
-                    self.lock_acquire(ctx, &key, r.span);
-                }
-                ctx.constructs.push(RegionKind::Critical);
-                ctx.criticals.push(r.span);
-                self.exec_items(&r.body, ctx);
-                ctx.criticals.pop();
-                ctx.constructs.pop();
-                if !reentrant {
-                    ctx.locks.release(&key);
-                }
-            }
-            RegionKind::Barrier => self.barrier_arrive(ctx, r.span),
-        }
-    }
-
-    fn exec_for(&mut self, r: &Region, ctx: &mut Ctx) {
-        ctx.constructs.push(RegionKind::For);
-        let reds: Vec<String> = r.reductions().map(|(_, var)| var.name.clone()).collect();
-        ctx.privates.push(reds.iter().cloned().collect());
-        if let Some(Item::Loop(l)) = r.body.first() {
-            self.exec_loop(l, ctx.n, ctx.tid, ctx);
-        }
-        ctx.privates.pop();
-        // Fold each accumulator into the shared cell under the
-        // internal combiner lock, exactly like the bridge.
-        for var in &reds {
-            let key = format!("red:{var}");
-            self.lock_acquire(ctx, &key, r.span);
-            self.record_access(ctx, var, false, r.span);
-            self.record_access(ctx, var, true, r.span);
-            ctx.locks.release(&key);
-        }
-        ctx.constructs.pop();
-        if !r.nowait() {
-            self.barrier_arrive(ctx, r.span);
-        }
-    }
-
-    fn exec_parallel(&mut self, r: &Region, ctx: &mut Ctx) {
-        let n = r.num_threads().unwrap_or(DEFAULT_TEAM);
-        // Firstprivate capture: the spawning context reads the shared
-        // cell once, before the team exists.
-        let mut privates = BTreeSet::new();
-        for clause in &r.clauses {
-            match clause {
-                Clause::Private(ids) => {
-                    for id in ids {
-                        privates.insert(id.name.clone());
-                    }
-                }
-                Clause::FirstPrivate(ids) => {
-                    for id in ids {
-                        self.record_access(ctx, &id.name, false, id.span);
-                        privates.insert(id.name.clone());
-                    }
-                }
-                _ => {}
-            }
-        }
-        let par = self.next_par;
-        self.next_par += 1;
-        self.model.teams.push(TeamInstance { par, span: r.span, team: n });
+    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+        let w = &mut t.b;
+        let par = w.state.next_par;
+        w.state.next_par += 1;
+        w.state.model.teams.push(TeamInstance { par, span: r.span, team: n });
         for tid in 0..n {
-            let mut frames = ctx.frames.clone();
+            let mut frames = w.frames.clone();
             frames.push(ThreadFrame { par, tid, phase: 0 });
-            let mut child = Ctx {
-                tid,
-                n,
+            let member = Walk {
+                state: &mut *w.state,
                 frames,
                 // The spawner's held locks transfer (it holds them for
                 // the team's whole lifetime) — with their original
                 // acquisition ids, so siblings don't count them as
                 // mutual exclusion against each other.
-                locks: ctx.locks.clone(),
+                locks: w.locks.clone(),
                 acquired: BTreeSet::new(),
                 constructs: Vec::new(),
-                criticals: ctx.criticals.clone(),
+                criticals: w.criticals.clone(),
                 master: None,
-                // The bridge resets the frame stack on spawn: outer
-                // privates and loop variables do NOT shadow inside a
-                // nested team.
-                privates: vec![privates.clone()],
             };
-            self.exec_items(&r.body, &mut child);
+            lower::member(member, tid, n, frame.clone(), &r.body);
         }
+    }
+
+    fn barrier(&mut self, span: Span) {
+        let Some(top) = self.frames.last_mut() else { return };
+        self.state.model.arrivals.push(Arrival {
+            par: top.par,
+            tid: top.tid,
+            index: top.phase,
+            span,
+            held: self.locks.clone(),
+            acquired: std::mem::take(&mut self.acquired),
+            blockers: self.constructs.iter().rev().copied().collect(),
+        });
+        top.phase += 1;
+    }
+
+    fn locked(t: &mut Thread<Self>, lock: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+        let key = lock.key();
+        let span = lock.span();
+        if matches!(lock, Lock::Critical(_)) {
+            t.b.state.model.critical_sites.push(CriticalSite { span, key: key.clone() });
+        }
+        // A critical re-entered under its own lock is recorded, not
+        // acquired again.
+        let reentrant = t.b.locks.contains(&key);
+        if reentrant {
+            t.b.state.model.self_nests.push(SelfNest { key: key.clone(), span });
+        } else {
+            t.b.lock_acquire(&key, span);
+        }
+        body(t);
+        if !reentrant {
+            t.b.locks.release(&key);
+        }
+    }
+
+    fn within(t: &mut Thread<Self>, r: &Region, body: impl FnOnce(&mut Thread<Self>)) {
+        t.b.constructs.push(r.kind);
+        let master = t.b.master;
+        match r.kind {
+            RegionKind::Critical => t.b.criticals.push(r.span),
+            RegionKind::Master => t.b.master = Some(r.span),
+            _ => {}
+        }
+        body(t);
+        if r.kind == RegionKind::Critical {
+            t.b.criticals.pop();
+        }
+        t.b.master = master;
+        t.b.constructs.pop();
+    }
+
+    fn step(&mut self) -> bool {
+        self.state.steps += 1;
+        if self.state.steps > STEP_BUDGET {
+            self.state.model.truncated = true;
+            return false;
+        }
+        true
     }
 }
 

@@ -52,6 +52,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Assign, Item, Program, Region, RegionKind, Span};
 use crate::diag::{sort_diagnostics, Code, Diagnostic};
+use crate::lower::DEFAULT_TEAM;
 use crate::mhp;
 
 /// How a variable name resolves at some program point.
@@ -489,9 +490,7 @@ impl Checker {
     fn team_size(&self) -> Option<usize> {
         for frame in self.frames.iter().rev() {
             if let Frame::Region { kind: RegionKind::Parallel, num_threads, .. } = frame {
-                // Default team size is "more than one" — callers only
-                // ask whether parallelism is possible.
-                return Some(num_threads.unwrap_or(2));
+                return Some(num_threads.unwrap_or(DEFAULT_TEAM));
             }
         }
         None

@@ -123,20 +123,6 @@ impl Config {
         }
     }
 
-    /// Builder-style override of the per-execution step bound.
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Builder-style override of the schedule budget.
-    #[must_use]
-    pub fn with_max_schedules(mut self, max_schedules: usize) -> Self {
-        self.max_schedules = max_schedules;
-        self
-    }
-
     /// Builder-style early exit on the first racing schedule.
     #[must_use]
     pub fn stop_at_first_race(mut self, stop: bool) -> Self {
