@@ -29,7 +29,7 @@
 //! lowered; a stray `section` outside `sections` runs as a plain block
 //! on every thread.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use parc_explore::sync as xsync;
@@ -38,35 +38,39 @@ use parc_explore::{explore, record, Config, ExploreReport};
 use pyjama::{Ctx, Team};
 
 use crate::ast::{Clause, Item, Program, Region, RegionKind, Span};
+use crate::lockset::{KeySet, LockKey};
 use crate::lower::{self, Backend, Frame, Lock, Thread};
+use crate::sym::{NameSet, Sym, Symbols};
 
-/// Every variable name a program can touch: assignment targets,
-/// expression reads, firstprivate captures and reduction folds.
-/// Private variables keep cells too — they are simply never accessed,
-/// because frame lookups shadow them.
-fn var_names(items: &[Item], out: &mut BTreeSet<String>) {
+/// Every variable a program can touch: assignment targets, expression
+/// reads, firstprivate captures and reduction folds. Private variables
+/// keep cells too — they are simply never accessed, because frame
+/// lookups shadow them.
+fn var_names(items: &[Item], syms: &Symbols, out: &mut NameSet) {
     for item in items {
         match item {
             Item::Assign(a) => {
-                out.insert(a.target.name.clone());
+                out.insert(syms.sym(&a.target.name));
                 a.expr.each_var(&mut |id| {
-                    out.insert(id.name.clone());
+                    out.insert(syms.sym(&id.name));
                 });
             }
-            Item::Loop(l) => var_names(&l.body, out),
+            Item::Loop(l) => var_names(&l.body, syms, out),
             Item::Region(r) => {
                 for clause in &r.clauses {
                     match clause {
                         Clause::FirstPrivate(ids) => {
-                            out.extend(ids.iter().map(|id| id.name.clone()));
+                            for id in ids {
+                                out.insert(syms.sym(&id.name));
+                            }
                         }
                         Clause::Reduction { var, .. } => {
-                            out.insert(var.name.clone());
+                            out.insert(syms.sym(&var.name));
                         }
                         _ => {}
                     }
                 }
-                var_names(&r.body, out);
+                var_names(&r.body, syms, out);
             }
         }
     }
@@ -74,21 +78,49 @@ fn var_names(items: &[Item], out: &mut BTreeSet<String>) {
 
 /// Every lock key a program needs: its criticals' and its reduction
 /// folds'.
-fn lock_keys(items: &[Item], out: &mut BTreeSet<String>) {
+fn lock_keys(items: &[Item], syms: &Symbols, out: &mut KeySet) {
     for item in items {
         match item {
             Item::Region(r) => {
                 if r.kind == RegionKind::Critical {
-                    out.insert(Lock::Critical(r).key());
+                    out.insert(Lock::critical(r, syms).key);
                 }
                 for (_, var) in r.reductions() {
-                    out.insert(Lock::Fold(r, &var.name).key());
+                    out.insert(Lock::fold(r, syms.sym(&var.name)).key);
                 }
-                lock_keys(&r.body, out);
+                lock_keys(&r.body, syms, out);
             }
-            Item::Loop(l) => lock_keys(&l.body, out),
+            Item::Loop(l) => lock_keys(&l.body, syms, out),
             Item::Assign(_) => {}
         }
+    }
+}
+
+/// A program's symbols, the variables that have shared cells and the
+/// locks it takes.
+struct Names {
+    syms: Symbols,
+    vars: NameSet,
+    locks: KeySet,
+}
+
+impl Names {
+    fn of(program: &Program) -> Self {
+        let syms = Symbols::of(program);
+        let (mut vars, mut locks) = (NameSet::default(), KeySet::default());
+        var_names(&program.items, &syms, &mut vars);
+        lock_keys(&program.items, &syms, &mut locks);
+        Self { syms, vars, locks }
+    }
+
+    /// One value per symbol, `Some` for the variables with a cell.
+    fn cells<T>(&self, mut cell: impl FnMut(&str) -> T) -> Vec<Option<T>> {
+        self.syms.iter().map(|s| self.vars.contains(s).then(|| cell(self.syms.name(s)))).collect()
+    }
+
+    /// The final value of every variable, by name.
+    fn finals(&self, value: impl Fn(Sym) -> i64) -> BTreeMap<String, i64> {
+        self.vars.iter().map(|s| (self.syms.name(s).to_string(), value(s))).collect()
     }
 }
 
@@ -97,10 +129,17 @@ fn lock_keys(items: &[Item], out: &mut BTreeSet<String>) {
 // =====================================================================
 
 /// Shared simulation state: one plain cell per program variable, one
-/// shim mutex per lock key.
+/// shim mutex per lock key (sorted by key).
 struct SimShared {
-    cells: BTreeMap<String, xsync::PlainCell<i64>>,
-    locks: BTreeMap<String, xsync::Mutex<()>>,
+    names: Arc<Names>,
+    cells: Vec<Option<xsync::PlainCell<i64>>>,
+    locks: Vec<(LockKey, xsync::Mutex<()>)>,
+}
+
+impl SimShared {
+    fn cell(&self, var: Sym) -> &xsync::PlainCell<i64> {
+        self.cells[var.index()].as_ref().expect("every accessed variable has a cell")
+    }
 }
 
 /// One simulated thread: the shared state and its team's barrier.
@@ -110,15 +149,15 @@ struct Sim {
 }
 
 impl Backend for Sim {
-    fn load(&mut self, var: &str, _: Span) -> i64 {
-        self.shared.cells[var].get()
+    fn load(&mut self, var: Sym, _: Span) -> i64 {
+        self.shared.cell(var).get()
     }
 
-    fn store(&mut self, var: &str, value: i64, _: Span) {
-        self.shared.cells[var].set(value);
+    fn store(&mut self, var: Sym, value: i64, _: Span) {
+        self.shared.cell(var).set(value);
     }
 
-    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+    fn team(t: &mut Thread<'_, Self>, r: &Region, n: usize, frame: Frame) {
         let barrier = Arc::new(xsync::Barrier::new(&format!("team@{}", r.span.line), n));
         let body = Arc::new(r.body.clone());
         let handles: Vec<_> = (0..n)
@@ -128,7 +167,8 @@ impl Backend for Sim {
                     barrier: Some(Arc::clone(&barrier)),
                 };
                 let (frame, body) = (frame.clone(), Arc::clone(&body));
-                xsync::thread::spawn(move || lower::member(sim, tid, n, frame, &body))
+                let names = Arc::clone(&sim.shared.names);
+                xsync::thread::spawn(move || lower::member(sim, &names.syms, tid, n, frame, &body))
             })
             .collect();
         for handle in handles {
@@ -142,9 +182,10 @@ impl Backend for Sim {
         }
     }
 
-    fn locked(t: &mut Thread<Self>, lock: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+    fn locked<'s>(t: &mut Thread<'s, Self>, lock: Lock, body: impl FnOnce(&mut Thread<'s, Self>)) {
         let shared = Arc::clone(&t.b.shared);
-        let guard = shared.locks[&lock.key()].lock();
+        let at = shared.locks.binary_search_by_key(&lock.key, |(key, _)| *key);
+        let guard = shared.locks[at.expect("every lock key has a mutex")].1.lock();
         body(t);
         drop(guard);
     }
@@ -152,21 +193,20 @@ impl Backend for Sim {
 
 /// One full simulated execution of the program (the explorer re-runs
 /// this once per schedule).
-fn run_sim(program: &Program) {
-    let mut vars = BTreeSet::new();
-    var_names(&program.items, &mut vars);
-    let mut locks = BTreeSet::new();
-    lock_keys(&program.items, &mut locks);
+fn run_sim(program: &Program, names: &Arc<Names>) {
+    let syms = &names.syms;
     let shared = Arc::new(SimShared {
-        cells: vars
+        names: Arc::clone(names),
+        cells: names.cells(|name| xsync::PlainCell::new(name, 0)),
+        locks: names
+            .locks
             .iter()
-            .map(|name| (name.clone(), xsync::PlainCell::new(name, 0)))
+            .map(|key| (key, xsync::Mutex::new(&key.spell(syms).to_string(), ())))
             .collect(),
-        locks: locks.iter().map(|key| (key.clone(), xsync::Mutex::new(key, ()))).collect(),
     });
-    lower::run(Sim { shared: Arc::clone(&shared), barrier: None }, &program.items);
-    for (name, cell) in &shared.cells {
-        record(name, cell.get());
+    lower::run(Sim { shared: Arc::clone(&shared), barrier: None }, syms, &program.items);
+    for var in names.vars.iter() {
+        record(syms.name(var), shared.cell(var).get());
     }
 }
 
@@ -176,7 +216,8 @@ fn run_sim(program: &Program) {
 #[must_use]
 pub fn explore_program(program: &Program, config: Config) -> ExploreReport {
     let program = Arc::new(program.clone());
-    explore(config, move || run_sim(&program))
+    let names = Arc::new(Names::of(&program));
+    explore(config, move || run_sim(&program, &names))
 }
 
 // =====================================================================
@@ -188,24 +229,31 @@ pub fn explore_program(program: &Program, config: Config) -> ExploreReport {
 /// execute without UB.
 struct Pj<'a, 'r> {
     ctx: Option<&'a Ctx<'r>>,
-    cells: &'a BTreeMap<String, AtomicI64>,
+    cells: &'a [Option<AtomicI64>],
     team: &'a Team,
 }
 
+impl Pj<'_, '_> {
+    fn cell(&self, var: Sym) -> &AtomicI64 {
+        self.cells[var.index()].as_ref().expect("every accessed variable has a cell")
+    }
+}
+
 impl Backend for Pj<'_, '_> {
-    fn load(&mut self, var: &str, _: Span) -> i64 {
-        self.cells[var].load(Ordering::SeqCst)
+    fn load(&mut self, var: Sym, _: Span) -> i64 {
+        self.cell(var).load(Ordering::SeqCst)
     }
 
-    fn store(&mut self, var: &str, value: i64, _: Span) {
-        self.cells[var].store(value, Ordering::SeqCst);
+    fn store(&mut self, var: Sym, value: i64, _: Span) {
+        self.cell(var).store(value, Ordering::SeqCst);
     }
 
-    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+    fn team(t: &mut Thread<'_, Self>, r: &Region, n: usize, frame: Frame) {
         let Pj { cells, team, .. } = t.b;
+        let syms = t.syms;
         team.parallel_with(n, |ctx| {
             let pj = Pj { ctx: Some(ctx), cells, team };
-            lower::member(pj, ctx.thread_num(), ctx.num_threads(), frame.clone(), &r.body);
+            lower::member(pj, syms, ctx.thread_num(), ctx.num_threads(), frame.clone(), &r.body);
         });
     }
 
@@ -215,9 +263,9 @@ impl Backend for Pj<'_, '_> {
         }
     }
 
-    fn locked(t: &mut Thread<Self>, lock: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+    fn locked<'s>(t: &mut Thread<'s, Self>, lock: Lock, body: impl FnOnce(&mut Thread<'s, Self>)) {
         match t.b.ctx {
-            Some(ctx) => ctx.critical(&lock.key(), || body(t)),
+            Some(ctx) => ctx.critical(&lock.key.spell(t.syms).to_string(), || body(t)),
             None => body(t),
         }
     }
@@ -238,44 +286,39 @@ impl Backend for Pj<'_, '_> {
 /// trigger — real threads really block.
 #[must_use]
 pub fn run_on_pyjama(program: &Program, team: &Team) -> BTreeMap<String, i64> {
-    let mut vars = BTreeSet::new();
-    var_names(&program.items, &mut vars);
-    let cells: BTreeMap<String, AtomicI64> =
-        vars.iter().map(|name| (name.clone(), AtomicI64::new(0))).collect();
-    lower::run(Pj { ctx: None, cells: &cells, team }, &program.items);
-    cells
-        .iter()
-        .map(|(name, cell)| (name.clone(), cell.load(Ordering::SeqCst)))
-        .collect()
+    let names = Names::of(program);
+    let cells = names.cells(|_| AtomicI64::new(0));
+    lower::run(Pj { ctx: None, cells: &cells, team }, &names.syms, &program.items);
+    names.finals(|var| cells[var.index()].as_ref().map_or(0, |c| c.load(Ordering::SeqCst)))
 }
 
 // =====================================================================
 // Back end 3: the sequential reference
 // =====================================================================
 
-/// The shared cells of the sequential reference, one team thread at a
-/// time.
-struct Seq<'a>(&'a mut BTreeMap<String, i64>);
+/// The shared cells of the sequential reference, one value per symbol,
+/// one team thread at a time.
+struct Seq<'a>(&'a mut [i64]);
 
 impl Backend for Seq<'_> {
-    fn load(&mut self, var: &str, _: Span) -> i64 {
-        self.0.get(var).copied().unwrap_or(0)
+    fn load(&mut self, var: Sym, _: Span) -> i64 {
+        self.0[var.index()]
     }
 
-    fn store(&mut self, var: &str, value: i64, _: Span) {
-        self.0.insert(var.to_string(), value);
+    fn store(&mut self, var: Sym, value: i64, _: Span) {
+        self.0[var.index()] = value;
     }
 
-    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame) {
+    fn team(t: &mut Thread<'_, Self>, r: &Region, n: usize, frame: Frame) {
         // One legal serialisation: each team thread in turn.
         for tid in 0..n {
-            lower::member(Seq(&mut *t.b.0), tid, n, frame.clone(), &r.body);
+            lower::member(Seq(&mut *t.b.0), t.syms, tid, n, frame.clone(), &r.body);
         }
     }
 
     fn barrier(&mut self, _: Span) {}
 
-    fn locked(t: &mut Thread<Self>, _: Lock<'_>, body: impl FnOnce(&mut Thread<Self>)) {
+    fn locked<'s>(t: &mut Thread<'s, Self>, _: Lock, body: impl FnOnce(&mut Thread<'s, Self>)) {
         body(t);
     }
 }
@@ -286,11 +329,10 @@ impl Backend for Seq<'_> {
 /// the explorer.
 #[must_use]
 pub fn interpret_seq(program: &Program) -> BTreeMap<String, i64> {
-    let mut vars = BTreeSet::new();
-    var_names(&program.items, &mut vars);
-    let mut cells = vars.into_iter().map(|name| (name, 0)).collect();
-    lower::run(Seq(&mut cells), &program.items);
-    cells
+    let names = Names::of(program);
+    let mut cells = vec![0; names.syms.len()];
+    lower::run(Seq(&mut cells), &names.syms, &program.items);
+    names.finals(|var| cells[var.index()])
 }
 
 #[cfg(test)]

@@ -208,6 +208,13 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     });
 }
 
+/// Sort diagnostics ([`sort_diagnostics`]) and drop each one that
+/// repeats the code, span and message of the one before it.
+pub(crate) fn sort_and_dedup(diags: &mut Vec<Diagnostic>) {
+    sort_diagnostics(diags);
+    diags.dedup_by(|a, b| a.code == b.code && a.span == b.span && a.message == b.message);
+}
+
 /// Export diagnostics as a machine-readable JSON array.
 #[must_use]
 pub fn to_json(diags: &[Diagnostic]) -> Json {

@@ -12,14 +12,15 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`parse`](parse::parse) — lexer + recursive-descent parser
+//! 1. [`parse`](parse::parse) — byte lexer + recursive-descent parser
 //!    producing a spanned region tree ([`ast`]). Structural misuse is
 //!    `E005` at this stage; recoverable directive errors no longer
 //!    abort the parse ([`parse::parse_recover`]), so later regions
 //!    still get analysed.
-//! 2. [`check`](rules::check) — structural rules plus the MHP∩lockset
-//!    engine: [`mhp`] symbolically executes every thread of every team
-//!    (the language is branch-free, so the model is exact), [`lockset`]
+//! 2. [`check`](rules::check) — over the program's names interned once
+//!    ([`sym`]), structural rules plus the MHP∩lockset engine: [`mhp`]
+//!    symbolically executes every thread of every team (the language
+//!    is branch-free, so the model is exact), [`lockset`]
 //!    tracks the locks held on the path to each shared access, and the
 //!    rules report races (`W101`/`W102`) only for access pairs that
 //!    may happen in parallel under disjoint locksets, deterministic
@@ -58,6 +59,7 @@ mod lower;
 pub mod mhp;
 pub mod parse;
 pub mod rules;
+pub mod sym;
 
 use diag::Diagnostic;
 
@@ -97,9 +99,8 @@ impl Analysis {
 pub fn analyze(source: &str) -> Analysis {
     let (program, mut diagnostics) = parse::parse_recover(source);
     if let Some(program) = &program {
-        diagnostics.extend(rules::check(program));
-        diag::sort_diagnostics(&mut diagnostics);
-        diagnostics.dedup_by(|a, b| a.code == b.code && a.span == b.span && a.message == b.message);
+        rules::diagnose(program, &mut diagnostics);
+        diag::sort_and_dedup(&mut diagnostics);
     }
     Analysis { program, diagnostics }
 }

@@ -18,6 +18,9 @@
 //! * a reduction accumulates into an identity-initialised private, which
 //!   is folded into the shared cell under the lock `red:<var>`;
 //! * a `critical` holds `lock:<name>` (`lock:` when unnamed);
+//! * names are the program's [`Symbols`], interned once per program and
+//!   shared by every back end: thread-local values, shared scalars and
+//!   lock keys are keyed by [`Sym`];
 //! * a stray `section` outside `sections` (statically `E005`) runs as a
 //!   plain block.
 //!
@@ -28,42 +31,38 @@
 //! only literal loop bounds, so values never steer control flow: a back
 //! end that reads zeros still sees every access the others execute.
 
-use std::collections::BTreeMap;
-
 use crate::ast::{Clause, Expr, Item, Loop, Region, RegionKind, Span};
+use crate::lockset::LockKey;
+use crate::sym::{Sym, Symbols};
 
 /// Team size of a parallel region without `num_threads`.
 pub(crate) const DEFAULT_TEAM: usize = 2;
 
-/// One scope of thread-local values: a team member's privates, a loop
-/// variable, or a `for` region's reduction accumulators.
-pub(crate) type Frame = BTreeMap<String, i64>;
+/// A thread's local values, innermost last: a team member's privates,
+/// loop variables, a `for` region's reduction accumulators. A lookup
+/// takes the last entry of its symbol, so an inner scope shadows an
+/// outer one.
+pub(crate) type Frame = Vec<(Sym, i64)>;
 
 /// A lock the lowering holds around a body.
 #[derive(Clone, Copy)]
-pub(crate) enum Lock<'p> {
-    /// A `critical` region's lock.
-    Critical(&'p Region),
-    /// The combiner lock of one reduction variable of a `for` region.
-    Fold(&'p Region, &'p str),
+pub(crate) struct Lock {
+    /// The runtime key: `lock:<name>` or `red:<var>`.
+    pub(crate) key: LockKey,
+    /// The directive that takes the lock.
+    pub(crate) span: Span,
 }
 
-impl Lock<'_> {
-    /// The runtime key: `lock:<name>` or `red:<var>`.
-    pub(crate) fn key(self) -> String {
-        match self {
-            Lock::Critical(r) => {
-                format!("lock:{}", r.name.as_ref().map_or("", |n| n.name.as_str()))
-            }
-            Lock::Fold(_, var) => format!("red:{var}"),
-        }
+impl Lock {
+    /// A `critical` region's lock.
+    pub(crate) fn critical(r: &Region, syms: &Symbols) -> Self {
+        let name = r.name.as_ref().map_or("", |n| n.name.as_str());
+        Self { key: LockKey::Critical(syms.sym(name)), span: r.span }
     }
 
-    /// The directive that takes the lock.
-    pub(crate) fn span(self) -> Span {
-        match self {
-            Lock::Critical(r) | Lock::Fold(r, _) => r.span,
-        }
+    /// The combiner lock of reduction variable `var` of `for` region `r`.
+    pub(crate) fn fold(r: &Region, var: Sym) -> Self {
+        Self { key: LockKey::Fold(var), span: r.span }
     }
 }
 
@@ -71,21 +70,21 @@ impl Lock<'_> {
 pub(crate) trait Backend: Sized {
     /// Read a shared scalar (`span`: the reading identifier, or the
     /// `for` directive of a reduction fold).
-    fn load(&mut self, var: &str, span: Span) -> i64;
+    fn load(&mut self, var: Sym, span: Span) -> i64;
 
     /// Write a shared scalar (`span`: the statement, or the `for`
     /// directive of a reduction fold).
-    fn store(&mut self, var: &str, value: i64, span: Span);
+    fn store(&mut self, var: Sym, value: i64, span: Span);
 
     /// Run parallel region `r` on a team of `n` threads: each member
     /// runs [`member`] over `r.body`, starting from a copy of `frame`.
-    fn team(t: &mut Thread<Self>, r: &Region, n: usize, frame: Frame);
+    fn team(t: &mut Thread<'_, Self>, r: &Region, n: usize, frame: Frame);
 
     /// Wait at the team barrier (`span`: the barrier point).
     fn barrier(&mut self, span: Span);
 
     /// Hold `lock` around `body`.
-    fn locked(t: &mut Thread<Self>, lock: Lock<'_>, body: impl FnOnce(&mut Thread<Self>));
+    fn locked<'s>(t: &mut Thread<'s, Self>, lock: Lock, body: impl FnOnce(&mut Thread<'s, Self>));
 
     /// Does thread `tid` run a `single` body?
     fn claims_single(&mut self, tid: usize) -> bool {
@@ -93,7 +92,7 @@ pub(crate) trait Backend: Sized {
     }
 
     /// Run `body`, the part of construct `r` this thread executes.
-    fn within(t: &mut Thread<Self>, _r: &Region, body: impl FnOnce(&mut Thread<Self>)) {
+    fn within<'s>(t: &mut Thread<'s, Self>, _r: &Region, body: impl FnOnce(&mut Thread<'s, Self>)) {
         body(t);
     }
 
@@ -104,36 +103,43 @@ pub(crate) trait Backend: Sized {
     }
 }
 
-/// One thread of the lowered program: its back end, its place in the
-/// team and its stack of thread-local frames.
-pub(crate) struct Thread<B> {
+/// One thread of the lowered program: its back end, the program's
+/// symbols, its place in the team and its thread-local values.
+pub(crate) struct Thread<'s, B> {
     /// The back end's per-thread state.
     pub(crate) b: B,
+    /// The program's symbols.
+    pub(crate) syms: &'s Symbols,
     tid: usize,
     n: usize,
-    frames: Vec<Frame>,
+    frame: Frame,
 }
 
 /// Run a whole program on the serial thread (outside any team).
-pub(crate) fn run<B: Backend>(b: B, items: &[Item]) {
-    member(b, 0, 1, Frame::new(), items);
+pub(crate) fn run<B: Backend>(b: B, syms: &Symbols, items: &[Item]) {
+    member(b, syms, 0, 1, Frame::new(), items);
 }
 
 /// Run thread `tid` of a team of `n` over a parallel region's body.
-pub(crate) fn member<B: Backend>(b: B, tid: usize, n: usize, frame: Frame, body: &[Item]) {
-    Thread { b, tid, n, frames: vec![frame] }.items(body);
+pub(crate) fn member<B: Backend>(b: B, syms: &Symbols, tid: usize, n: usize, frame: Frame, body: &[Item]) {
+    Thread { b, syms, tid, n, frame }.items(body);
 }
 
-impl<B: Backend> Thread<B> {
-    fn read(&mut self, var: &str, span: Span) -> i64 {
-        match self.frames.iter().rev().find_map(|f| f.get(var)) {
+/// The last value `frame` holds for `var`.
+fn local(frame: &mut [(Sym, i64)], var: Sym) -> Option<&mut i64> {
+    frame.iter_mut().rev().find(|(s, _)| *s == var).map(|(_, v)| v)
+}
+
+impl<B: Backend> Thread<'_, B> {
+    fn read(&mut self, var: Sym, span: Span) -> i64 {
+        match local(&mut self.frame, var) {
             Some(v) => *v,
             None => self.b.load(var, span),
         }
     }
 
-    fn write(&mut self, var: &str, value: i64, span: Span) {
-        match self.frames.iter_mut().rev().find_map(|f| f.get_mut(var)) {
+    fn write(&mut self, var: Sym, value: i64, span: Span) {
+        match local(&mut self.frame, var) {
             Some(slot) => *slot = value,
             None => self.b.store(var, value, span),
         }
@@ -142,7 +148,7 @@ impl<B: Backend> Thread<B> {
     fn eval(&mut self, expr: &Expr) -> i64 {
         match expr {
             Expr::Num(n, _) => *n,
-            Expr::Var(id) => self.read(&id.name, id.span),
+            Expr::Var(id) => self.read(self.syms.sym(&id.name), id.span),
             Expr::Bin(a, op, b) => {
                 let left = self.eval(a);
                 let right = self.eval(b);
@@ -159,7 +165,7 @@ impl<B: Backend> Thread<B> {
             match item {
                 Item::Assign(a) => {
                     let value = self.eval(&a.expr);
-                    self.write(&a.target.name, value, a.span);
+                    self.write(self.syms.sym(&a.target.name), value, a.span);
                 }
                 Item::Loop(l) => self.run_loop(l, 1, 0),
                 Item::Region(r) => self.region(r),
@@ -169,7 +175,8 @@ impl<B: Backend> Thread<B> {
 
     /// Run the iterations `k` of `l` with `(k − lo) % stride == offset`.
     fn run_loop(&mut self, l: &Loop, stride: usize, offset: usize) {
-        self.frames.push(Frame::from([(l.var.name.clone(), l.lo)]));
+        let at = self.frame.len();
+        self.frame.push((self.syms.sym(&l.var.name), l.lo));
         for k in l.lo..l.hi {
             if (k - l.lo) as usize % stride != offset {
                 continue;
@@ -177,11 +184,10 @@ impl<B: Backend> Thread<B> {
             if !self.b.step() {
                 break;
             }
-            let var = self.frames.last_mut().and_then(|f| f.get_mut(&l.var.name));
-            *var.expect("loop frame just pushed") = k;
+            self.frame[at].1 = k;
             self.items(&l.body);
         }
-        self.frames.pop();
+        self.frame.truncate(at);
     }
 
     fn region(&mut self, r: &Region) {
@@ -224,7 +230,8 @@ impl<B: Backend> Thread<B> {
                 }
             }
             RegionKind::Critical => {
-                B::locked(self, Lock::Critical(r), |t| B::within(t, r, |t| t.items(&r.body)));
+                let lock = Lock::critical(r, self.syms);
+                B::locked(self, lock, |t| B::within(t, r, |t| t.items(&r.body)));
             }
             RegionKind::Barrier => self.b.barrier(r.span),
         }
@@ -238,14 +245,13 @@ impl<B: Backend> Thread<B> {
         for clause in &r.clauses {
             match clause {
                 Clause::Private(ids) => {
-                    for id in ids {
-                        frame.insert(id.name.clone(), 0);
-                    }
+                    frame.extend(ids.iter().map(|id| (self.syms.sym(&id.name), 0)));
                 }
                 Clause::FirstPrivate(ids) => {
                     for id in ids {
-                        let value = self.read(&id.name, id.span);
-                        frame.insert(id.name.clone(), value);
+                        let var = self.syms.sym(&id.name);
+                        let value = self.read(var, id.span);
+                        frame.push((var, value));
                     }
                 }
                 _ => {}
@@ -257,19 +263,22 @@ impl<B: Backend> Thread<B> {
     /// This thread's share of a `for` region's loop, then each
     /// reduction accumulator folded into its shared cell.
     fn worksharing_loop(&mut self, r: &Region) {
-        let accs = r.reductions().map(|(op, var)| (var.name.clone(), op.identity()));
-        self.frames.push(accs.collect());
+        let at = self.frame.len();
+        for (op, var) in r.reductions() {
+            self.frame.push((self.syms.sym(&var.name), op.identity()));
+        }
         if let Some(Item::Loop(l)) = r.body.first() {
             self.run_loop(l, self.n, self.tid);
         }
-        let accs = self.frames.pop().expect("reduction frame just pushed");
         for (op, var) in r.reductions() {
-            let acc = accs[&var.name];
-            B::locked(self, Lock::Fold(r, &var.name), |t| {
-                let cur = t.b.load(&var.name, r.span);
-                t.b.store(&var.name, op.fold(cur, acc), r.span);
+            let var = self.syms.sym(&var.name);
+            let acc = *local(&mut self.frame[at..], var).expect("reduction accumulator pushed");
+            B::locked(self, Lock::fold(r, var), |t| {
+                let cur = t.b.load(var, r.span);
+                t.b.store(var, op.fold(cur, acc), r.span);
             });
         }
+        self.frame.truncate(at);
     }
 
     fn implied_barrier(&mut self, r: &Region) {

@@ -30,6 +30,8 @@
 //! block alignment unreliable — an unclosed block or an unmatched
 //! `}` — are fatal and withhold the tree.
 
+use std::ops::Range;
+
 use crate::ast::{
     Assign, BinOp, Clause, Expr, Ident, Item, Loop, Program, RedOp, Region, RegionKind,
     ScheduleSpec, Span,
@@ -40,7 +42,8 @@ use crate::lexer::{lex_line, Tok, TokKind};
 /// One significant (non-blank, non-comment) source line.
 #[derive(Debug)]
 struct SrcLine {
-    toks: Vec<Tok>,
+    /// Its tokens in the program's token buffer.
+    toks: Range<usize>,
     /// Span of the whole significant text on the line.
     span: Span,
     /// Was this a `//#omp` directive line?
@@ -73,8 +76,15 @@ pub fn parse_recover(source: &str) -> (Option<Program>, Vec<Diagnostic>) {
     parse_inner(source)
 }
 
+/// The marker that opens a directive line.
+const MARKER: &str = "//#omp";
+
 fn parse_inner(source: &str) -> (Option<Program>, Vec<Diagnostic>) {
-    let mut lines = Vec::new();
+    // One token buffer per program. Over `genprog::generate(1, 20000)`
+    // a program runs 7.2 bytes per token (3.8 at the densest) and 16.3
+    // per non-blank line.
+    let mut toks = Vec::with_capacity(source.len() / 4);
+    let mut lines = Vec::with_capacity(source.len() / 16 + 1);
     let mut diags = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -82,33 +92,35 @@ fn parse_inner(source: &str) -> (Option<Program>, Vec<Diagnostic>) {
         if trimmed.is_empty() {
             continue;
         }
-        let lead = raw.len() - trimmed.len();
-        if let Some(rest) = trimmed.strip_prefix("//#omp") {
+        // Columns count characters, not bytes.
+        let lead_cols = raw[..raw.len() - trimmed.len()].chars().count();
+        let span = Span::new(line_no, lead_cols + 1, trimmed.trim_end().chars().count());
+        let first = toks.len();
+        if let Some(rest) = trimmed.strip_prefix(MARKER) {
             // Tokens of the directive body, offset past the marker.
-            let text_len = trimmed.trim_end().chars().count();
-            let span = Span::new(line_no, lead + 1, text_len);
-            let pad = " ".repeat(lead + "//#omp".len());
-            match lex_line(line_no, &format!("{pad}{rest}")) {
-                Ok(toks) => lines.push(SrcLine { toks, span, directive: true, lex_failed: false }),
-                Err((err_span, c)) => {
-                    diags.push(Diagnostic::new(
-                        Code::E005,
-                        err_span,
-                        format!("unrecognised character `{c}` in directive"),
-                    ));
-                    // Keep a placeholder so the directive's block (if
-                    // any) is skipped instead of mis-parsed.
-                    lines.push(SrcLine { toks: Vec::new(), span, directive: true, lex_failed: true });
-                }
+            let lexed = lex_line(line_no, lead_cols + MARKER.len(), rest, &mut toks);
+            if let Err((err_span, c)) = lexed {
+                diags.push(Diagnostic::new(
+                    Code::E005,
+                    err_span,
+                    format!("unrecognised character `{c}` in directive"),
+                ));
             }
+            // A rejected line keeps a placeholder so the directive's
+            // block (if any) is skipped instead of mis-parsed.
+            let lex_failed = lexed.is_err();
+            lines.push(SrcLine { toks: first..toks.len(), span, directive: true, lex_failed });
         } else if trimmed.starts_with("//") {
             continue; // ordinary comment
         } else {
-            let text_len = trimmed.trim_end().chars().count();
-            let span = Span::new(line_no, lead + 1, text_len);
-            match lex_line(line_no, raw) {
-                Ok(toks) if toks.is_empty() => {}
-                Ok(toks) => lines.push(SrcLine { toks, span, directive: false, lex_failed: false }),
+            match lex_line(line_no, 0, raw, &mut toks) {
+                Ok(()) if toks.len() == first => {}
+                Ok(()) => lines.push(SrcLine {
+                    toks: first..toks.len(),
+                    span,
+                    directive: false,
+                    lex_failed: false,
+                }),
                 Err((span, c)) => {
                     diags.push(Diagnostic::new(
                         Code::E005,
@@ -119,7 +131,7 @@ fn parse_inner(source: &str) -> (Option<Program>, Vec<Diagnostic>) {
             }
         }
     }
-    let mut parser = Parser { lines, pos: 0, diags, fatal: false };
+    let mut parser = Parser { toks: &toks, lines, pos: 0, diags, fatal: false };
     let items = parser.items(None);
     let fatal = parser.fatal;
     let mut diags = parser.diags;
@@ -128,7 +140,9 @@ fn parse_inner(source: &str) -> (Option<Program>, Vec<Diagnostic>) {
     (program, diags)
 }
 
-struct Parser {
+struct Parser<'t, 's> {
+    /// The program's tokens; each line holds a range of them.
+    toks: &'t [Tok<'s>],
     lines: Vec<SrcLine>,
     pos: usize,
     diags: Vec<Diagnostic>,
@@ -136,7 +150,7 @@ struct Parser {
     fatal: bool,
 }
 
-impl Parser {
+impl<'t, 's> Parser<'t, 's> {
     fn err(&mut self, span: Span, message: impl Into<String>) {
         self.diags.push(Diagnostic::new(Code::E005, span, message));
     }
@@ -146,19 +160,34 @@ impl Parser {
         self.err(span, message);
     }
 
+    /// The tokens of line `i`.
+    fn line_toks(&self, i: usize) -> &'t [Tok<'s>] {
+        let toks = self.toks;
+        &toks[self.lines[i].toks.clone()]
+    }
+
+    /// Does line `i` exist and open a block (a lone `{`)?
+    fn opens_block(&self, i: usize) -> bool {
+        self.lines.get(i).is_some_and(|l| {
+            !l.directive && matches!(self.line_toks(i), [Tok { kind: TokKind::LBrace, .. }])
+        })
+    }
+
+    /// Does line `i` exist and start a loop header (`for ...`)?
+    fn starts_loop(&self, i: usize) -> bool {
+        self.lines.get(i).is_some_and(|l| {
+            !l.directive
+                && matches!(self.line_toks(i).first(), Some(Tok { kind: TokKind::Ident("for"), .. }))
+        })
+    }
+
     /// Skip lines until `depth` opened braces have closed (counting
     /// every `{`/`}` token, so loop headers and lone braces both
     /// balance). Runs to end of input if the block never closes — the
     /// construct that owned the block already reported its error.
     fn skip_depth(&mut self, mut depth: i64) {
         while depth > 0 && self.pos < self.lines.len() {
-            for t in &self.lines[self.pos].toks {
-                match t.kind {
-                    TokKind::LBrace => depth += 1,
-                    TokKind::RBrace => depth -= 1,
-                    _ => {}
-                }
-            }
+            depth += brace_depth(self.line_toks(self.pos));
             self.pos += 1;
         }
     }
@@ -167,10 +196,7 @@ impl Parser {
     /// through its matching `}` — used after a malformed directive so
     /// its body doesn't reparse as stray top-level items.
     fn skip_block_if_present(&mut self) {
-        let is_open = self.lines.get(self.pos).is_some_and(|l| {
-            !l.directive && l.toks.len() == 1 && l.toks[0].kind == TokKind::LBrace
-        });
-        if is_open {
+        if self.opens_block(self.pos) {
             self.pos += 1;
             self.skip_depth(1);
         }
@@ -179,20 +205,8 @@ impl Parser {
     /// If the next line is a loop header, consume it and its block —
     /// used after a malformed `//#omp for` directive.
     fn skip_loop_if_present(&mut self) {
-        let is_loop = self.lines.get(self.pos).is_some_and(|l| {
-            !l.directive
-                && matches!(l.toks.first().map(|t| &t.kind), Some(TokKind::Ident(k)) if k == "for")
-        });
-        if is_loop {
-            let depth: i64 = self.lines[self.pos]
-                .toks
-                .iter()
-                .map(|t| match t.kind {
-                    TokKind::LBrace => 1,
-                    TokKind::RBrace => -1,
-                    _ => 0,
-                })
-                .sum();
+        if self.starts_loop(self.pos) {
+            let depth = brace_depth(self.line_toks(self.pos));
             self.pos += 1;
             self.skip_depth(depth.max(0));
         }
@@ -203,23 +217,22 @@ impl Parser {
     fn items(&mut self, until: Option<Span>) -> Vec<Item> {
         let mut items = Vec::new();
         while self.pos < self.lines.len() {
-            let line = &self.lines[self.pos];
-            if !line.directive && line.toks.first().map(|t| &t.kind) == Some(&TokKind::RBrace) {
+            let directive = self.lines[self.pos].directive;
+            if let (false, Some(Tok { kind: TokKind::RBrace, span })) =
+                (directive, self.line_toks(self.pos).first())
+            {
+                self.pos += 1;
                 if until.is_some() {
-                    self.pos += 1;
                     return items;
                 }
-                let span = line.toks[0].span;
-                self.pos += 1;
-                self.fatal_err(span, "unmatched `}`");
+                self.fatal_err(*span, "unmatched `}`");
                 continue;
             }
-            if line.directive {
+            if directive {
                 if let Some(item) = self.directive() {
                     items.push(item);
                 }
-            } else if matches!(line.toks.first().map(|t| &t.kind), Some(TokKind::Ident(k)) if k == "for")
-            {
+            } else if self.starts_loop(self.pos) {
                 if let Some(l) = self.loop_item() {
                     items.push(Item::Loop(l));
                 }
@@ -238,12 +251,10 @@ impl Parser {
     /// skipped so later items still parse cleanly.
     fn directive(&mut self) -> Option<Item> {
         let line = &self.lines[self.pos];
-        let dir_span = line.span;
-        let lex_failed = line.lex_failed;
-        let toks = line.toks.clone();
+        let (dir_span, lex_failed) = (line.span, line.lex_failed);
+        let mut cur = Cursor { toks: self.line_toks(self.pos), i: 0 };
         self.pos += 1;
-        let mut cur = Cursor { toks: &toks, i: 0 };
-        let Some(keyword) = cur.ident() else {
+        let Some((keyword, keyword_span)) = cur.word() else {
             // A lex failure already reported its own diagnostic.
             if !lex_failed {
                 self.err(dir_span, "expected a directive name after `//#omp`");
@@ -251,7 +262,7 @@ impl Parser {
             self.skip_block_if_present();
             return None;
         };
-        let kind = match keyword.name.as_str() {
+        let kind = match keyword {
             "parallel" => RegionKind::Parallel,
             "for" => RegionKind::For,
             "sections" => RegionKind::Sections,
@@ -262,7 +273,7 @@ impl Parser {
             "barrier" => RegionKind::Barrier,
             "gui" => RegionKind::Gui,
             other => {
-                self.err(keyword.span, format!("unknown directive `{other}`"));
+                self.err(keyword_span, format!("unknown directive `{other}`"));
                 self.skip_block_if_present();
                 return None;
             }
@@ -276,18 +287,15 @@ impl Parser {
                 }
             }
         }
-        let clauses = match self.clauses(&mut cur, dir_span) {
-            Some(clauses) => clauses,
-            None => {
-                // The directive's construct still follows — skip it so
-                // its body doesn't reparse as stray top-level items.
-                match kind {
-                    RegionKind::Barrier => {}
-                    RegionKind::For => self.skip_loop_if_present(),
-                    _ => self.skip_block_if_present(),
-                }
-                return None;
+        let Some(clauses) = self.clauses(&mut cur) else {
+            // The directive's construct still follows — skip it so
+            // its body doesn't reparse as stray top-level items.
+            match kind {
+                RegionKind::Barrier => {}
+                RegionKind::For => self.skip_loop_if_present(),
+                _ => self.skip_block_if_present(),
             }
+            return None;
         };
         match kind {
             RegionKind::Barrier => {
@@ -295,11 +303,7 @@ impl Parser {
             }
             RegionKind::For => {
                 // The annotated loop must follow immediately.
-                let is_loop = self.lines.get(self.pos).is_some_and(|l| {
-                    !l.directive
-                        && matches!(l.toks.first().map(|t| &t.kind), Some(TokKind::Ident(k)) if k == "for")
-                });
-                if !is_loop {
+                if !self.starts_loop(self.pos) {
                     self.err(dir_span, "`//#omp for` must be followed by a `for v in lo..hi {` loop");
                     return None;
                 }
@@ -321,55 +325,42 @@ impl Parser {
 
     /// Expect `{` on the next line and parse items up to its `}`.
     fn block(&mut self, opener: Span) -> Option<Vec<Item>> {
-        let is_open = self.lines.get(self.pos).is_some_and(|l| {
-            !l.directive && l.toks.len() == 1 && l.toks[0].kind == TokKind::LBrace
-        });
-        if !is_open {
+        if !self.opens_block(self.pos) {
             self.err(opener, "expected `{` on the next line to open this region's block");
             return None;
         }
-        let open_span = self.lines[self.pos].toks[0].span;
+        let open_span = self.line_toks(self.pos)[0].span;
         self.pos += 1;
         Some(self.items(Some(open_span)))
     }
 
     /// Parse `for v in lo..hi {` + body + `}` from the cursor.
     fn loop_item(&mut self) -> Option<Loop> {
-        let line = &self.lines[self.pos];
-        let span = line.span;
-        let toks = line.toks.clone();
+        let span = self.lines[self.pos].span;
+        let toks = self.line_toks(self.pos);
         self.pos += 1;
-        let mut cur = Cursor { toks: &toks, i: 0 };
+        let mut cur = Cursor { toks, i: 0 };
         // Braces the malformed header itself opened: skip to their
         // close so a trailing `{` doesn't orphan its `}`.
-        let header_depth: i64 = toks
-            .iter()
-            .map(|t| match t.kind {
-                TokKind::LBrace => 1,
-                TokKind::RBrace => -1,
-                _ => 0,
-            })
-            .sum();
+        let header_depth = brace_depth(toks);
         let bad = |p: &mut Self| {
             p.err(span, "malformed loop header: expected `for v in lo..hi {`");
             p.skip_depth(header_depth.max(0));
             None
         };
-        let Some(kw) = cur.ident() else { return bad(self) };
-        if kw.name != "for" {
+        if !matches!(cur.word(), Some(("for", _))) {
             return bad(self);
         }
         let Some(var) = cur.ident() else { return bad(self) };
-        match cur.ident() {
-            Some(inn) if inn.name == "in" => {}
-            _ => return bad(self),
+        if !matches!(cur.word(), Some(("in", _))) {
+            return bad(self);
         }
         let Some(lo) = cur.signed_num() else { return bad(self) };
-        if !cur.eat(&TokKind::DotDot) {
+        if !cur.eat(TokKind::DotDot) {
             return bad(self);
         }
         let Some(hi) = cur.signed_num() else { return bad(self) };
-        if !cur.eat(&TokKind::LBrace) || cur.peek().is_some() {
+        if !cur.eat(TokKind::LBrace) || cur.peek().is_some() {
             return bad(self);
         }
         let body = self.items(Some(span));
@@ -378,21 +369,19 @@ impl Parser {
 
     /// Parse `target = expr;` from the cursor.
     fn assign(&mut self) -> Option<Assign> {
-        let line = &self.lines[self.pos];
-        let span = line.span;
-        let toks = line.toks.clone();
+        let span = self.lines[self.pos].span;
+        let mut cur = Cursor { toks: self.line_toks(self.pos), i: 0 };
         self.pos += 1;
-        let mut cur = Cursor { toks: &toks, i: 0 };
         let Some(target) = cur.ident() else {
             self.err(span, "expected a statement (`x = expr;`), loop, directive or `}`");
             return None;
         };
-        if !cur.eat(&TokKind::Assign) {
+        if !cur.eat(TokKind::Assign) {
             self.err(span, format!("expected `=` after `{}`", target.name));
             return None;
         }
         let expr = self.expr(&mut cur, span)?;
-        if !cur.eat(&TokKind::Semi) || cur.peek().is_some() {
+        if !cur.eat(TokKind::Semi) || cur.peek().is_some() {
             self.err(span, "expected `;` at the end of the statement");
             return None;
         }
@@ -401,7 +390,7 @@ impl Parser {
 
     // -- expressions (precedence climbing: `+ -` < `* /`) ------------
 
-    fn expr(&mut self, cur: &mut Cursor<'_>, span: Span) -> Option<Expr> {
+    fn expr(&mut self, cur: &mut Cursor<'t, 's>, span: Span) -> Option<Expr> {
         let mut lhs = self.term(cur, span)?;
         loop {
             let op = match cur.peek() {
@@ -416,7 +405,7 @@ impl Parser {
         Some(lhs)
     }
 
-    fn term(&mut self, cur: &mut Cursor<'_>, span: Span) -> Option<Expr> {
+    fn term(&mut self, cur: &mut Cursor<'t, 's>, span: Span) -> Option<Expr> {
         let mut lhs = self.factor(cur, span)?;
         loop {
             let op = match cur.peek() {
@@ -431,8 +420,8 @@ impl Parser {
         Some(lhs)
     }
 
-    fn factor(&mut self, cur: &mut Cursor<'_>, span: Span) -> Option<Expr> {
-        match cur.peek().cloned() {
+    fn factor(&mut self, cur: &mut Cursor<'t, 's>, span: Span) -> Option<Expr> {
+        match cur.peek() {
             Some(TokKind::Num(n)) => {
                 let sp = cur.toks[cur.i].span;
                 cur.i += 1;
@@ -443,7 +432,6 @@ impl Parser {
                 cur.i += 1;
                 match cur.peek() {
                     Some(TokKind::Num(n)) => {
-                        let n = *n;
                         cur.i += 1;
                         Some(Expr::Num(-n, sp))
                     }
@@ -457,7 +445,7 @@ impl Parser {
             Some(TokKind::LParen) => {
                 cur.i += 1;
                 let inner = self.expr(cur, span)?;
-                if cur.eat(&TokKind::RParen) {
+                if cur.eat(TokKind::RParen) {
                     Some(inner)
                 } else {
                     self.err(span, "expected `)` to close the parenthesised expression");
@@ -474,152 +462,160 @@ impl Parser {
 
     // -- clauses ------------------------------------------------------
 
-    fn clauses(&mut self, cur: &mut Cursor<'_>, dir_span: Span) -> Option<Vec<Clause>> {
+    fn clauses(&mut self, cur: &mut Cursor<'t, 's>) -> Option<Vec<Clause>> {
         let mut clauses = Vec::new();
-        while let Some(kind) = cur.peek().cloned() {
+        while let Some(kind) = cur.peek() {
             let TokKind::Ident(word) = kind else {
                 self.err(cur.toks[cur.i].span, format!("expected a clause, found {}", kind.describe()));
                 return None;
             };
-            let key = cur.ident().expect("peeked an ident");
-            let clause = match word.as_str() {
-                "shared" => Clause::Shared(self.ident_list(cur, &key)?),
-                "private" => Clause::Private(self.ident_list(cur, &key)?),
-                "firstprivate" => Clause::FirstPrivate(self.ident_list(cur, &key)?),
-                "reduction" => self.reduction(cur, &key)?,
-                "schedule" => self.schedule(cur, &key)?,
+            let key = cur.word().expect("peeked an ident");
+            let clause = match word {
+                "shared" => Clause::Shared(self.ident_list(cur, key)?),
+                "private" => Clause::Private(self.ident_list(cur, key)?),
+                "firstprivate" => Clause::FirstPrivate(self.ident_list(cur, key)?),
+                "reduction" => self.reduction(cur, key)?,
+                "schedule" => self.schedule(cur, key)?,
                 "num_threads" => {
-                    if !cur.eat(&TokKind::LParen) {
-                        self.err(key.span, "expected `(` after `num_threads`");
+                    if !cur.eat(TokKind::LParen) {
+                        self.err(key.1, "expected `(` after `num_threads`");
                         return None;
                     }
                     let n = match cur.peek() {
-                        Some(TokKind::Num(n)) if *n >= 1 => {
-                            let n = *n;
+                        Some(TokKind::Num(n)) if n >= 1 => {
                             cur.i += 1;
                             n as usize
                         }
                         _ => {
-                            self.err(key.span, "num_threads takes a positive integer");
+                            self.err(key.1, "num_threads takes a positive integer");
                             return None;
                         }
                     };
-                    if !cur.eat(&TokKind::RParen) {
-                        self.err(key.span, "expected `)` to close `num_threads(...)`");
+                    if !cur.eat(TokKind::RParen) {
+                        self.err(key.1, "expected `)` to close `num_threads(...)`");
                         return None;
                     }
                     Clause::NumThreads(n)
                 }
                 "nowait" => Clause::NoWait,
                 other => {
-                    self.err(key.span, format!("unknown clause `{other}`"));
+                    self.err(key.1, format!("unknown clause `{other}`"));
                     return None;
                 }
             };
             clauses.push(clause);
         }
-        let _ = dir_span;
         Some(clauses)
     }
 
-    fn ident_list(&mut self, cur: &mut Cursor<'_>, key: &Ident) -> Option<Vec<Ident>> {
-        if !cur.eat(&TokKind::LParen) {
-            self.err(key.span, format!("expected `(` after `{}`", key.name));
+    fn ident_list(&mut self, cur: &mut Cursor<'t, 's>, (key, key_span): (&str, Span)) -> Option<Vec<Ident>> {
+        if !cur.eat(TokKind::LParen) {
+            self.err(key_span, format!("expected `(` after `{key}`"));
             return None;
         }
         let mut ids = Vec::new();
         loop {
             let Some(id) = cur.ident() else {
-                self.err(key.span, format!("expected a variable name in `{}(...)`", key.name));
+                self.err(key_span, format!("expected a variable name in `{key}(...)`"));
                 return None;
             };
             ids.push(id);
-            if cur.eat(&TokKind::Comma) {
+            if cur.eat(TokKind::Comma) {
                 continue;
             }
-            if cur.eat(&TokKind::RParen) {
+            if cur.eat(TokKind::RParen) {
                 return Some(ids);
             }
-            self.err(key.span, format!("expected `,` or `)` in `{}(...)`", key.name));
+            self.err(key_span, format!("expected `,` or `)` in `{key}(...)`"));
             return None;
         }
     }
 
-    fn reduction(&mut self, cur: &mut Cursor<'_>, key: &Ident) -> Option<Clause> {
-        if !cur.eat(&TokKind::LParen) {
-            self.err(key.span, "expected `(` after `reduction`");
+    fn reduction(&mut self, cur: &mut Cursor<'t, 's>, (_, key_span): (&str, Span)) -> Option<Clause> {
+        if !cur.eat(TokKind::LParen) {
+            self.err(key_span, "expected `(` after `reduction`");
             return None;
         }
-        let op = match cur.peek().cloned() {
+        let op = match cur.peek() {
             Some(TokKind::Plus) => Some(RedOp::Add),
             Some(TokKind::Star) => Some(RedOp::Mul),
             Some(TokKind::Amp) => Some(RedOp::BitAnd),
             Some(TokKind::Pipe) => Some(RedOp::BitOr),
             Some(TokKind::Caret) => Some(RedOp::BitXor),
-            Some(TokKind::Ident(w)) if w == "min" => Some(RedOp::Min),
-            Some(TokKind::Ident(w)) if w == "max" => Some(RedOp::Max),
+            Some(TokKind::Ident("min")) => Some(RedOp::Min),
+            Some(TokKind::Ident("max")) => Some(RedOp::Max),
             _ => None,
         };
         let Some(op) = op else {
-            self.err(key.span, "expected a reduction operator (`+ * & | ^ min max`)");
+            self.err(key_span, "expected a reduction operator (`+ * & | ^ min max`)");
             return None;
         };
         cur.i += 1;
-        if !cur.eat(&TokKind::Colon) {
-            self.err(key.span, "expected `:` between the reduction operator and variable");
+        if !cur.eat(TokKind::Colon) {
+            self.err(key_span, "expected `:` between the reduction operator and variable");
             return None;
         }
         let Some(var) = cur.ident() else {
-            self.err(key.span, "expected the reduction variable name");
+            self.err(key_span, "expected the reduction variable name");
             return None;
         };
-        if !cur.eat(&TokKind::RParen) {
-            self.err(key.span, "expected `)` to close `reduction(...)`");
+        if !cur.eat(TokKind::RParen) {
+            self.err(key_span, "expected `)` to close `reduction(...)`");
             return None;
         }
         Some(Clause::Reduction { op, var })
     }
 
-    fn schedule(&mut self, cur: &mut Cursor<'_>, key: &Ident) -> Option<Clause> {
-        if !cur.eat(&TokKind::LParen) {
-            self.err(key.span, "expected `(` after `schedule`");
+    fn schedule(&mut self, cur: &mut Cursor<'t, 's>, (_, key_span): (&str, Span)) -> Option<Clause> {
+        if !cur.eat(TokKind::LParen) {
+            self.err(key_span, "expected `(` after `schedule`");
             return None;
         }
-        let Some(kind) = cur.ident() else {
-            self.err(key.span, "expected `static`, `dynamic` or `guided`");
+        let Some((kind, kind_span)) = cur.word() else {
+            self.err(key_span, "expected `static`, `dynamic` or `guided`");
             return None;
         };
-        let chunk = if cur.eat(&TokKind::Comma) {
+        let chunk = if cur.eat(TokKind::Comma) {
             match cur.peek() {
-                Some(TokKind::Num(n)) if *n >= 1 => {
-                    let n = *n;
+                Some(TokKind::Num(n)) if n >= 1 => {
                     cur.i += 1;
                     Some(n as usize)
                 }
                 _ => {
-                    self.err(key.span, "schedule chunk must be a positive integer");
+                    self.err(key_span, "schedule chunk must be a positive integer");
                     return None;
                 }
             }
         } else {
             None
         };
-        if !cur.eat(&TokKind::RParen) {
-            self.err(key.span, "expected `)` to close `schedule(...)`");
+        if !cur.eat(TokKind::RParen) {
+            self.err(key_span, "expected `)` to close `schedule(...)`");
             return None;
         }
-        let spec = match (kind.name.as_str(), chunk) {
+        let spec = match (kind, chunk) {
             ("static", None) => ScheduleSpec::Static,
             ("static", Some(c)) => ScheduleSpec::StaticChunk(c),
             ("dynamic", c) => ScheduleSpec::Dynamic(c.unwrap_or(1)),
             ("guided", c) => ScheduleSpec::Guided(c.unwrap_or(1)),
             (other, _) => {
-                self.err(kind.span, format!("unknown schedule kind `{other}`"));
+                self.err(kind_span, format!("unknown schedule kind `{other}`"));
                 return None;
             }
         };
         Some(Clause::Schedule(spec))
     }
+}
+
+/// Net braces a line opens (`{` minus `}`).
+fn brace_depth(toks: &[Tok<'_>]) -> i64 {
+    toks.iter()
+        .map(|t| match t.kind {
+            TokKind::LBrace => 1,
+            TokKind::RBrace => -1,
+            _ => 0,
+        })
+        .sum()
 }
 
 fn is_clause_keyword(word: &str) -> bool {
@@ -630,17 +626,17 @@ fn is_clause_keyword(word: &str) -> bool {
 }
 
 /// A cursor over one line's tokens.
-struct Cursor<'a> {
-    toks: &'a [Tok],
+struct Cursor<'t, 's> {
+    toks: &'t [Tok<'s>],
     i: usize,
 }
 
-impl Cursor<'_> {
-    fn peek(&self) -> Option<&TokKind> {
-        self.toks.get(self.i).map(|t| &t.kind)
+impl<'s> Cursor<'_, 's> {
+    fn peek(&self) -> Option<TokKind<'s>> {
+        self.toks.get(self.i).map(|t| t.kind)
     }
 
-    fn eat(&mut self, kind: &TokKind) -> bool {
+    fn eat(&mut self, kind: TokKind<'_>) -> bool {
         if self.peek() == Some(kind) {
             self.i += 1;
             true
@@ -649,22 +645,26 @@ impl Cursor<'_> {
         }
     }
 
-    fn ident(&mut self) -> Option<Ident> {
+    /// A keyword or name, borrowed from the source.
+    fn word(&mut self) -> Option<(&'s str, Span)> {
         match self.toks.get(self.i) {
-            Some(Tok { kind: TokKind::Ident(name), span }) => {
-                let id = Ident { name: name.clone(), span: *span };
+            Some(&Tok { kind: TokKind::Ident(word), span }) => {
                 self.i += 1;
-                Some(id)
+                Some((word, span))
             }
             _ => None,
         }
     }
 
+    /// A name the tree keeps.
+    fn ident(&mut self) -> Option<Ident> {
+        self.word().map(|(name, span)| Ident { name: name.to_string(), span })
+    }
+
     fn signed_num(&mut self) -> Option<i64> {
-        let neg = self.eat(&TokKind::Minus);
+        let neg = self.eat(TokKind::Minus);
         match self.peek() {
             Some(TokKind::Num(n)) => {
-                let n = *n;
                 self.i += 1;
                 Some(if neg { -n } else { n })
             }

@@ -3,7 +3,8 @@
 //! Two engines live here:
 //!
 //! * [`check`] — the **MHP∩lockset engine**. Structural rules (E002,
-//!   E003, E005, W103) come from the syntactic walk; everything
+//!   E003, E005, W103) come from one walk over the program's symbols,
+//!   which the syntactic engine runs too; everything
 //!   schedule-dependent is decided on the [`crate::mhp`] event model:
 //!   W101/W102 fire only for pairs of accesses that *may happen in
 //!   parallel* with disjoint [`crate::lockset::Lockset`]s, E001/E006
@@ -16,9 +17,11 @@
 //!   an evenly-split barrier-in-for, a single-iteration `for` write, or
 //!   any construct under `num_threads(1)` is provably safe and stays
 //!   silent.
-//! * [`check_syntactic`] — the original pattern-matching engine (PR 4),
-//!   kept verbatim as the false-positive baseline the E-FUZZ harness
-//!   measures the new engine against.
+//! * [`check_syntactic`] — the original pattern-matching engine: the
+//!   shared structural walk plus E001, W101, W102 and E004 matched on
+//!   the syntax alone. It is the false-positive baseline the E-FUZZ
+//!   harness measures the new engine against, and [`check`]'s fallback
+//!   when the MHP model runs out of budget.
 //!
 //! The codes themselves are documented on [`crate::diag::Code`]; the
 //! recurring student mistakes they encode (and their Pyjama/OpenMP
@@ -50,10 +53,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Assign, Item, Program, Region, RegionKind, Span};
-use crate::diag::{sort_diagnostics, Code, Diagnostic};
+use crate::ast::{Assign, Clause, Ident, Item, Program, Region, RegionKind, Span};
+use crate::diag::{sort_and_dedup, sort_diagnostics, Code, Diagnostic};
+use crate::lockset::LockKey;
 use crate::lower::DEFAULT_TEAM;
 use crate::mhp;
+use crate::sym::{NameSet, Sym, Symbols};
 
 /// How a variable name resolves at some program point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,17 +71,98 @@ enum Sharing {
     Shared,
 }
 
-/// One lexical scope on the walk stack.
-#[derive(Debug)]
-enum Frame {
+/// One lexical scope on a walk's stack: a loop variable, or a region
+/// with the names its clauses privatise, share and reduce. A parallel
+/// region also holds the reduction variables of its `for` constructs
+/// (not crossing nested parallel regions), which E003 guards.
+enum Scope {
+    Loop(Sym),
     Region {
         kind: RegionKind,
-        privates: BTreeSet<String>,
-        shareds: BTreeSet<String>,
-        reductions: BTreeSet<String>,
+        privates: NameSet,
+        shareds: NameSet,
+        reductions: NameSet,
         num_threads: Option<usize>,
+        team_reductions: NameSet,
     },
-    Loop { var: String },
+}
+
+impl Scope {
+    /// The scope region `r` opens.
+    fn region(r: &Region, syms: &Symbols) -> Self {
+        let (mut privates, mut shareds, mut reductions) = Default::default();
+        for clause in &r.clauses {
+            let (set, ids): (&mut NameSet, &[Ident]) = match clause {
+                Clause::Private(ids) | Clause::FirstPrivate(ids) => (&mut privates, ids),
+                Clause::Shared(ids) => (&mut shareds, ids),
+                Clause::Reduction { var, .. } => (&mut reductions, std::slice::from_ref(var)),
+                _ => continue,
+            };
+            for id in ids {
+                set.insert(syms.sym(&id.name));
+            }
+        }
+        let mut team_reductions = NameSet::default();
+        if r.kind == RegionKind::Parallel {
+            reduction_vars(&r.body, syms, &mut team_reductions);
+        }
+        Self::Region {
+            kind: r.kind,
+            privates,
+            shareds,
+            reductions,
+            num_threads: r.num_threads(),
+            team_reductions,
+        }
+    }
+}
+
+/// How `var` resolves under `scopes` (outermost first): the innermost
+/// scope that names it decides.
+fn resolve(scopes: &[Scope], var: Sym) -> Sharing {
+    for scope in scopes.iter().rev() {
+        match scope {
+            Scope::Loop(v) if *v == var => return Sharing::Private,
+            Scope::Loop(_) => {}
+            Scope::Region { privates, shareds, reductions, .. } => {
+                if privates.contains(var) {
+                    return Sharing::Private;
+                }
+                if reductions.contains(var) {
+                    return Sharing::Reduction;
+                }
+                if shareds.contains(var) {
+                    return Sharing::Shared;
+                }
+            }
+        }
+    }
+    Sharing::Shared
+}
+
+/// The effective team size of the innermost parallel region, with the
+/// reduction variables of its `for` constructs: `None` outside any
+/// parallel region.
+fn team(scopes: &[Scope]) -> Option<(usize, &NameSet)> {
+    scopes.iter().rev().find_map(|s| match s {
+        Scope::Region { kind: RegionKind::Parallel, num_threads, team_reductions, .. } => {
+            Some((num_threads.unwrap_or(DEFAULT_TEAM), team_reductions))
+        }
+        _ => None,
+    })
+}
+
+/// The constructs between the current point and the nearest enclosing
+/// parallel region, innermost first.
+fn kinds_below_parallel(scopes: &[Scope]) -> impl Iterator<Item = RegionKind> + '_ {
+    scopes
+        .iter()
+        .rev()
+        .filter_map(|s| match s {
+            Scope::Region { kind, .. } => Some(*kind),
+            Scope::Loop(_) => None,
+        })
+        .take_while(|k| *k != RegionKind::Parallel)
 }
 
 /// Run every rule over a parsed program with the MHP∩lockset engine.
@@ -84,47 +170,41 @@ enum Frame {
 /// deduplicated.
 #[must_use]
 pub fn check(program: &Program) -> Vec<Diagnostic> {
-    let syntactic = check_syntactic(program);
+    let mut diags = Vec::new();
+    if diagnose(program, &mut diags) {
+        sort_and_dedup(&mut diags);
+    }
+    diags
+}
+
+/// Append every rule's diagnostics for `program` to `diags`, unsorted.
+/// Returns false when the MHP model ran out of budget: the event model
+/// is incomplete, so the conservative syntactic verdicts are appended
+/// instead (sorted, as [`check_syntactic`] returns them) rather than
+/// claim silence we cannot prove.
+pub(crate) fn diagnose(program: &Program, diags: &mut Vec<Diagnostic>) -> bool {
     let model = mhp::model(program);
     if model.truncated {
-        // The symbolic execution ran out of budget: the event model is
-        // incomplete, so fall back to the conservative syntactic
-        // verdicts rather than claim silence we cannot prove.
-        return syntactic;
+        diags.extend(check_syntactic(program));
+        return false;
     }
-    let mut diags = Vec::new();
-    let mut e003_spans = BTreeSet::new();
-    for d in &syntactic {
-        match d.code {
-            // Structural rules carry over unchanged.
-            Code::E002 | Code::E005 | Code::W103 => diags.push(d.clone()),
-            // E003 carries over and suppresses the race warning at the
-            // same span (the old engine returned early; we filter).
-            Code::E003 => {
-                e003_spans.insert(d.span);
-                diags.push(d.clone());
-            }
-            // Everything schedule-dependent is re-derived from the model.
-            _ => {}
-        }
-    }
-    engine_deadlocks(&model, &mut diags);
-    engine_lock_cycles(&model, &mut diags);
-    engine_races(&model, &e003_spans, &mut diags);
-    engine_redundant_criticals(&model, &mut diags);
-    sort_diagnostics(&mut diags);
-    diags.dedup_by(|a, b| a.code == b.code && a.span == b.span && a.message == b.message);
-    diags
+    // E003 suppresses the race warning at the same span.
+    let e003_spans = structural(program, &model.symbols, diags);
+    engine_deadlocks(&model, diags);
+    engine_lock_cycles(&model, diags);
+    engine_races(&model, &e003_spans, diags);
+    engine_redundant_criticals(&model, diags);
+    true
 }
 
 /// A lock key as shown to students: criticals lose their `lock:`
 /// prefix (the empty name prints `<unnamed>`), internal reduction
 /// combiner locks keep their `red:` spelling.
-fn display_lock(key: &str) -> String {
-    match key.strip_prefix("lock:") {
-        Some("") => "<unnamed>".to_string(),
-        Some(name) => name.to_string(),
-        None => key.to_string(),
+fn display_lock(key: LockKey, syms: &Symbols) -> String {
+    match key {
+        LockKey::Critical(name) if syms.name(name).is_empty() => "<unnamed>".to_string(),
+        LockKey::Critical(name) => syms.name(name).to_string(),
+        LockKey::Fold(_) => key.spell(syms).to_string(),
     }
 }
 
@@ -132,18 +212,7 @@ fn display_lock(key: &str) -> String {
 fn engine_deadlocks(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
     for dl in mhp::barrier_deadlocks(model) {
         let mut d = if let Some(blocker) = mhp::classic_blocker(&dl.blockers) {
-            Diagnostic::new(
-                Code::E001,
-                dl.span,
-                format!(
-                    "barrier inside `{}`: only part of the team reaches it",
-                    blocker.keyword()
-                ),
-            )
-            .with_note(
-                "threads that skip this construct wait at the region's end while \
-                 the thread inside waits here — a guaranteed deadlock",
-            )
+            e001(blocker, dl.span)
         } else {
             Diagnostic::new(
                 Code::E006,
@@ -159,11 +228,11 @@ fn engine_deadlocks(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
                  times; the missing threads wait at the region join forever",
             )
         };
-        if let Some(key) = &dl.lock {
+        if let Some(key) = dl.lock {
             d = d.with_note(format!(
                 "while waiting here the thread holds `{}`, which the rest of the \
                  team must acquire before they can arrive",
-                display_lock(key)
+                display_lock(key, &model.symbols)
             ));
         }
         diags.push(d);
@@ -174,49 +243,30 @@ fn engine_deadlocks(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
 /// both orders by concurrent (MHP) threads, a re-entered critical, or
 /// a longer cycle over the nesting graph.
 fn engine_lock_cycles(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
+    let syms = &model.symbols;
     let mut seen_self = BTreeSet::new();
     for sn in &model.self_nests {
         if seen_self.insert(sn.span) {
-            let shown = display_lock(&sn.key);
-            diags.push(
-                Diagnostic::new(
-                    Code::E004,
-                    sn.span,
-                    format!("critical region `{shown}` is nested inside itself"),
-                )
-                .with_note("Pyjama criticals are not reentrant: re-entry deadlocks"),
-            );
+            diags.push(e004_reentered(&display_lock(sn.key, syms), sn.span));
         }
     }
-
-    let mut by_pair: BTreeMap<(&str, &str), Vec<&mhp::LockEdge>> = BTreeMap::new();
-    for e in &model.lock_edges {
-        by_pair.entry((&e.outer, &e.inner)).or_default().push(e);
+    if model.lock_edges.is_empty() {
+        return;
     }
-    let report = |a: &str, b: &str, anchor: Span, diags: &mut Vec<Diagnostic>| {
+
+    let mut by_pair: BTreeMap<(LockKey, LockKey), Vec<&mhp::LockEdge>> = BTreeMap::new();
+    for e in &model.lock_edges {
+        by_pair.entry((e.outer, e.inner)).or_default().push(e);
+    }
+    let report = |a: LockKey, b: LockKey, anchor: Span, diags: &mut Vec<Diagnostic>| {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        diags.push(
-            Diagnostic::new(
-                Code::E004,
-                anchor,
-                format!(
-                    "critical regions `{}` and `{}` are nested in both orders \
-                     (lock-order cycle)",
-                    display_lock(lo),
-                    display_lock(hi)
-                ),
-            )
-            .with_note(
-                "two threads can each hold one lock while waiting for the other: \
-                 deadlock; acquire named criticals in one global order",
-            ),
-        );
+        diags.push(e004_cycle(&display_lock(lo, syms), &display_lock(hi, syms), anchor));
     };
-    let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut reported: BTreeSet<(LockKey, LockKey)> = BTreeSet::new();
     // Direct 2-cycles: the reverse edge must exist on an instance that
     // may happen in parallel with a forward instance (this is what
     // silences both-order nesting under num_threads(1)).
-    for ((a, b), fwd) in &by_pair {
+    for (&(a, b), fwd) in &by_pair {
         if a >= b {
             continue;
         }
@@ -228,19 +278,19 @@ fn engine_lock_cycles(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
             continue;
         }
         let anchor = fwd.iter().chain(rev.iter()).map(|e| e.span).min().unwrap();
-        reported.insert((a.to_string(), b.to_string()));
+        reported.insert((a, b));
         report(a, b, anchor, diags);
     }
     // Longer cycles (a→b→…→a): reachability over the nesting graph,
     // feasible when any two distinct edges of the cycle's component
     // can run concurrently.
-    let edges: BTreeSet<(&str, &str)> = by_pair.keys().copied().collect();
-    for (a, b) in &edges {
+    let edges: BTreeSet<(LockKey, LockKey)> = by_pair.keys().copied().collect();
+    for &(a, b) in &edges {
         if a == b {
             continue;
         }
-        let (lo, hi) = if a < b { (*a, *b) } else { (*b, *a) };
-        if reported.contains(&(lo.to_string(), hi.to_string())) {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        if reported.contains(&(lo, hi)) {
             continue;
         }
         if !reaches_over(&edges, b, a) {
@@ -249,9 +299,7 @@ fn engine_lock_cycles(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
         let component: Vec<&mhp::LockEdge> = model
             .lock_edges
             .iter()
-            .filter(|e| {
-                reaches_over(&edges, a, &e.outer) && reaches_over(&edges, &e.inner, a)
-            })
+            .filter(|e| reaches_over(&edges, a, e.outer) && reaches_over(&edges, e.inner, a))
             .collect();
         let feasible = component.iter().enumerate().any(|(i, e1)| {
             component[i + 1..]
@@ -261,14 +309,14 @@ fn engine_lock_cycles(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
         if !feasible {
             continue;
         }
-        reported.insert((lo.to_string(), hi.to_string()));
+        reported.insert((lo, hi));
         let anchor = component.iter().map(|e| e.span).min().unwrap_or(Span::new(1, 1, 1));
         report(lo, hi, anchor, diags);
     }
 }
 
 /// Is `to` reachable from `from` over the nesting edges?
-fn reaches_over(edges: &BTreeSet<(&str, &str)>, from: &str, to: &str) -> bool {
+fn reaches_over(edges: &BTreeSet<(LockKey, LockKey)>, from: LockKey, to: LockKey) -> bool {
     if from == to {
         return true;
     }
@@ -281,8 +329,8 @@ fn reaches_over(edges: &BTreeSet<(&str, &str)>, from: &str, to: &str) -> bool {
         if !seen.insert(node) {
             continue;
         }
-        for (a, b) in edges {
-            if *a == node && !seen.contains(b) {
+        for &(a, b) in edges {
+            if a == node && !seen.contains(&b) {
                 stack.push(b);
             }
         }
@@ -297,20 +345,16 @@ fn reaches_over(edges: &BTreeSet<(&str, &str)>, from: &str, to: &str) -> bool {
 const MAX_PAIR_EVENTS: usize = 2_000;
 
 /// W101/W102 from MHP access pairs with disjoint locksets.
-fn engine_races(
-    model: &mhp::Model,
-    e003_spans: &BTreeSet<Span>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let mut by_var: BTreeMap<&str, Vec<&mhp::Access>> = BTreeMap::new();
-    for a in &model.accesses {
-        by_var.entry(&a.var).or_default().push(a);
-    }
+fn engine_races(model: &mhp::Model, e003_spans: &[Span], diags: &mut Vec<Diagnostic>) {
+    // Accesses grouped by variable (in name order), each group in
+    // execution order.
+    let mut order: Vec<&mhp::Access> = model.accesses.iter().collect();
+    order.sort_by_key(|a| a.var);
     // Racing write sites: (statement span, var) → did the write itself
     // hold any lock (picks the message wording).
-    let mut w101: BTreeMap<(Span, String), bool> = BTreeMap::new();
-    let mut w102: BTreeSet<(Span, String)> = BTreeSet::new();
-    for (var, events) in &by_var {
+    let mut w101: BTreeMap<(Span, Sym), bool> = BTreeMap::new();
+    let mut w102: BTreeSet<(Span, Sym)> = BTreeSet::new();
+    for events in order.chunk_by(|a, b| a.var == b.var) {
         let events = &events[..events.len().min(MAX_PAIR_EVENTS)];
         for (i, a) in events.iter().enumerate() {
             for b in &events[i + 1..] {
@@ -331,18 +375,17 @@ fn engine_races(
                         // A master-side write racing with a read is the
                         // classic missing-barrier idiom: report W102 at
                         // the master directive.
-                        w102.insert((mspan, (*var).to_string()));
+                        w102.insert((mspan, w.var));
                     } else if !e003_spans.contains(&w.span) {
                         let locked = !w.locks.is_empty();
-                        w101.entry((w.span, (*var).to_string()))
-                            .and_modify(|l| *l |= locked)
-                            .or_insert(locked);
+                        w101.entry((w.span, w.var)).and_modify(|l| *l |= locked).or_insert(locked);
                     }
                 }
             }
         }
     }
     for ((span, var), locked) in w101 {
+        let var = model.symbols.name(var);
         let d = if locked {
             Diagnostic::new(
                 Code::W101,
@@ -357,33 +400,12 @@ fn engine_races(
                  accesses must agree on one named critical",
             )
         } else {
-            Diagnostic::new(
-                Code::W101,
-                span,
-                format!("unprotected write to shared variable `{var}` in a parallel region"),
-            )
-            .with_note(
-                "another thread can access it concurrently — protect it with \
-                 `critical`, make it a reduction, or privatise it",
-            )
+            w101_unprotected(var, span)
         };
         diags.push(d);
     }
     for (span, var) in w102 {
-        diags.push(
-            Diagnostic::new(
-                Code::W102,
-                span,
-                format!(
-                    "`master` writes `{var}` but sibling code reads it with no \
-                     barrier in between"
-                ),
-            )
-            .with_note(
-                "`master` has no implied barrier — non-master threads may read \
-                 before the write; use `single` or add `//#omp barrier`",
-            ),
-        );
+        diags.push(w102_master(model.symbols.name(var), span));
     }
 }
 
@@ -393,17 +415,16 @@ fn engine_races(
 /// Criticals with no shared accesses at all stay silent (they usually
 /// guard something else, like a barrier misuse already reported).
 fn engine_redundant_criticals(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
-    let mut sites: BTreeMap<Span, &str> = BTreeMap::new();
+    let mut sites: BTreeMap<Span, LockKey> = BTreeMap::new();
     for s in &model.critical_sites {
-        sites.entry(s.span).or_insert(&s.key);
+        sites.entry(s.span).or_insert(s.key);
     }
     for (span, key) in sites {
-        let inside: Vec<&mhp::Access> =
-            model.accesses.iter().filter(|a| a.criticals.contains(&span)).collect();
-        if inside.is_empty() {
+        let mut inside = model.accesses.iter().filter(|a| a.criticals.contains(&span)).peekable();
+        if inside.peek().is_none() {
             continue;
         }
-        let conflict = inside.iter().any(|a| {
+        let conflict = inside.any(|a| {
             model.accesses.iter().any(|b| {
                 b.seq != a.seq
                     && b.var == a.var
@@ -412,7 +433,7 @@ fn engine_redundant_criticals(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
             })
         });
         if !conflict {
-            let shown = display_lock(key);
+            let shown = display_lock(key, &model.symbols);
             diags.push(
                 Diagnostic::new(
                     Code::W104,
@@ -431,102 +452,287 @@ fn engine_redundant_criticals(model: &mhp::Model, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Run the original PR 4 syntactic rules over a parsed program. Kept
-/// byte-for-byte as the precision baseline the E-FUZZ harness compares
-/// the MHP∩lockset engine against. The result is sorted
-/// deterministically (span, then code).
+// -- the structural rules, shared by both engines ---------------------
+
+/// The structural rules — E002, E003, E005 and W103 — in one walk over
+/// symbols. Both engines report them from here. Returns the spans of
+/// the E003 writes, where neither engine also reports a race.
+fn structural(program: &Program, syms: &Symbols, diags: &mut Vec<Diagnostic>) -> Vec<Span> {
+    let mut walk = Structural { syms, diags, scopes: Vec::new(), e003: Vec::new() };
+    walk.items(&program.items);
+    walk.e003
+}
+
+struct Structural<'a> {
+    syms: &'a Symbols,
+    diags: &'a mut Vec<Diagnostic>,
+    scopes: Vec<Scope>,
+    e003: Vec<Span>,
+}
+
+impl Structural<'_> {
+    fn items(&mut self, items: &[Item]) {
+        for item in items {
+            match item {
+                Item::Assign(a) => self.assign(a),
+                Item::Loop(l) => {
+                    self.scopes.push(Scope::Loop(self.syms.sym(&l.var.name)));
+                    self.items(&l.body);
+                    self.scopes.pop();
+                }
+                Item::Region(r) => self.region(r),
+            }
+        }
+    }
+
+    fn region(&mut self, r: &Region) {
+        self.entry(r);
+        self.scopes.push(Scope::region(r, self.syms));
+        // W103: private declared here, first lexical use is a read.
+        for clause in &r.clauses {
+            let Clause::Private(ids) = clause else { continue };
+            for id in ids {
+                if let Some((true, span)) = first_access(&r.body, &id.name) {
+                    self.diags.push(w103(&id.name, span));
+                }
+            }
+        }
+        self.items(&r.body);
+        self.scopes.pop();
+    }
+
+    /// E002 and E005 on seeing a directive, before entering it.
+    fn entry(&mut self, r: &Region) {
+        match r.kind {
+            RegionKind::For | RegionKind::Sections => {
+                // E002: worksharing nested in worksharing.
+                let outer = kinds_below_parallel(&self.scopes).find(|k| {
+                    matches!(k, RegionKind::For | RegionKind::Sections | RegionKind::Section)
+                });
+                if let Some(outer) = outer {
+                    self.diags.push(e002(r.kind, outer, r.span));
+                }
+            }
+            // E005: `section` must sit directly inside `sections`.
+            RegionKind::Section
+                if kinds_below_parallel(&self.scopes).next() != Some(RegionKind::Sections) =>
+            {
+                self.diags.push(stray_section(r.span));
+            }
+            _ => {}
+        }
+        // E005: `sections` may only contain `section` branches.
+        if r.kind == RegionKind::Sections {
+            for item in &r.body {
+                if !matches!(item, Item::Region(s) if s.kind == RegionKind::Section) {
+                    self.diags.push(loose_in_sections(item));
+                }
+            }
+        }
+    }
+
+    /// E003: a shared write, in a team of more than one, to a variable
+    /// some reduction of the innermost parallel region accumulates.
+    fn assign(&mut self, a: &Assign) {
+        let target = self.syms.sym(&a.target.name);
+        if resolve(&self.scopes, target) != Sharing::Shared {
+            return;
+        }
+        let Some((size, team_reductions)) = team(&self.scopes) else { return };
+        if size > 1 && team_reductions.contains(target) {
+            self.e003.push(a.span);
+            self.diags.push(e003(&a.target.name, a.span));
+        }
+    }
+}
+
+/// Reduction variables declared by `for` constructs in this parallel
+/// region (not crossing into nested parallel regions).
+fn reduction_vars(items: &[Item], syms: &Symbols, out: &mut NameSet) {
+    for item in items {
+        match item {
+            Item::Region(r) => {
+                if r.kind == RegionKind::For {
+                    for (_, var) in r.reductions() {
+                        out.insert(syms.sym(&var.name));
+                    }
+                }
+                if r.kind != RegionKind::Parallel {
+                    reduction_vars(&r.body, syms, out);
+                }
+            }
+            Item::Loop(l) => reduction_vars(&l.body, syms, out),
+            Item::Assign(_) => {}
+        }
+    }
+}
+
+// -- diagnostics, each worded once for both engines --------------------
+
+fn e001(blocker: RegionKind, span: Span) -> Diagnostic {
+    Diagnostic::new(
+        Code::E001,
+        span,
+        format!("barrier inside `{}`: only part of the team reaches it", blocker.keyword()),
+    )
+    .with_note(
+        "threads that skip this construct wait at the region's end while \
+         the thread inside waits here — a guaranteed deadlock",
+    )
+}
+
+fn e004_reentered(lock: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(Code::E004, span, format!("critical region `{lock}` is nested inside itself"))
+        .with_note("Pyjama criticals are not reentrant: re-entry deadlocks")
+}
+
+fn e004_cycle(lo: &str, hi: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(
+        Code::E004,
+        span,
+        format!("critical regions `{lo}` and `{hi}` are nested in both orders (lock-order cycle)"),
+    )
+    .with_note(
+        "two threads can each hold one lock while waiting for the other: \
+         deadlock; acquire named criticals in one global order",
+    )
+}
+
+fn w101_unprotected(var: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(
+        Code::W101,
+        span,
+        format!("unprotected write to shared variable `{var}` in a parallel region"),
+    )
+    .with_note(
+        "another thread can access it concurrently — protect it with \
+         `critical`, make it a reduction, or privatise it",
+    )
+}
+
+fn w102_master(var: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(
+        Code::W102,
+        span,
+        format!("`master` writes `{var}` but sibling code reads it with no barrier in between"),
+    )
+    .with_note(
+        "`master` has no implied barrier — non-master threads may read \
+         before the write; use `single` or add `//#omp barrier`",
+    )
+}
+
+fn e002(kind: RegionKind, outer: RegionKind, span: Span) -> Diagnostic {
+    Diagnostic::new(
+        Code::E002,
+        span,
+        format!(
+            "worksharing `{}` nested inside `{}` bound to the same \
+             parallel region",
+            kind.keyword(),
+            outer.keyword()
+        ),
+    )
+    .with_note(
+        "each thread re-divides only its own share; wrap the inner \
+         construct in its own parallel region or restructure the loops",
+    )
+}
+
+fn e003(var: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(
+        Code::E003,
+        span,
+        format!(
+            "reduction variable `{var}` is written as a shared variable outside \
+             its reduction construct"
+        ),
+    )
+    .with_note(
+        "this write bypasses the per-thread accumulators and races with the \
+         combiner; move it outside the parallel region",
+    )
+}
+
+fn stray_section(span: Span) -> Diagnostic {
+    Diagnostic::new(Code::E005, span, "`section` outside a `sections` construct")
+        .with_note("wrap the section branches in `//#omp sections { ... }`")
+}
+
+fn loose_in_sections(item: &Item) -> Diagnostic {
+    let span = match item {
+        Item::Region(s) => s.span,
+        Item::Loop(l) => l.span,
+        Item::Assign(a) => a.span,
+    };
+    Diagnostic::new(Code::E005, span, "only `//#omp section` blocks may appear directly inside `sections`")
+}
+
+fn w103(var: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(Code::W103, span, format!("private variable `{var}` is read before its first write"))
+        .with_note(
+            "private copies start uninitialised; use `firstprivate` to \
+             capture the outer value",
+        )
+}
+
+/// Run the original syntactic rules over a parsed program: the
+/// precision baseline the E-FUZZ harness compares the MHP∩lockset
+/// engine against. The structural rules come from the walk [`check`]
+/// also runs; E001, W101, W102 and E004 are matched on the syntax
+/// alone. The result is sorted deterministically (span, then code).
 #[must_use]
 pub fn check_syntactic(program: &Program) -> Vec<Diagnostic> {
-    let mut ck = Checker::default();
+    let syms = Symbols::of(program);
+    let mut diags = Vec::new();
+    let e003 = structural(program, &syms, &mut diags);
+    let mut ck = Checker {
+        syms: &syms,
+        e003: &e003,
+        diags,
+        scopes: Vec::new(),
+        held: Vec::new(),
+        lock_edges: BTreeMap::new(),
+        section_siblings: Vec::new(),
+    };
     ck.walk_items(&program.items);
     ck.report_lock_cycles();
     sort_diagnostics(&mut ck.diags);
     ck.diags
 }
 
-#[derive(Debug, Default)]
-struct Checker {
+/// The pattern rules of [`check_syntactic`]: E001, W101, W102 and E004.
+struct Checker<'a> {
+    syms: &'a Symbols,
+    /// The writes the structural walk reported as E003, which subsumes
+    /// the race warning.
+    e003: &'a [Span],
     diags: Vec<Diagnostic>,
-    frames: Vec<Frame>,
+    scopes: Vec<Scope>,
     /// Lock names currently held (entered criticals, outermost first).
     held: Vec<String>,
     /// Observed nesting edges between named criticals: outer → inner,
     /// with the span of the inner directive that recorded the edge.
     lock_edges: BTreeMap<(String, String), Span>,
-    /// Reduction variables of the enclosing parallel region(s) (for
-    /// `E003`), innermost last.
-    parallel_reductions: Vec<BTreeSet<String>>,
     /// Sibling-section variable access sets and our index among them,
     /// for the `W101` disjointness refinement. Innermost last.
     section_siblings: Vec<(Vec<BTreeSet<String>>, usize)>,
 }
 
-impl Checker {
-    // -- data-environment resolution ---------------------------------
-
+impl Checker<'_> {
     fn resolve(&self, var: &str) -> Sharing {
-        for frame in self.frames.iter().rev() {
-            match frame {
-                Frame::Loop { var: v } if v == var => return Sharing::Private,
-                Frame::Loop { .. } => {}
-                Frame::Region { privates, shareds, reductions, .. } => {
-                    if privates.contains(var) {
-                        return Sharing::Private;
-                    }
-                    if reductions.contains(var) {
-                        return Sharing::Reduction;
-                    }
-                    if shareds.contains(var) {
-                        return Sharing::Shared;
-                    }
-                }
-            }
-        }
-        Sharing::Shared
-    }
-
-    /// The effective team size of the nearest enclosing parallel
-    /// region: `None` when outside any parallel region.
-    fn team_size(&self) -> Option<usize> {
-        for frame in self.frames.iter().rev() {
-            if let Frame::Region { kind: RegionKind::Parallel, num_threads, .. } = frame {
-                return Some(num_threads.unwrap_or(DEFAULT_TEAM));
-            }
-        }
-        None
+        resolve(&self.scopes, self.syms.sym(var))
     }
 
     /// Is the current point protected by a mutual-exclusion or
     /// one-thread construct (below the nearest parallel region)?
     fn protected(&self) -> bool {
-        for frame in self.frames.iter().rev() {
-            if let Frame::Region { kind, .. } = frame {
-                match kind {
-                    RegionKind::Parallel => return false,
-                    RegionKind::Critical
-                    | RegionKind::Single
-                    | RegionKind::Master
-                    | RegionKind::Gui => return true,
-                    _ => {}
-                }
-            }
-        }
-        false
-    }
-
-    /// The constructs between the current point and the nearest
-    /// enclosing parallel region (innermost first).
-    fn kinds_below_parallel(&self) -> Vec<RegionKind> {
-        let mut kinds = Vec::new();
-        for frame in self.frames.iter().rev() {
-            if let Frame::Region { kind, .. } = frame {
-                if *kind == RegionKind::Parallel {
-                    break;
-                }
-                kinds.push(*kind);
-            }
-        }
-        kinds
+        kinds_below_parallel(&self.scopes).any(|k| {
+            matches!(
+                k,
+                RegionKind::Critical | RegionKind::Single | RegionKind::Master | RegionKind::Gui
+            )
+        })
     }
 
     // -- the walk -----------------------------------------------------
@@ -536,9 +742,9 @@ impl Checker {
             match item {
                 Item::Assign(a) => self.check_assign(a),
                 Item::Loop(l) => {
-                    self.frames.push(Frame::Loop { var: l.var.name.clone() });
+                    self.scopes.push(Scope::Loop(self.syms.sym(&l.var.name)));
                     self.walk_items(&l.body);
-                    self.frames.pop();
+                    self.scopes.pop();
                 }
                 Item::Region(r) => self.walk_region(r),
             }
@@ -546,77 +752,34 @@ impl Checker {
     }
 
     fn walk_region(&mut self, r: &Region) {
-        self.check_region_entry(r);
-
-        // Build the region's data-environment frame.
-        let mut privates = BTreeSet::new();
-        let mut shareds = BTreeSet::new();
-        let mut reductions = BTreeSet::new();
-        for clause in &r.clauses {
-            match clause {
-                crate::ast::Clause::Private(ids) | crate::ast::Clause::FirstPrivate(ids) => {
-                    privates.extend(ids.iter().map(|i| i.name.clone()));
-                }
-                crate::ast::Clause::Shared(ids) => {
-                    shareds.extend(ids.iter().map(|i| i.name.clone()));
-                }
-                crate::ast::Clause::Reduction { var, .. } => {
-                    reductions.insert(var.name.clone());
-                }
-                _ => {}
+        if r.kind == RegionKind::Barrier {
+            // E001: a barrier only some of the team reaches.
+            let blocker = kinds_below_parallel(&self.scopes).find(|k| {
+                matches!(
+                    k,
+                    RegionKind::For
+                        | RegionKind::Sections
+                        | RegionKind::Section
+                        | RegionKind::Single
+                        | RegionKind::Master
+                        | RegionKind::Critical
+                )
+            });
+            if let Some(blocker) = blocker {
+                self.diags.push(e001(blocker, r.span));
             }
         }
-        self.frames.push(Frame::Region {
-            kind: r.kind,
-            privates,
-            shareds,
-            reductions,
-            num_threads: r.num_threads(),
-        });
+        self.scopes.push(Scope::region(r, self.syms));
 
         if r.kind == RegionKind::Parallel {
-            let mut red = BTreeSet::new();
-            collect_reduction_vars(&r.body, &mut red);
-            self.parallel_reductions.push(red);
             self.check_master_without_barrier(r);
-        }
-
-        // W103: private declared here, first lexical use is a read.
-        for clause in &r.clauses {
-            if let crate::ast::Clause::Private(ids) = clause {
-                for id in ids {
-                    if let Some((true, span)) = first_access(&r.body, &id.name) {
-                        self.diags.push(
-                            Diagnostic::new(
-                                Code::W103,
-                                span,
-                                format!(
-                                    "private variable `{}` is read before its first write",
-                                    id.name
-                                ),
-                            )
-                            .with_note(
-                                "private copies start uninitialised; use `firstprivate` to \
-                                 capture the outer value",
-                            ),
-                        );
-                    }
-                }
-            }
         }
 
         if r.kind == RegionKind::Critical {
             let lock = r.name.as_ref().map_or(String::new(), |n| n.name.clone());
             if self.held.iter().any(|h| h == &lock) {
                 let shown = if lock.is_empty() { "<unnamed>" } else { &lock };
-                self.diags.push(
-                    Diagnostic::new(
-                        Code::E004,
-                        r.span,
-                        format!("critical region `{shown}` is nested inside itself"),
-                    )
-                    .with_note("Pyjama criticals are not reentrant: re-entry deadlocks"),
-                );
+                self.diags.push(e004_reentered(shown, r.span));
             } else {
                 for outer in &self.held {
                     self.lock_edges
@@ -648,7 +811,7 @@ impl Checker {
                         continue;
                     }
                 }
-                // Checked in `check_region_entry` / below; still walk.
+                // A loose item (the structural walk's E005); still walk.
                 self.walk_items(std::slice::from_ref(item));
             }
         } else {
@@ -658,110 +821,7 @@ impl Checker {
         if r.kind == RegionKind::Critical {
             self.held.pop();
         }
-        if r.kind == RegionKind::Parallel {
-            self.parallel_reductions.pop();
-        }
-        self.frames.pop();
-    }
-
-    /// Rules that fire on seeing a directive, before entering it.
-    fn check_region_entry(&mut self, r: &Region) {
-        let above = self.kinds_below_parallel();
-        match r.kind {
-            RegionKind::Barrier => {
-                // E001: a barrier only some of the team reaches.
-                if let Some(blocker) = above.iter().find(|k| {
-                    matches!(
-                        k,
-                        RegionKind::For
-                            | RegionKind::Sections
-                            | RegionKind::Section
-                            | RegionKind::Single
-                            | RegionKind::Master
-                            | RegionKind::Critical
-                    )
-                }) {
-                    self.diags.push(
-                        Diagnostic::new(
-                            Code::E001,
-                            r.span,
-                            format!(
-                                "barrier inside `{}`: only part of the team reaches it",
-                                blocker.keyword()
-                            ),
-                        )
-                        .with_note(
-                            "threads that skip this construct wait at the region's end while \
-                             the thread inside waits here — a guaranteed deadlock",
-                        ),
-                    );
-                }
-            }
-            RegionKind::For | RegionKind::Sections => {
-                // E002: worksharing nested in worksharing.
-                if let Some(outer) = above.iter().find(|k| {
-                    matches!(k, RegionKind::For | RegionKind::Sections | RegionKind::Section)
-                }) {
-                    self.diags.push(
-                        Diagnostic::new(
-                            Code::E002,
-                            r.span,
-                            format!(
-                                "worksharing `{}` nested inside `{}` bound to the same \
-                                 parallel region",
-                                r.kind.keyword(),
-                                outer.keyword()
-                            ),
-                        )
-                        .with_note(
-                            "each thread re-divides only its own share; wrap the inner \
-                             construct in its own parallel region or restructure the loops",
-                        ),
-                    );
-                }
-            }
-            RegionKind::Section => {
-                // E005: `section` must sit directly inside `sections`.
-                let direct_parent_is_sections = matches!(
-                    self.frames.iter().rev().find_map(|f| match f {
-                        Frame::Region { kind, .. } => Some(*kind),
-                        Frame::Loop { .. } => None,
-                    }),
-                    Some(RegionKind::Sections)
-                );
-                if !direct_parent_is_sections {
-                    self.diags.push(
-                        Diagnostic::new(
-                            Code::E005,
-                            r.span,
-                            "`section` outside a `sections` construct",
-                        )
-                        .with_note("wrap the section branches in `//#omp sections { ... }`"),
-                    );
-                }
-            }
-            _ => {}
-        }
-        // E005: `sections` may only contain `section` branches.
-        if r.kind == RegionKind::Sections {
-            for item in &r.body {
-                let ok = matches!(item, Item::Region(s) if s.kind == RegionKind::Section);
-                if !ok {
-                    let span = match item {
-                        Item::Region(s) => s.span,
-                        Item::Loop(l) => l.span,
-                        Item::Assign(a) => a.span,
-                    };
-                    self.diags.push(
-                        Diagnostic::new(
-                            Code::E005,
-                            span,
-                            "only `//#omp section` blocks may appear directly inside `sections`",
-                        ),
-                    );
-                }
-            }
-        }
+        self.scopes.pop();
     }
 
     /// W102: a `master` block initialises shared state that sibling
@@ -788,60 +848,21 @@ impl Checker {
                 let mut reads = BTreeSet::new();
                 collect_reads(std::slice::from_ref(later), &mut reads);
                 if let Some(var) = writes.iter().find(|w| reads.contains(*w)) {
-                    self.diags.push(
-                        Diagnostic::new(
-                            Code::W102,
-                            master.span,
-                            format!(
-                                "`master` writes `{var}` but sibling code reads it with no \
-                                 barrier in between"
-                            ),
-                        )
-                        .with_note(
-                            "`master` has no implied barrier — non-master threads may read \
-                             before the write; use `single` or add `//#omp barrier`",
-                        ),
-                    );
+                    self.diags.push(w102_master(var, master.span));
                     break 'after;
                 }
             }
         }
     }
 
-    /// Per-assignment rules: E003 and W101.
+    /// W101: an unprotected write to a shared variable in a team of
+    /// more than one.
     fn check_assign(&mut self, a: &Assign) {
         if self.resolve(&a.target.name) != Sharing::Shared {
             return;
         }
-        let Some(team) = self.team_size() else { return };
-        if team <= 1 {
-            return;
-        }
-        // E003: the variable is some reduction's accumulator in this
-        // parallel region, written outside that reduction construct.
-        let in_reduction_set = self
-            .parallel_reductions
-            .last()
-            .is_some_and(|set| set.contains(&a.target.name));
-        if in_reduction_set {
-            self.diags.push(
-                Diagnostic::new(
-                    Code::E003,
-                    a.span,
-                    format!(
-                        "reduction variable `{}` is written as a shared variable outside \
-                         its reduction construct",
-                        a.target.name
-                    ),
-                )
-                .with_note(
-                    "this write bypasses the per-thread accumulators and races with the \
-                     combiner; move it outside the parallel region",
-                ),
-            );
-            return; // E003 subsumes the race warning for this write
-        }
-        if self.protected() {
+        let Some((size, _)) = team(&self.scopes) else { return };
+        if size <= 1 || self.e003.contains(&a.span) || self.protected() {
             return;
         }
         // Disjoint sections don't race: a write inside a `section` is
@@ -855,20 +876,7 @@ impl Checker {
                 return;
             }
         }
-        self.diags.push(
-            Diagnostic::new(
-                Code::W101,
-                a.span,
-                format!(
-                    "unprotected write to shared variable `{}` in a parallel region",
-                    a.target.name
-                ),
-            )
-            .with_note(
-                "another thread can access it concurrently — protect it with `critical`, \
-                 make it a reduction, or privatise it",
-            ),
-        );
+        self.diags.push(w101_unprotected(&a.target.name, a.span));
     }
 
     /// E004: report each pair of named criticals nested in both orders.
@@ -892,21 +900,7 @@ impl Checker {
                 // Anchor at the lexically first of the two edges.
                 let other = self.lock_edges.get(&(b.clone(), a.clone())).copied();
                 let anchor = other.map_or(*span, |o| (*span).min(o));
-                self.diags.push(
-                    Diagnostic::new(
-                        Code::E004,
-                        anchor,
-                        format!(
-                            "critical regions `{}` and `{}` are nested in both orders \
-                             (lock-order cycle)",
-                            key.0, key.1
-                        ),
-                    )
-                    .with_note(
-                        "two threads can each hold one lock while waiting for the other: \
-                         deadlock; acquire named criticals in one global order",
-                    ),
-                );
+                self.diags.push(e004_cycle(&key.0, &key.1, anchor));
             }
         }
     }
@@ -933,27 +927,6 @@ impl Checker {
 }
 
 // -- subtree collectors ----------------------------------------------
-
-/// Reduction variables declared by `for` constructs in this parallel
-/// region (not crossing into nested parallel regions).
-fn collect_reduction_vars(items: &[Item], out: &mut BTreeSet<String>) {
-    for item in items {
-        match item {
-            Item::Region(r) => {
-                if r.kind == RegionKind::For {
-                    for (_, var) in r.reductions() {
-                        out.insert(var.name.clone());
-                    }
-                }
-                if r.kind != RegionKind::Parallel {
-                    collect_reduction_vars(&r.body, out);
-                }
-            }
-            Item::Loop(l) => collect_reduction_vars(&l.body, out),
-            Item::Assign(_) => {}
-        }
-    }
-}
 
 /// All assignment targets in a subtree.
 fn collect_writes(items: &[Item], out: &mut BTreeSet<String>) {

@@ -11,9 +11,12 @@
 //! the exhaustive explorer and the pyjama runtime.
 //!
 //! The experiment-level report times 200 rounds of the fixture corpus
-//! and a seeded `genprog` corpus, and cross-validates the generated
-//! corpus against the exhaustive explorer next to the old syntactic
-//! engine.
+//! and a seeded `genprog` corpus, splits the generated corpus's lint
+//! time into its layers (`parse_us` for `parse::parse_recover`,
+//! `check_us` for `rules::check`, `lint_us` for the whole `analyze`,
+//! microseconds per program over 20 passes), and cross-validates the
+//! generated corpus against the exhaustive explorer next to the old
+//! syntactic engine.
 //!
 //! Gates (violations; any one exits non-zero):
 //! * per cell: the emitted codes equal the fixture's expected codes,
@@ -27,6 +30,7 @@
 //! Run with: `cargo run --release --example directive_lint -- [--seed N] [--out DIR]`
 //! (the seed picks the generated corpus; default 1).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use parc_analyze::diag::to_json_with_source;
@@ -36,6 +40,8 @@ use softeng751_repro::experiment::{self, Report, Spec};
 
 const FIXTURES: usize = 22;
 const ROUNDS: usize = 200;
+/// Passes over the generated corpus behind each per-layer time.
+const LAYER_PASSES: usize = 20;
 const CODES: [&str; 10] =
     ["E001", "E002", "E003", "E004", "E005", "E006", "W101", "W102", "W103", "W104"];
 const DIAGNOSTIC_KEYS: [&str; 6] = ["code", "severity", "line", "col", "message", "snippet"];
@@ -86,6 +92,18 @@ fn main() {
                 let _ = parc_analyze::analyze(&gp.source);
             }
             let gen_secs = gen_started.elapsed().as_secs_f64().max(1e-9);
+            let sources: Vec<&str> = corpus.iter().map(|gp| gp.source.as_str()).collect();
+            let programs_parsed: Vec<_> =
+                sources.iter().filter_map(|s| parc_analyze::parse::parse_recover(s).0).collect();
+            let parse_us = per_program_us(&sources, |s| {
+                black_box(parc_analyze::parse::parse_recover(s));
+            });
+            let check_us = per_program_us(&programs_parsed, |p| {
+                black_box(parc_analyze::rules::check(p));
+            });
+            let lint_us = per_program_us(&sources, |s| {
+                black_box(parc_analyze::analyze(s));
+            });
             let (stats, _) = genprog::cross_validate(&corpus);
 
             Report::new()
@@ -96,6 +114,9 @@ fn main() {
                 .measured("diagnostics_per_sec", diags as f64 / secs)
                 .det("generated_programs", stats.programs)
                 .measured("generated_programs_per_sec", corpus.len() as f64 / gen_secs)
+                .measured("parse_us", parse_us)
+                .measured("check_us", check_us)
+                .measured("lint_us", lint_us)
                 .det("generated_parse_failures", stats.parse_failures)
                 .det("generated_dynamic_clean", stats.dynamic_clean)
                 .det("generated_dynamic_racy", stats.dynamic_racy)
@@ -124,4 +145,15 @@ fn main() {
                 )
         },
     );
+}
+
+/// Mean microseconds `f` takes per item, over `LAYER_PASSES` passes.
+fn per_program_us<T>(items: &[T], mut f: impl FnMut(&T)) -> f64 {
+    let started = Instant::now();
+    for _ in 0..LAYER_PASSES {
+        for item in items {
+            f(black_box(item));
+        }
+    }
+    started.elapsed().as_secs_f64() * 1e6 / (LAYER_PASSES * items.len()).max(1) as f64
 }
