@@ -295,11 +295,7 @@ impl Controller {
         st.active = None;
         if let Err(payload) = result {
             if !payload.is::<AbortToken>() {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = parc_util::panic_message(&*payload);
                 st.panic.get_or_insert(format!("T{tid} panicked: {msg}"));
                 st.abort = true;
             }

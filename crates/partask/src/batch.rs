@@ -21,7 +21,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 use crate::runtime::RtInner;
-use crate::task::{CancelToken, TaskError, TaskId};
+use crate::task::{CancelToken, TaskError};
 
 /// A member's result slot: written once by the member running that
 /// index, read only after the batch countdown reaches zero.
@@ -159,14 +159,6 @@ impl<T: Send + 'static> BatchHandle<T> {
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.core.is_finished()
-    }
-
-    /// The id of member `index` (batch members take a contiguous id
-    /// block, so traces and inspect reports can attribute them).
-    #[must_use]
-    pub fn task_id(&self, index: usize) -> TaskId {
-        assert!(index < self.core.len(), "batch member index out of range");
-        TaskId(self.core.base_id() + index as u64)
     }
 
     /// Request cooperative cancellation of every member that has not

@@ -44,19 +44,6 @@ impl<T: Send + 'static> MultiHandle<T> {
         self.handles.is_empty()
     }
 
-    /// True once every instance has completed.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        self.handles.iter().all(TaskHandle::is_done)
-    }
-
-    /// Number of instances that have completed so far — drives
-    /// progress bars in the GUI scenarios.
-    #[must_use]
-    pub fn done_count(&self) -> usize {
-        self.handles.iter().filter(|h| h.is_done()).count()
-    }
-
     /// Block until all instances complete.
     pub fn wait_all(&self) {
         for h in &self.handles {
@@ -102,12 +89,5 @@ impl<T: Send + 'static> MultiHandle<T> {
     #[must_use]
     pub fn watchers(&self) -> Vec<TaskWatcher> {
         self.handles.iter().map(TaskHandle::watcher).collect()
-    }
-
-    /// Request cancellation of all not-yet-started instances.
-    pub fn cancel_all(&self) {
-        for h in &self.handles {
-            h.cancel();
-        }
     }
 }

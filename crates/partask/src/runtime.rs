@@ -13,7 +13,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::batch::{BatchCore, BatchHandle};
 use crate::job::SmallJob;
 use crate::sched::{Job, LocalQueue, SchedCounters, SchedulerKind, SharedSched};
-use crate::task::{CancelToken, Core, TaskHandle, TaskId, TaskWatcher};
+use crate::task::{CancelToken, Core, TaskError, TaskHandle, TaskId, TaskWatcher};
 
 /// Snapshot of runtime activity counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -39,9 +39,11 @@ pub struct RuntimeStats {
     /// Tasks that resolved to [`crate::TaskError::Cancelled`] without
     /// running their body.
     pub cancelled: u64,
-    /// Deadline expirations: tasks whose [`TaskRuntime::spawn_deadline`]
-    /// budget elapsed before they finished (each also requests
-    /// cooperative cancellation).
+    /// Deadline expirations: [`TaskRuntime::spawn_deadline`] tasks that
+    /// settled after their budget elapsed. The expiry is read from the
+    /// task's token and counted once, when the task settles, before its
+    /// join returns; a body that ignores its token and overruns is
+    /// counted when it finishes, not while it is still running.
     pub timed_out: u64,
 }
 
@@ -130,59 +132,6 @@ pub(crate) struct RtInner {
     timed_out: Arc<Counter>,
     pub(crate) trace: TraceHandle,
     pub(crate) pid: u32,
-    deadlines: DeadlineWatch,
-}
-
-/// One task registered with the deadline watchdog.
-struct DeadlineEntry {
-    expiry: Arc<Expiry>,
-    token: CancelToken,
-    finished: Arc<dyn Fn() -> bool + Send + Sync>,
-}
-
-/// The expiry of one [`TaskRuntime::spawn_deadline`] task. Whichever
-/// side observes the deadline first counts it: the watchdog, finding
-/// the task unfinished at `due`, or the task itself, settling at or
-/// after `due` (a body that stopped on its expired token or overran
-/// it, or a queued task skipped for it).
-struct Expiry {
-    /// The token's effective deadline: the instant its
-    /// `is_cancelled` turns true.
-    due: Instant,
-    task: u64,
-    /// Held while counting, so a count one side has begun is complete
-    /// before the other side sees `true` and lets a joiner in.
-    counted: Mutex<bool>,
-}
-
-impl Expiry {
-    /// Count the expiry in `inner`'s stats unless it already is.
-    fn count(&self, inner: &RtInner) {
-        let mut counted = self.counted.lock();
-        if !*counted {
-            *counted = true;
-            inner.timed_out.inc();
-            inner.trace.mark(
-                inner.pid,
-                MarkKind::TaskOutcome { task: self.task, outcome: Outcome::TimedOut },
-            );
-        }
-    }
-}
-
-#[derive(Default)]
-struct DeadlineState {
-    entries: Vec<DeadlineEntry>,
-    watcher_running: bool,
-    shutdown: bool,
-}
-
-/// Shared state of the lazily-started watchdog thread that enforces
-/// [`TaskRuntime::spawn_deadline`] budgets by cancelling overdue tasks.
-#[derive(Default)]
-struct DeadlineWatch {
-    state: Mutex<DeadlineState>,
-    cv: Condvar,
 }
 
 thread_local! {
@@ -300,7 +249,6 @@ impl Builder {
             timed_out,
             trace: self.trace,
             pid,
-            deadlines: DeadlineWatch::default(),
         });
         let mut joiners = Vec::with_capacity(self.workers);
         for (index, local) in locals.into_iter().enumerate() {
@@ -533,87 +481,6 @@ impl RtInner {
             self.quiescent_cv.notify_all();
         }
     }
-
-    /// Register a task with the deadline watchdog, starting the
-    /// watchdog thread on first use.
-    fn register_deadline(self: &Arc<Self>, entry: DeadlineEntry) {
-        let mut st = self.deadlines.state.lock();
-        st.entries.push(entry);
-        if !st.watcher_running {
-            st.watcher_running = true;
-            let weak = Arc::downgrade(self);
-            // Detached: exits on shutdown (or when the runtime drops)
-            // via the shutdown flag set in `stop_deadline_watch`.
-            let _ = thread::Builder::new()
-                .name("partask-deadline".to_string())
-                .spawn(move || deadline_watch_loop(&weak));
-        }
-        drop(st);
-        self.deadlines.cv.notify_all();
-    }
-
-    /// Tell the watchdog to exit (idempotent).
-    fn stop_deadline_watch(&self) {
-        let mut st = self.deadlines.state.lock();
-        st.shutdown = true;
-        drop(st);
-        self.deadlines.cv.notify_all();
-    }
-}
-
-/// Watchdog body: sleep until the earliest registered deadline, then
-/// cancel every overdue, unfinished task and count it as timed out.
-fn deadline_watch_loop(weak: &Weak<RtInner>) {
-    loop {
-        let Some(inner) = weak.upgrade() else { return };
-        let mut st = inner.deadlines.state.lock();
-        if st.shutdown {
-            st.watcher_running = false;
-            return;
-        }
-        let now = Instant::now();
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < st.entries.len() {
-            if st.entries[i].finished.as_ref()() {
-                // Completed in time: forget the deadline.
-                st.entries.swap_remove(i);
-            } else if st.entries[i].expiry.due <= now {
-                due.push(st.entries.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        if due.is_empty() {
-            let next = st.entries.iter().map(|e| e.expiry.due).min();
-            match next {
-                Some(at) => {
-                    let _ = inner.deadlines.cv.wait_until(&mut st, at);
-                }
-                None => {
-                    // Nothing registered: park until a new entry or
-                    // shutdown arrives (bounded for robustness).
-                    let _ = inner
-                        .deadlines
-                        .cv
-                        .wait_for(&mut st, Duration::from_millis(50));
-                }
-            }
-            drop(st);
-            // Drop the strong ref before looping so a dropped runtime
-            // is noticed promptly.
-            drop(inner);
-            continue;
-        }
-        drop(st);
-        for entry in due {
-            // Count before cancelling: the cancel flag's release store is what
-            // publishes this increment to a task body that observes cancellation,
-            // finishes, and lets a joiner read the stats.
-            entry.expiry.count(&inner);
-            entry.token.cancel();
-        }
-    }
 }
 
 /// What [`TaskRuntime::shutdown_graceful`] accomplished.
@@ -701,18 +568,19 @@ impl TaskRuntime {
         spawn_on_with_token(&self.inner, parent.child(), f)
     }
 
-    /// Spawn a task with an execution budget: when `deadline` elapses
-    /// before the task finishes, its [`CancelToken`] reports
-    /// cancellation and the expiry is counted once in
-    /// [`RuntimeStats::timed_out`], before a join can return, whether
-    /// a watchdog thread or the task itself sees the deadline first.
+    /// Spawn a task with an execution budget. Once `deadline` has
+    /// elapsed, the task's [`CancelToken`] reads as cancelled: the
+    /// token carries the deadline, so nothing else has to cancel it.
+    /// A task that settles after its deadline reads the expiry from
+    /// its token and counts it once in [`RuntimeStats::timed_out`],
+    /// before its join can return.
     ///
     /// Cancellation is cooperative, exactly as with
     /// [`TaskRuntime::spawn_cancellable`]: a body that polls its token
     /// stops early and decides its own result; a queued task that has
     /// not started resolves to [`crate::TaskError::Cancelled`]; a body
-    /// that ignores its token runs to completion regardless, and only
-    /// the counter records the overrun.
+    /// that ignores its token runs to completion regardless, and is
+    /// counted when it finishes, not while it is still running.
     pub fn spawn_deadline<T: Send + 'static>(
         &self,
         deadline: Duration,
@@ -724,7 +592,8 @@ impl TaskRuntime {
     /// [`TaskRuntime::spawn_deadline`] with an explicit parent token:
     /// the task's token is a child of `parent` carrying the deadline
     /// (clamped to `parent`'s own deadline, which a child can tighten
-    /// but never extend).
+    /// but never extend). As there, the expiry is read from the token
+    /// and counted when the task settles.
     pub fn spawn_deadline_under<T: Send + 'static>(
         &self,
         parent: &CancelToken,
@@ -732,27 +601,19 @@ impl TaskRuntime {
         f: impl FnOnce(&CancelToken) -> T + Send + 'static,
     ) -> TaskHandle<T> {
         let token = parent.child_with_deadline(deadline);
-        let core = Core::with_token(token.clone());
-        let expiry = Arc::new(Expiry {
-            due: token.deadline().expect("a deadline token has a deadline"),
-            task: core.id.as_u64(),
-            counted: Mutex::new(false),
-        });
-        let settle = {
-            let (expiry, inner) = (Arc::clone(&expiry), Arc::downgrade(&self.inner));
-            move || {
-                if let Some(inner) = inner.upgrade().filter(|_| Instant::now() >= expiry.due) {
-                    expiry.count(&inner);
-                }
+        let due = token.deadline().expect("a deadline token has a deadline");
+        let core = Core::with_token(token);
+        let (task, rt) = (core.id.as_u64(), Arc::downgrade(&self.inner));
+        let settle = move || {
+            if let Some(inner) = rt.upgrade().filter(|_| Instant::now() >= due) {
+                inner.timed_out.inc();
+                inner.trace.mark(
+                    inner.pid,
+                    MarkKind::TaskOutcome { task, outcome: Outcome::TimedOut },
+                );
             }
         };
         self.inner.push_job(make_traced_job(&self.inner, &core, f, settle));
-        let finished = Arc::clone(&core);
-        self.inner.register_deadline(DeadlineEntry {
-            expiry,
-            token,
-            finished: Arc::new(move || finished.is_finished()),
-        });
         TaskHandle { core, rt: Arc::downgrade(&self.inner) }
     }
 
@@ -939,11 +800,10 @@ impl TaskRuntime {
         }
     }
 
-    /// Stop the workers and the deadline watchdog, then join every
-    /// worker (idempotent: a second call finds no workers to join).
+    /// Stop the workers, then join every one of them (idempotent: a
+    /// second call finds no workers to join).
     fn stop_and_join(&self) {
         self.inner.stop.store(true, Ordering::Release);
-        self.inner.stop_deadline_watch();
         self.inner.wake_all();
         let joiners = std::mem::take(&mut *self.joiners.lock());
         let self_id = thread::current().id();
@@ -1155,13 +1015,13 @@ fn run_batch_member<T: Send + 'static>(
     let result = {
         let _span = rt.as_ref().map(|i| i.trace.span(i.pid, SpanKind::TaskRun { task }));
         if token.is_cancelled() {
-            Err(crate::task::TaskError::Cancelled)
+            Err(TaskError::Cancelled)
         } else {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index)))
-                .map_err(|payload| crate::task::TaskError::Panicked(crate::task::panic_message(&*payload)))
+                .map_err(|payload| TaskError::Panicked(parc_util::panic_message(&*payload)))
         }
     };
-    let was_cancelled = matches!(result, Err(crate::task::TaskError::Cancelled));
+    let was_cancelled = matches!(result, Err(TaskError::Cancelled));
     core.store(index, result);
     if let Some(inner) = rt {
         inner.job_ran(task, was_cancelled);

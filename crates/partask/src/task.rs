@@ -140,7 +140,8 @@ impl<T: Send + 'static> Core<T> {
         let token = self.cancel.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&token)));
         settle();
-        let result = outcome.map_err(|payload| TaskError::Panicked(panic_message(&*payload)));
+        let result =
+            outcome.map_err(|payload| TaskError::Panicked(parc_util::panic_message(&*payload)));
         self.complete(result);
         false
     }
@@ -228,16 +229,6 @@ impl<T: Send + 'static> Core<T> {
             );
             st.continuation = Some(cont);
         }
-    }
-}
-
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 

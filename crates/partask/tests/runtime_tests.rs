@@ -487,16 +487,16 @@ fn spawn_deadline_cancels_overdue_task() {
     });
     assert_eq!(t.join().unwrap(), "stopped early");
     let stats = rt.stats();
-    assert_eq!(stats.timed_out, 1, "watchdog must count the expiry");
+    assert_eq!(stats.timed_out, 1, "the task counts the expiry as it settles");
     rt.shutdown();
 }
 
 #[test]
 fn every_deadline_expiry_is_counted_before_its_join_returns() {
-    // Bodies stop as soon as their token reports the deadline, which
-    // can be before the watchdog wakes; queued tasks whose deadline
-    // passes before they start are skipped. Either way the expiry must
-    // already be counted when the join returns.
+    // Bodies stop as soon as their token reports the deadline; queued
+    // tasks whose deadline passes before they start are skipped.
+    // Either way the task counts the expiry as it settles, so it is
+    // already counted when the join returns.
     let rt = TaskRuntime::builder().workers(2).build();
     let handles: Vec<_> = (0..20)
         .map(|_| {

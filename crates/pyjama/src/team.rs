@@ -76,23 +76,13 @@ fn poison_unwind() -> ! {
     std::panic::resume_unwind(Box::new(PoisonUnwind));
 }
 
-fn payload_to_string(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Route one member's unwind into the region's panic record, unless it
 /// is the poison-cascade marker (already recorded by the root cause).
 fn note_region_panic(region: &RegionState, member: usize, payload: Box<dyn Any + Send>) {
     if payload.downcast_ref::<PoisonUnwind>().is_some() {
         return;
     }
-    region.record_panic(member, payload_to_string(&*payload));
+    region.record_panic(member, parc_util::panic_message(&*payload));
 }
 
 thread_local! {
@@ -334,7 +324,7 @@ impl Team {
                 }
                 Err(p) => Err(TeamError::MemberPanicked {
                     member: 0,
-                    payload: payload_to_string(&*p),
+                    payload: parc_util::panic_message(&*p),
                 }),
             };
         }
@@ -833,11 +823,4 @@ impl<T> ReduceSlots<T> {
             combined: Mutex::new(None),
         }
     }
-}
-
-/// Marker: a region is currently executing on this thread. Used by the
-/// GUI module to assert against misuse.
-#[allow(dead_code)]
-pub(crate) fn in_region() -> bool {
-    IN_REGION.with(Cell::get)
 }

@@ -543,7 +543,7 @@ impl SupervisorBuilder {
         let sup_token = parent.child();
         let pid = self.trace.register_track(&self.name);
         let budget = self.restart.max_attempts().saturating_sub(1);
-        let (tx, rx) = mpsc::channel::<(usize, ExitClass)>();
+        let (tx, rx) = mpsc::channel::<(usize, ChildOutcome)>();
 
         struct ChildState {
             incarnation: u32,
@@ -604,25 +604,25 @@ impl SupervisorBuilder {
                     .name(thread_name)
                     .spawn(move || {
                         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                        let class = match result {
-                            Ok(Ok(())) => ExitClass::Completed,
-                            Ok(Err(ChildError::Failed(msg))) => ExitClass::Failed(msg),
+                        let outcome = match result {
+                            Ok(Ok(())) => ChildOutcome::Completed,
+                            Ok(Err(ChildError::Failed(_))) => ChildOutcome::Failed,
                             Ok(Err(ChildError::Cancelled)) => {
                                 // Deadline expiry and cooperative stop
                                 // both surface as `Cancelled` from the
                                 // body; the token's deadline tells the
                                 // supervisor which one it was.
                                 if ctx.token.remaining() == Some(Duration::ZERO) {
-                                    ExitClass::TimedOut
+                                    ChildOutcome::TimedOut
                                 } else {
-                                    ExitClass::Cancelled
+                                    ChildOutcome::Cancelled
                                 }
                             }
-                            Err(payload) => ExitClass::Panicked(panic_text(&*payload)),
+                            Err(_) => ChildOutcome::Panicked,
                         };
                         // The supervisor may already be gone on
                         // teardown races; a dead receiver is fine.
-                        let _ = tx.send((idx, class));
+                        let _ = tx.send((idx, outcome));
                     })
                     .expect("failed to spawn supervised child"),
             );
@@ -655,8 +655,7 @@ impl SupervisorBuilder {
         };
 
         while states.iter().any(|s| s.running) {
-            let (idx, class) = rx.recv().expect("children hold a sender while running");
-            let outcome = class.outcome();
+            let (idx, outcome) = rx.recv().expect("children hold a sender while running");
             record_exit(idx, &mut states[idx], outcome, &mut threads_joined);
 
             if !outcome.is_failure() {
@@ -732,9 +731,8 @@ impl SupervisorBuilder {
                         }
                     }
                     while states.iter().enumerate().any(|(s, st)| s != idx && st.running) {
-                        let (s_idx, s_class) =
+                        let (s_idx, s_outcome) =
                             rx.recv().expect("siblings hold senders while running");
-                        let s_outcome = s_class.outcome();
                         record_exit(s_idx, &mut states[s_idx], s_outcome, &mut threads_joined);
                         if s_outcome != ChildOutcome::Completed {
                             to_restart.push(s_idx);
@@ -791,37 +789,6 @@ impl SupervisorBuilder {
             threads_spawned,
             threads_joined,
         }
-    }
-}
-
-/// Exit classification as sent over the child → supervisor channel.
-enum ExitClass {
-    Completed,
-    Failed(#[allow(dead_code)] String),
-    Panicked(#[allow(dead_code)] String),
-    Cancelled,
-    TimedOut,
-}
-
-impl ExitClass {
-    fn outcome(&self) -> ChildOutcome {
-        match self {
-            ExitClass::Completed => ChildOutcome::Completed,
-            ExitClass::Failed(_) => ChildOutcome::Failed,
-            ExitClass::Panicked(_) => ChildOutcome::Panicked,
-            ExitClass::Cancelled => ChildOutcome::Cancelled,
-            ExitClass::TimedOut => ChildOutcome::TimedOut,
-        }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 

@@ -186,13 +186,6 @@ impl CancelToken {
             Ok(())
         }
     }
-
-    /// Do these two tokens share the same tree node (i.e. are they
-    /// clones of each other rather than parent/child)?
-    #[must_use]
-    pub fn same_node(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.node, &other.node)
-    }
 }
 
 #[cfg(test)]

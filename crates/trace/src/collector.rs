@@ -534,12 +534,6 @@ impl Collector {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Is event recording on?
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
     /// The collector's metrics registry.
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {

@@ -11,7 +11,9 @@ pub enum Outcome {
     Completed,
     /// The task resolved to `Cancelled` without running its body.
     Cancelled,
-    /// A deadline watchdog cancelled the task's token.
+    /// The task settled after its deadline had passed: the expiry is
+    /// read from the task's cancel token and marked once, when the task
+    /// settles, next to its `Completed` or `Cancelled` mark.
     TimedOut,
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Shared foundation for the SoftEng 751 reproduction: deterministic
 //! pseudo-random number generation, descriptive statistics, timing
-//! helpers, plain-text report rendering and the one fingerprint hash
-//! ([`fnv1a`]) every determinism gate compares.
+//! helpers, plain-text report rendering, the one fingerprint hash
+//! ([`fnv1a`]) every determinism gate compares, and the one rendering
+//! of a caught panic's payload ([`panic_message`]).
 //!
 //! Every experiment in the workspace is seeded, so any result in
 //! `EXPERIMENTS.md` can be regenerated bit-for-bit. The PRNGs here
@@ -41,8 +42,30 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The text of a caught panic's payload: the message of a `panic!`
+/// with a literal (`&str`) or a formatted one (`String`), and
+/// `<non-string panic payload>` for anything else.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let text = |payload: Box<dyn std::any::Any + Send>| super::panic_message(&*payload);
+        assert_eq!(text(Box::new("a literal")), "a literal");
+        assert_eq!(text(Box::new(format!("formatted {}", 7))), "formatted 7");
+        assert_eq!(text(Box::new(7_u32)), "<non-string panic payload>");
+    }
+
     #[test]
     fn fnv1a_matches_the_reference_vectors() {
         assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);

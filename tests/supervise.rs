@@ -94,6 +94,27 @@ fn deadlines_cancel_cooperatively_and_children_cannot_extend_them() {
 }
 
 #[test]
+fn deadline_expiries_are_counted_once_when_the_task_settles() {
+    let rt = TaskRuntime::builder().workers(2).build();
+
+    // A body that finishes well inside its budget is not counted.
+    let fast = rt.spawn_deadline(Duration::from_secs(10), |_| 7);
+    assert_eq!(fast.join().expect("a fast body returns its value"), 7);
+    assert_eq!(rt.stats().timed_out, 0, "no deadline passed");
+
+    // A body that ignores its token overruns its budget: it still
+    // returns its value, and the expiry is counted once, when the
+    // body finishes and before the join returns.
+    let late = rt.spawn_deadline(Duration::from_millis(5), |_| {
+        std::thread::sleep(Duration::from_millis(20));
+        "finished late"
+    });
+    assert_eq!(late.join().expect("the overrun keeps its result"), "finished late");
+    assert_eq!(rt.stats().timed_out, 1, "the overrun is counted once");
+    rt.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_to_quiescence() {
     let rt = TaskRuntime::builder().workers(3).build();
     let done = Arc::new(AtomicUsize::new(0));
