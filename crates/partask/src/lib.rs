@@ -30,7 +30,8 @@
 //! * **Cancellation** — cooperative and *hierarchical*, via
 //!   [`CancelToken`] (re-exported from `parc-supervise`): every task's
 //!   token is a child of the runtime's root token, tokens form trees
-//!   with deadline propagation, and
+//!   with deadline propagation (a child points at its parent, so a
+//!   spawn takes no shared lock), and
 //!   [`TaskRuntime::shutdown_graceful`] cancels the root then drains
 //!   in-flight work within a bounded budget.
 //!

@@ -5,7 +5,10 @@
 //! * [`CancelToken`] — hierarchical cancellation with deadline
 //!   propagation. Tokens form a tree: cancelling a parent cancels the
 //!   whole subtree; a child inherits (and can only tighten) its
-//!   parent's deadline. Tokens are cheap to clone and poll, and
+//!   parent's deadline. A child points at its parent and nothing
+//!   points at a child, so making a child takes no lock, `cancel` is
+//!   one store and `is_cancelled` reads one flag per ancestor.
+//!   Tokens are cheap to clone and poll, and
 //!   `partask` / `pyjama` accept them so task bodies and parallel
 //!   regions can stop cooperatively.
 //! * [`Supervisor`] — Erlang-style restart supervision. Children run

@@ -2,10 +2,20 @@
 //!
 //! A [`CancelToken`] is a node in a cancellation *tree*: cancelling a
 //! token cancels its whole subtree, while a child's cancellation never
-//! affects its parent. Deadlines propagate at creation time — a child
-//! can only tighten the effective deadline it inherits, never extend
-//! it — so `is_cancelled` needs no upward walk: each node carries its
-//! own flag plus a pre-computed effective deadline.
+//! affects its parent. Each node points at its parent, and nothing
+//! points at a child. `cancel` sets the node's own flag, and
+//! `is_cancelled` reads its own flag and then each ancestor's, so a
+//! cancel also reaches descendants created after it.
+//!
+//! Deadlines propagate at creation time: a child can only tighten the
+//! effective deadline it inherits, never extend it, so each node
+//! carries one pre-computed effective deadline.
+//!
+//! Costs: `child` is O(1) and takes no lock (one `Arc` bump on the
+//! parent), `cancel` is one `Release` store, and `is_cancelled` is
+//! O(depth), one `Acquire` load per node up to the root. The store
+//! and the loads pair, so whatever a thread wrote before `cancel` is
+//! visible to a task that reads its token as cancelled.
 //!
 //! Tokens are cheap to clone (one `Arc` bump; clones share the node)
 //! and safe to poll from any thread. The API is a strict superset of
@@ -15,10 +25,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 /// Error returned by [`CancelToken::checkpoint`] once cancellation has
 /// been requested (directly, via an ancestor, or by deadline expiry).
@@ -38,22 +46,34 @@ struct TokenNode {
     /// Effective deadline: `min` of this node's own deadline and every
     /// ancestor's, computed once at creation. `None` = unbounded.
     deadline: Option<Instant>,
-    /// Children to cascade a `cancel` into. Weak: a dropped subtree
-    /// must not be kept alive by its parent.
-    children: Mutex<Vec<Weak<TokenNode>>>,
+    /// The parent this node keeps alive; `None` for a root.
+    parent: Option<Arc<TokenNode>>,
 }
 
 impl TokenNode {
-    fn new(deadline: Option<Instant>) -> Arc<Self> {
+    fn new(deadline: Option<Instant>, parent: Option<Arc<TokenNode>>) -> Arc<Self> {
         Arc::new(Self {
             cancelled: AtomicBool::new(false),
             deadline,
-            children: Mutex::new(Vec::new()),
+            parent,
         })
     }
 }
 
-/// Cooperative cancellation token forming a tree; see the module docs.
+impl Drop for TokenNode {
+    /// Releases the ancestors this node alone kept alive one at a time,
+    /// so dropping the last owner of a long chain does not recurse.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(node) = next {
+            next = Arc::into_inner(node).and_then(|mut node| node.parent.take());
+        }
+    }
+}
+
+/// Cooperative cancellation token forming a tree. A child holds its
+/// parent; `child` is O(1) with no lock, `cancel` is O(1) and
+/// `is_cancelled` is O(depth). See the module docs.
 #[derive(Clone)]
 pub struct CancelToken {
     node: Arc<TokenNode>,
@@ -78,14 +98,14 @@ impl CancelToken {
     /// Fresh root token: un-cancelled, no deadline.
     #[must_use]
     pub fn new() -> Self {
-        Self { node: TokenNode::new(None) }
+        Self { node: TokenNode::new(None, None) }
     }
 
     /// Fresh root token that auto-cancels when `budget` elapses.
     #[must_use]
     pub fn with_deadline(budget: Duration) -> Self {
         Self {
-            node: TokenNode::new(Some(Instant::now() + budget)),
+            node: TokenNode::new(Some(Instant::now() + budget), None),
         }
     }
 
@@ -111,54 +131,24 @@ impl CancelToken {
     }
 
     fn child_node(&self, deadline: Option<Instant>) -> Self {
-        let child = TokenNode::new(deadline);
-        {
-            let mut children = self.node.children.lock();
-            // Prune dead subtrees opportunistically so long-lived roots
-            // (a runtime's token spawning many short tasks) do not leak.
-            if children.len() >= 32 {
-                children.retain(|w| w.strong_count() > 0);
-            }
-            children.push(Arc::downgrade(&child));
+        Self {
+            node: TokenNode::new(deadline, Some(Arc::clone(&self.node))),
         }
-        // Re-check after linking: a concurrent `cancel` that walked the
-        // children list before our push must not leave this child
-        // un-cancelled forever.
-        if self.node.cancelled.load(Ordering::Acquire) {
-            child.cancelled.store(true, Ordering::Release);
-        }
-        Self { node: child }
     }
 
-    /// Request cancellation of this token and its whole subtree.
+    /// Request cancellation of this token and its whole subtree,
+    /// including children created after this call.
     pub fn cancel(&self) {
-        // Iterative DFS: collect each node's live children under its
-        // lock, flag outside the lock. No recursion, no lock nesting.
-        let mut stack = vec![Arc::clone(&self.node)];
-        while let Some(node) = stack.pop() {
-            if node.cancelled.swap(true, Ordering::AcqRel) {
-                // Already cancelled: its subtree was (or is being)
-                // flagged by a previous walk.
-                continue;
-            }
-            let children = node.children.lock();
-            for weak in children.iter() {
-                if let Some(child) = weak.upgrade() {
-                    stack.push(child);
-                }
-            }
-        }
+        self.node.cancelled.store(true, Ordering::Release);
     }
 
     /// Has cancellation been requested (directly, via an ancestor's
     /// `cancel`, or by deadline expiry)?
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.node.cancelled.load(Ordering::Acquire)
-            || self
-                .node
-                .deadline
-                .is_some_and(|due| Instant::now() >= due)
+        std::iter::successors(Some(&*self.node), |node| node.parent.as_deref())
+            .any(|node| node.cancelled.load(Ordering::Acquire))
+            || self.node.deadline.is_some_and(|due| Instant::now() >= due)
     }
 
     /// This token's effective deadline, if any.
@@ -281,14 +271,13 @@ mod tests {
     }
 
     #[test]
-    fn dead_children_get_pruned() {
+    fn dropped_children_release_their_parent() {
         let root = CancelToken::new();
         for _ in 0..10_000 {
             let _short_lived = root.child();
         }
-        // After many create/drop cycles the child list must stay
-        // bounded (pruned at the 32-entry threshold), not grow 10k.
-        assert!(root.node.children.lock().len() <= 64);
+        // Nothing but `root` itself may still hold its node.
+        assert_eq!(Arc::strong_count(&root.node), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   cleanly at their barriers, and graceful shutdown drains to
 //!   quiescence.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -112,6 +112,77 @@ fn deadline_expiries_are_counted_once_when_the_task_settles() {
     assert_eq!(late.join().expect("the overrun keeps its result"), "finished late");
     assert_eq!(rt.stats().timed_out, 1, "the overrun is counted once");
     rt.shutdown();
+}
+
+#[test]
+fn cancelling_a_middle_token_reaches_its_descendants_only() {
+    let root = CancelToken::new();
+    let middle = root.child();
+    let sibling = root.child();
+    let child = middle.child();
+    let grandchild = child.child();
+    middle.cancel();
+    let late_grandchild = child.child();
+    assert!(child.is_cancelled(), "the cancel reaches the child");
+    assert!(grandchild.is_cancelled(), "and the grandchild");
+    assert!(late_grandchild.is_cancelled(), "and a grandchild created after it");
+    assert!(!root.is_cancelled(), "a cancel never reaches the parent");
+    assert!(!sibling.is_cancelled(), "nor a sibling");
+    assert!(!sibling.child().is_cancelled(), "nor a sibling's children");
+}
+
+#[test]
+fn cancelling_a_group_of_ten_thousand_live_tasks_accounts_for_each() {
+    const TASKS: u64 = 10_000;
+    let rt = TaskRuntime::builder().workers(2).build();
+    let group = rt.cancel_token().child();
+
+    // Every handle stays alive, so every task token is live at once
+    // when the group is cancelled after the first body has started.
+    let started = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..TASKS)
+        .map(|i| {
+            let started = Arc::clone(&started);
+            rt.spawn_cancellable_under(&group, move |_| {
+                started.store(true, Ordering::SeqCst);
+                i
+            })
+        })
+        .collect();
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    group.cancel();
+
+    let mut cancelled = 0;
+    for (i, handle) in (0..TASKS).zip(handles) {
+        match handle.join() {
+            Ok(value) => assert_eq!(value, i, "a body that ran returns its own value"),
+            Err(TaskError::Cancelled) => cancelled += 1,
+            Err(other) => panic!("task {i} resolved to {other}"),
+        }
+    }
+    rt.wait_quiescent();
+    let stats = rt.stats();
+    assert_eq!(stats.cancelled, cancelled, "each skipped body is counted once");
+    assert_eq!(stats.spawned, TASKS);
+    assert_eq!(stats.spawned, stats.executed, "task conservation at quiescence");
+    rt.shutdown();
+}
+
+#[test]
+fn a_hundred_thousand_deep_token_chain_cancels_and_drops_without_recursing() {
+    let root = CancelToken::new();
+    let mut leaf = root.child();
+    for _ in 1..100_000 {
+        leaf = leaf.child();
+    }
+    root.cancel();
+    assert!(leaf.is_cancelled(), "the root's cancel reaches the deepest leaf");
+    drop(root);
+    assert!(leaf.is_cancelled(), "the leaf keeps its ancestors alive");
+    // The leaf is now the last owner of all 100,000 nodes.
+    drop(leaf);
 }
 
 #[test]
