@@ -75,11 +75,7 @@ impl<T: Send + 'static> MultiHandle<T> {
     }
 
     /// Join and fold the instance results in index order.
-    pub fn join_reduce<A>(
-        self,
-        init: A,
-        fold: impl FnMut(A, T) -> A,
-    ) -> Result<A, TaskError> {
+    pub fn join_reduce<A>(self, init: A, fold: impl FnMut(A, T) -> A) -> Result<A, TaskError> {
         let values = self.join_all()?;
         Ok(values.into_iter().fold(init, fold))
     }

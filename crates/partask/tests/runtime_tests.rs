@@ -160,14 +160,19 @@ fn dependence_chain_executes_in_order() {
     let rt = TaskRuntime::builder().workers(2).build();
     let counter = Arc::new(AtomicUsize::new(0));
     let c0 = Arc::clone(&counter);
-    let t0 = rt.spawn(move || c0.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst).is_ok());
+    let t0 = rt.spawn(move || {
+        c0.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    });
     let c1 = Arc::clone(&counter);
     let t1 = rt.spawn_after(&[t0.watcher()], move || {
-        c1.compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+        c1.compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     });
     let c2 = Arc::clone(&counter);
     let t2 = rt.spawn_after(&[t1.watcher()], move || {
-        c2.compare_exchange(2, 3, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+        c2.compare_exchange(2, 3, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     });
     assert!(t2.join().unwrap());
     assert!(t1.join().unwrap());
@@ -487,7 +492,10 @@ fn spawn_deadline_cancels_overdue_task() {
     });
     assert_eq!(t.join().unwrap(), "stopped early");
     let stats = rt.stats();
-    assert_eq!(stats.timed_out, 1, "the task counts the expiry as it settles");
+    assert_eq!(
+        stats.timed_out, 1,
+        "the task counts the expiry as it settles"
+    );
     rt.shutdown();
 }
 
@@ -510,7 +518,11 @@ fn every_deadline_expiry_is_counted_before_its_join_returns() {
     for h in handles {
         let _ = h.join();
     }
-    assert_eq!(rt.stats().timed_out, 20, "each expiry counted once, before its join returned");
+    assert_eq!(
+        rt.stats().timed_out,
+        20,
+        "each expiry counted once, before its join returned"
+    );
     rt.shutdown();
 }
 
