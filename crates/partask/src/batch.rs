@@ -5,9 +5,9 @@
 //! per-task `Core` (mutex + condvar), no per-task `Arc`, no per-task
 //! boxed closure, and one shared-queue episode for the whole
 //! submission instead of one lock per task. Each member job captures
-//! only `(Arc<BatchCore>, Arc<F>, Weak<runtime>, index)` — 32 bytes,
-//! stored inline in a `SmallJob` — and writes its result
-//! into a preallocated slot.
+//! only `(Arc<BatchCore>, Arc<F>, index)` — 24 bytes, stored inline in
+//! a `SmallJob` — and is handed its runtime by the worker or help step
+//! that runs it. It writes its result into a preallocated slot.
 //!
 //! Results come back in index order regardless of execution order, so
 //! `join` output is deterministic across pool sizes and schedules.
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::runtime::RtInner;
+use crate::runtime::{with_rt, RtInner};
 use crate::task::{CancelToken, TaskError};
 
 /// A member's result slot: written once by the member running that
@@ -99,21 +99,24 @@ impl<T: Send + 'static> BatchCore<T> {
         if self.is_finished() {
             return;
         }
-        if let Some(rt) = rt.upgrade() {
-            while !self.is_finished() {
-                if !rt.help_once() {
-                    let mut done = self.finished.lock();
-                    if !*done {
-                        let _ = self.done_cv.wait_for(&mut done, Duration::from_micros(200));
+        with_rt(rt, |rt| match rt {
+            Some(rt) => {
+                while !self.is_finished() {
+                    if !rt.help_once() {
+                        let mut done = self.finished.lock();
+                        if !*done {
+                            let _ = self.done_cv.wait_for(&mut done, Duration::from_micros(200));
+                        }
                     }
                 }
             }
-        } else {
-            let mut done = self.finished.lock();
-            while !*done {
-                self.done_cv.wait(&mut done);
+            None => {
+                let mut done = self.finished.lock();
+                while !*done {
+                    self.done_cv.wait(&mut done);
+                }
             }
-        }
+        });
     }
 
     /// Move every result out, in index order. Caller must have

@@ -3,12 +3,16 @@
 //!
 //! The previous `type Job = Box<dyn FnOnce() + Send>` put one
 //! allocation on the spawn path of *every* task. [`SmallJob`] stores
-//! closures up to [`INLINE_BYTES`] inline (the spawn path's traced-job
-//! closure is an `Arc` + `Weak` + small user capture, comfortably
-//! under the limit; batch-member jobs are 32 bytes), falling back to a
-//! box only for oversized captures. The deque then moves jobs by
-//! value: spawn→run for a fine-grained task touches the allocator
-//! zero times.
+//! closures up to [`INLINE_BYTES`] inline, falling back to a box only
+//! for oversized captures. The deque then moves jobs by value:
+//! spawn→run for a fine-grained task touches the allocator zero times.
+//!
+//! A job captures no reference to its runtime. Whoever runs it passes
+//! the runtime it already holds: the worker loop and a help step pass
+//! `Some`, and only a dependence gate whose runtime is gone runs a job
+//! with `None`. So the spawn path's traced-job closure is the task's
+//! `Arc` plus the user capture, and a batch member is
+//! `(Arc<BatchCore>, Arc<F>, index)`, 24 bytes.
 //!
 //! The layout is a hand-rolled two-entry vtable: a `call` thunk that
 //! consumes the closure and a `drop` thunk for jobs discarded without
@@ -18,6 +22,8 @@
 use std::mem::{self, ManuallyDrop, MaybeUninit};
 use std::ptr;
 
+use crate::runtime::RtInner;
+
 /// Inline capacity in machine words; 8 × 8 = 64 bytes on 64-bit.
 const INLINE_WORDS: usize = 8;
 /// Inline capacity in bytes — closures at most this large (and at most
@@ -26,11 +32,12 @@ pub(crate) const INLINE_BYTES: usize = INLINE_WORDS * mem::size_of::<usize>();
 
 type Slot = [MaybeUninit<usize>; INLINE_WORDS];
 
-/// A `FnOnce() + Send` with inline small-closure storage.
+/// A `FnOnce(Option<&RtInner>) + Send` with inline small-closure
+/// storage.
 pub(crate) struct SmallJob {
     data: Slot,
     /// Consume the stored closure and run it.
-    call: unsafe fn(*mut Slot),
+    call: unsafe fn(*mut Slot, Option<&RtInner>),
     /// Drop the stored closure without running it.
     drop_fn: unsafe fn(*mut Slot),
 }
@@ -44,10 +51,10 @@ fn fits_inline<F>() -> bool {
     mem::size_of::<F>() <= INLINE_BYTES && mem::align_of::<F>() <= mem::align_of::<usize>()
 }
 
-unsafe fn call_inline<F: FnOnce()>(slot: *mut Slot) {
+unsafe fn call_inline<F: FnOnce(Option<&RtInner>)>(slot: *mut Slot, rt: Option<&RtInner>) {
     // SAFETY: `new` wrote an `F` at the slot start; calling consumes it.
     let f: F = ptr::read(slot.cast::<F>());
-    f();
+    f(rt);
 }
 
 unsafe fn drop_inline<F>(slot: *mut Slot) {
@@ -55,10 +62,10 @@ unsafe fn drop_inline<F>(slot: *mut Slot) {
     ptr::drop_in_place(slot.cast::<F>());
 }
 
-unsafe fn call_boxed<F: FnOnce()>(slot: *mut Slot) {
+unsafe fn call_boxed<F: FnOnce(Option<&RtInner>)>(slot: *mut Slot, rt: Option<&RtInner>) {
     // SAFETY: `new` wrote a `Box<F>` pointer at the slot start.
     let b: Box<F> = Box::from_raw(ptr::read(slot.cast::<*mut F>()));
-    (*b)();
+    (*b)(rt);
 }
 
 unsafe fn drop_boxed<F>(slot: *mut Slot) {
@@ -68,7 +75,7 @@ unsafe fn drop_boxed<F>(slot: *mut Slot) {
 
 impl SmallJob {
     /// Wrap a closure, storing it inline when it fits.
-    pub(crate) fn new<F: FnOnce() + Send + 'static>(f: F) -> Self {
+    pub(crate) fn new<F: FnOnce(Option<&RtInner>) + Send + 'static>(f: F) -> Self {
         let mut data: Slot = [MaybeUninit::uninit(); INLINE_WORDS];
         if fits_inline::<F>() {
             // SAFETY: size and alignment checked; the slot owns `f`
@@ -91,12 +98,13 @@ impl SmallJob {
         }
     }
 
-    /// Run the stored closure, consuming the job.
-    pub(crate) fn run(self) {
+    /// Run the stored closure on `rt`, the runtime whose queue the job
+    /// came from, consuming the job.
+    pub(crate) fn run(self, rt: Option<&RtInner>) {
         let mut this = ManuallyDrop::new(self);
         // SAFETY: `call` matches how `new` stored the closure, and
         // `ManuallyDrop` prevents the drop thunk from double-freeing.
-        unsafe { (this.call)(&mut this.data) };
+        unsafe { (this.call)(&mut this.data, rt) };
     }
 }
 
@@ -118,10 +126,10 @@ mod tests {
         let hit = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hit);
         assert!(fits_inline::<Box<dyn Fn()>>());
-        let job = SmallJob::new(move || {
+        let job = SmallJob::new(move |_| {
             h.fetch_add(1, Ordering::SeqCst);
         });
-        job.run();
+        job.run(None);
         assert_eq!(hit.load(Ordering::SeqCst), 1);
     }
 
@@ -130,10 +138,10 @@ mod tests {
         let big = [7u64; 32]; // 256 bytes of capture
         let hit = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hit);
-        let job = SmallJob::new(move || {
+        let job = SmallJob::new(move |_| {
             h.fetch_add(big.iter().sum::<u64>() as usize, Ordering::SeqCst);
         });
-        job.run();
+        job.run(None);
         assert_eq!(hit.load(Ordering::SeqCst), 7 * 32);
     }
 
@@ -148,8 +156,8 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let small = Probe(Arc::clone(&drops));
         let big = (Probe(Arc::clone(&drops)), [0u8; 128]);
-        drop(SmallJob::new(move || drop(small)));
-        drop(SmallJob::new(move || drop(big)));
+        drop(SmallJob::new(move |_| drop(small)));
+        drop(SmallJob::new(move |_| drop(big)));
         assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Pins the three hot-path accounting bugs fixed alongside the deque
 //! swap, the batch-spawn semantics, nested fork-join trees on every
-//! scheduler (with the helping joins' depth bound), and — via
+//! scheduler (with the helping joins' depth bound), the wake-up of a
+//! joiner that parks, spawns through another runtime's handle from a
+//! worker, and — via
 //! proptest — the shim deque's sequential equivalence to a
 //! `Mutex<VecDeque>`-style reference model (the substrate it replaced,
 //! still available as `SchedulerKind::WorkStealingLocked`), and the
@@ -12,7 +14,8 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -362,6 +365,98 @@ fn deep_tree_joins_within_the_help_depth_bound() {
             );
         }
         rt.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------
+// Joins: a parked joiner is woken; handles name their runtime.
+// ---------------------------------------------------------------
+
+/// Completion notifies a task's condvar only when a joiner is parked
+/// on it. `join_timeout` never helps, so this thread parks on every
+/// task it reaches before the task has run; the workers run each
+/// injector refill newest first, so that is most of them. A lost
+/// wake-up would hold that join for its whole 30 s budget.
+#[test]
+fn a_parked_joiner_that_does_not_help_is_still_woken() {
+    let rt = TaskRuntime::builder().workers(2).build();
+    let start = Instant::now();
+    let tasks: Vec<_> = (0..1_000u64)
+        .map(|i| {
+            rt.spawn(move || {
+                thread::sleep(Duration::from_micros(100));
+                i
+            })
+        })
+        .collect();
+    for (i, task) in (0u64..).zip(tasks) {
+        assert_eq!(task.join_timeout(Duration::from_secs(30)), Ok(i));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "1,000 joins took {elapsed:?}: a parked joiner waited out its timeout"
+    );
+    rt.shutdown();
+}
+
+/// A worker uses the runtime its thread holds only for a handle to
+/// that same runtime. A task on runtime A spawns N tasks through
+/// runtime B's handle and joins them: B counts the N, and A counts
+/// only the outer task. A handle whose runtime has shut down runs
+/// `spawn` inline on A's worker, and its `help_once` runs none of A's
+/// queued jobs.
+#[test]
+fn a_worker_spawns_through_another_runtimes_handle() {
+    const N: u64 = 64;
+    let expected = (0..N).map(leaf).fold(0, u64::wrapping_add);
+    for workers in [1, 2] {
+        let a = TaskRuntime::builder().workers(workers).name("rt-a").build();
+        let b = TaskRuntime::builder().workers(workers).name("rt-b").build();
+        let b_handle = b.handle();
+        let sum = a
+            .spawn(move || {
+                let tasks: Vec<_> = (0..N).map(|i| b_handle.spawn(move || leaf(i))).collect();
+                tasks
+                    .into_iter()
+                    .map(|t| t.join().expect("B's task completes"))
+                    .fold(0, u64::wrapping_add)
+            })
+            .join()
+            .unwrap();
+        assert_eq!(sum, expected, "{workers} workers");
+        a.wait_quiescent();
+        b.wait_quiescent();
+        assert_eq!(a.stats().spawned, 1, "{workers} workers: A counts only the outer task");
+        assert_eq!(b.stats().spawned, N, "{workers} workers");
+        assert_eq!(b.stats().executed, N, "{workers} workers");
+
+        let dead = {
+            let gone = TaskRuntime::builder().workers(1).name("rt-gone").build();
+            let handle = gone.handle();
+            gone.shutdown();
+            handle
+        };
+        assert!(!dead.is_alive());
+        let a_handle = a.handle();
+        let (ran_inline, helped) = a
+            .spawn(move || {
+                let here = thread::current().id();
+                let inline = dead.spawn(move || thread::current().id());
+                let ran_inline = inline.is_done() && inline.join() == Ok(here);
+                let queued = a_handle.spawn(|| ());
+                let helped = dead.help_once();
+                queued.join().expect("A's queued task completes");
+                (ran_inline, helped)
+            })
+            .join()
+            .unwrap();
+        assert!(ran_inline, "{workers} workers: a dead runtime's spawn runs inline");
+        assert!(!helped, "{workers} workers: a dead runtime's help_once ran A's job");
+        a.wait_quiescent();
+        assert_eq!(a.stats().spawned, 3, "{workers} workers: the probe task and its child");
+        a.shutdown();
+        b.shutdown();
     }
 }
 
