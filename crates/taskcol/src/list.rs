@@ -126,7 +126,6 @@ impl<T: Ord> FineSet<T> {
             })),
         }
     }
-
 }
 
 impl<T: Ord> Default for FineSet<T> {

@@ -134,10 +134,13 @@ impl<T: Send + Sync> ConcurrentStack<T> for TreiberStack<T> {
         loop {
             let head = self.head.load(Ordering::Acquire, &guard);
             node.next.store(head, Ordering::Relaxed);
-            match self
-                .head
-                .compare_exchange(head, node, Ordering::Release, Ordering::Relaxed, &guard)
-            {
+            match self.head.compare_exchange(
+                head,
+                node,
+                Ordering::Release,
+                Ordering::Relaxed,
+                &guard,
+            ) {
                 Ok(_) => return,
                 Err(e) => node = e.new,
             }

@@ -67,7 +67,10 @@ pub fn run_map_workload<M>(map: &Arc<M>, cfg: &MapWorkload) -> WorkloadResult
 where
     M: ConcurrentMap<u64, u64> + 'static,
 {
-    assert!((0.0..=1.0).contains(&cfg.read_fraction), "bad read fraction");
+    assert!(
+        (0.0..=1.0).contains(&cfg.read_fraction),
+        "bad read fraction"
+    );
     assert!(cfg.key_space > 0 && cfg.threads > 0);
     // Pre-populate half the key space so reads hit.
     for k in (0..cfg.key_space).step_by(2) {

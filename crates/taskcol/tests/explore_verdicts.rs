@@ -31,7 +31,10 @@ fn unsync_counter_races_with_witness() {
     assert_eq!(race.location, "count");
     // The witnessing schedule must also show a lost update.
     let outcomes = &report.observations["final"];
-    assert!(outcomes.contains(&1), "lost update not witnessed: {outcomes:?}");
+    assert!(
+        outcomes.contains(&1),
+        "lost update not witnessed: {outcomes:?}"
+    );
 }
 
 #[test]
@@ -56,7 +59,11 @@ fn racy_stack_push_races_on_top() {
     assert!(
         report.races.iter().any(|r| r.location == "top"),
         "expected a race on the stack cursor, got {:?}",
-        report.races.iter().map(|r| r.location.clone()).collect::<Vec<_>>()
+        report
+            .races
+            .iter()
+            .map(|r| r.location.clone())
+            .collect::<Vec<_>>()
     );
     // Some schedule loses a push: top ends at 1.
     assert!(report.observations["top"].contains(&1));

@@ -45,7 +45,14 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     // viewer shows *where* the trace is incomplete.
     for lane in trace.lanes.iter().filter(|l| l.dropped > 0) {
         let dropped = vec![("dropped", lane.dropped.into())];
-        push(event("trace_dropped_events", "M", 0, lane.tid, None, dropped));
+        push(event(
+            "trace_dropped_events",
+            "M",
+            0,
+            lane.tid,
+            None,
+            dropped,
+        ));
     }
 
     for ev in &trace.events {
@@ -120,18 +127,31 @@ fn mark_args(what: MarkKind) -> Args {
             vec![("member", member.into()), ("waited_ns", waited_ns.into())]
         }
         MarkKind::BarrierPoison { member } => vec![("member", member.into())],
-        MarkKind::ChunkDispatch { construct, lo, len, schedule } => vec![
+        MarkKind::ChunkDispatch {
+            construct,
+            lo,
+            len,
+            schedule,
+        } => vec![
             ("construct", construct.into()),
             ("lo", lo.into()),
             ("len", len.into()),
             ("schedule", schedule.name().into()),
         ],
-        MarkKind::FetchResult { page, attempt, result } => vec![
+        MarkKind::FetchResult {
+            page,
+            attempt,
+            result,
+        } => vec![
             ("page", page.into()),
             ("attempt", attempt.into()),
             ("result", result.name().into()),
         ],
-        MarkKind::RetryWait { key, failed_attempt, delay_ns } => vec![
+        MarkKind::RetryWait {
+            key,
+            failed_attempt,
+            delay_ns,
+        } => vec![
             ("key", key.into()),
             ("failed_attempt", failed_attempt.into()),
             ("delay_ns", delay_ns.into()),
@@ -139,22 +159,38 @@ fn mark_args(what: MarkKind) -> Args {
         MarkKind::BreakerTransition { from, to } => {
             vec![("from", from.name().into()), ("to", to.name().into())]
         }
-        MarkKind::FaultInjected { key, attempt, fault } => {
-            vec![("key", key.into()), ("attempt", attempt.into()), ("fault", fault.name().into())]
+        MarkKind::FaultInjected {
+            key,
+            attempt,
+            fault,
+        } => {
+            vec![
+                ("key", key.into()),
+                ("attempt", attempt.into()),
+                ("fault", fault.name().into()),
+            ]
         }
         MarkKind::GuiProbe { latency_ns } => vec![("latency_ns", latency_ns.into())],
         MarkKind::ChildStart { child, incarnation }
         | MarkKind::ChildRestart { child, incarnation } => {
             vec![("child", child.into()), ("incarnation", incarnation.into())]
         }
-        MarkKind::ChildExit { child, incarnation, outcome } => vec![
+        MarkKind::ChildExit {
+            child,
+            incarnation,
+            outcome,
+        } => vec![
             ("child", child.into()),
             ("incarnation", incarnation.into()),
             ("outcome", outcome.name().into()),
         ],
         MarkKind::ChildEscalate { child } => vec![("child", child.into())],
         MarkKind::MarkingStage { stage, lane, count } => {
-            vec![("stage", stage.name().into()), ("lane", lane.into()), ("count", count.into())]
+            vec![
+                ("stage", stage.name().into()),
+                ("lane", lane.into()),
+                ("count", count.into()),
+            ]
         }
     }
 }
@@ -173,13 +209,29 @@ mod tests {
         {
             let _crawl = h.span(pid, SpanKind::Crawl { pages: 3 });
             {
-                let _a = h.span(pid, SpanKind::FetchAttempt { page: 1, attempt: 1 });
+                let _a = h.span(
+                    pid,
+                    SpanKind::FetchAttempt {
+                        page: 1,
+                        attempt: 1,
+                    },
+                );
                 h.mark(
                     pid,
-                    MarkKind::FetchResult { page: 1, attempt: 1, result: FetchTag::Ok },
+                    MarkKind::FetchResult {
+                        page: 1,
+                        attempt: 1,
+                        result: FetchTag::Ok,
+                    },
                 );
             }
-            h.mark(pid, MarkKind::TaskOutcome { task: 5, outcome: Outcome::Completed });
+            h.mark(
+                pid,
+                MarkKind::TaskOutcome {
+                    task: 5,
+                    outcome: Outcome::Completed,
+                },
+            );
         }
         col.snapshot()
     }
@@ -244,7 +296,11 @@ mod tests {
         let json = to_chrome_json(&col.snapshot());
         let doc = parse(&json).expect("valid JSON with otherData");
         assert_eq!(
-            doc.get("otherData").unwrap().get("dropped_events").unwrap().as_f64(),
+            doc.get("otherData")
+                .unwrap()
+                .get("dropped_events")
+                .unwrap()
+                .as_f64(),
             Some(3.0)
         );
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -252,12 +308,19 @@ mod tests {
             .iter()
             .find(|e| e.get("name") == Some(&Json::Str("trace_dropped_events".into())))
             .expect("per-lane dropped metadata present");
-        assert_eq!(meta.get("args").unwrap().get("dropped").unwrap().as_f64(), Some(3.0));
+        assert_eq!(
+            meta.get("args").unwrap().get("dropped").unwrap().as_f64(),
+            Some(3.0)
+        );
         // A clean trace carries a zero total and no per-lane entries.
         let clean = to_chrome_json(&sample_trace());
         let doc = parse(&clean).unwrap();
         assert_eq!(
-            doc.get("otherData").unwrap().get("dropped_events").unwrap().as_f64(),
+            doc.get("otherData")
+                .unwrap()
+                .get("dropped_events")
+                .unwrap()
+                .as_f64(),
             Some(0.0)
         );
     }

@@ -49,8 +49,9 @@ unsafe impl Send for ThreadLog {}
 
 impl ThreadLog {
     fn new(tid: u32, name: String, capacity: usize) -> Self {
-        let slots: Vec<UnsafeCell<MaybeUninit<Event>>> =
-            (0..capacity).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
+        let slots: Vec<UnsafeCell<MaybeUninit<Event>>> = (0..capacity)
+            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+            .collect();
         Self {
             tid,
             name,
@@ -152,7 +153,12 @@ impl CollectorInner {
         let ts_ns = self.now_ns();
         with_entry(self, |e| {
             let tid = e.log.tid;
-            e.log.push(Event { ts_ns, pid, tid, kind: EventKind::Mark { what } });
+            e.log.push(Event {
+                ts_ns,
+                pid,
+                tid,
+                kind: EventKind::Mark { what },
+            });
         });
     }
 
@@ -182,7 +188,12 @@ impl CollectorInner {
                 e.stack.truncate(pos);
             }
             let tid = e.log.tid;
-            e.log.push(Event { ts_ns, pid, tid, kind: EventKind::SpanEnd { id, what } });
+            e.log.push(Event {
+                ts_ns,
+                pid,
+                tid,
+                kind: EventKind::SpanEnd { id, what },
+            });
         });
     }
 
@@ -253,7 +264,12 @@ impl TraceHandle {
             Some(c) => c.begin_span(pid, what),
             None => 0,
         };
-        Span { trace: self, pid, id, what }
+        Span {
+            trace: self,
+            pid,
+            id,
+            what,
+        }
     }
 
     /// The span currently open on the calling thread (0 = none).
@@ -525,7 +541,9 @@ impl Collector {
     /// A recording handle for instrumented code.
     #[must_use]
     pub fn handle(&self) -> TraceHandle {
-        TraceHandle { inner: Some(Arc::clone(&self.inner)) }
+        TraceHandle {
+            inner: Some(Arc::clone(&self.inner)),
+        }
     }
 
     /// Toggle event recording at runtime. Registration (tracks,
@@ -564,7 +582,11 @@ impl Collector {
             log.read_published(&mut events);
             let lane_dropped = log.dropped.load(Ordering::Relaxed);
             dropped += lane_dropped;
-            lanes.push(Lane { tid: log.tid, name: log.name.clone(), dropped: lane_dropped });
+            lanes.push(Lane {
+                tid: log.tid,
+                name: log.name.clone(),
+                dropped: lane_dropped,
+            });
         }
         drop(threads);
         // Stable sort: equal timestamps keep per-lane recording order
@@ -576,9 +598,17 @@ impl Collector {
             .tracks
             .lock()
             .iter()
-            .map(|(pid, name)| Track { pid: *pid, name: name.clone() })
+            .map(|(pid, name)| Track {
+                pid: *pid,
+                name: name.clone(),
+            })
             .collect();
-        Trace { events, tracks, lanes, dropped }
+        Trace {
+            events,
+            tracks,
+            lanes,
+            dropped,
+        }
     }
 }
 
@@ -615,10 +645,19 @@ mod tests {
             let outer = h.span(pid, SpanKind::Crawl { pages: 2 });
             assert!(outer.id() > 0);
             {
-                let _inner = h.span(pid, SpanKind::FetchAttempt { page: 0, attempt: 1 });
+                let _inner = h.span(
+                    pid,
+                    SpanKind::FetchAttempt {
+                        page: 0,
+                        attempt: 1,
+                    },
+                );
                 h.mark(
                     pid,
-                    MarkKind::TaskOutcome { task: 7, outcome: Outcome::Completed },
+                    MarkKind::TaskOutcome {
+                        task: 7,
+                        outcome: Outcome::Completed,
+                    },
                 );
             }
         }
@@ -627,7 +666,10 @@ mod tests {
         let spans = trace.spans();
         assert_eq!(spans.len(), 2);
         let crawl = spans.iter().find(|s| s.what.name() == "crawl").unwrap();
-        let attempt = spans.iter().find(|s| s.what.name() == "fetch.attempt").unwrap();
+        let attempt = spans
+            .iter()
+            .find(|s| s.what.name() == "fetch.attempt")
+            .unwrap();
         assert_eq!(attempt.parent, crawl.id, "nesting must set causality");
         assert_eq!(crawl.parent, 0);
         assert!(attempt.start_ns >= crawl.start_ns);
@@ -685,16 +727,28 @@ mod tests {
         let col = Collector::new();
         let h = col.handle();
         let outer = h.span(1, SpanKind::Crawl { pages: 1 });
-        drop(h.span(1, SpanKind::FetchAttempt { page: 0, attempt: 1 }));
+        drop(h.span(
+            1,
+            SpanKind::FetchAttempt {
+                page: 0,
+                attempt: 1,
+            },
+        ));
         // Snapshot while `outer` is still open: it must appear as a
         // synthetic-end span flagged `open`, covering the trace so far.
         let spans = col.snapshot().spans();
         assert_eq!(spans.len(), 2);
         let crawl = spans.iter().find(|s| s.what.name() == "crawl").unwrap();
-        let attempt = spans.iter().find(|s| s.what.name() == "fetch.attempt").unwrap();
+        let attempt = spans
+            .iter()
+            .find(|s| s.what.name() == "fetch.attempt")
+            .unwrap();
         assert!(crawl.open, "unfinished span must be flagged open");
         assert!(!attempt.open);
-        assert!(crawl.end_ns >= attempt.end_ns, "synthetic end covers the trace");
+        assert!(
+            crawl.end_ns >= attempt.end_ns,
+            "synthetic end covers the trace"
+        );
         drop(outer);
         let spans = col.snapshot().spans();
         assert!(spans.iter().all(|s| !s.open), "all spans closed after drop");
@@ -715,8 +769,7 @@ mod tests {
         let trace = col.snapshot();
         assert_eq!(trace.lanes.len(), 2);
         assert!(trace.lanes.iter().any(|l| l.name == "lane-test"));
-        let tids: std::collections::BTreeSet<u32> =
-            trace.events.iter().map(|e| e.tid).collect();
+        let tids: std::collections::BTreeSet<u32> = trace.events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 2);
     }
 

@@ -523,11 +523,18 @@ mod tests {
         assert_eq!(FetchTag::Panicked.name(), "panicked");
         assert_eq!(ChildTag::Failed.name(), "failed");
         let sup = EventKind::Mark {
-            what: MarkKind::ChildExit { child: 2, incarnation: 3, outcome: ChildTag::Panicked },
+            what: MarkKind::ChildExit {
+                child: 2,
+                incarnation: 3,
+                outcome: ChildTag::Panicked,
+            },
         };
         assert_eq!(sup.name(), "sup.child_exit");
         assert_eq!(
-            EventKind::Mark { what: MarkKind::ChildEscalate { child: 0 } }.name(),
+            EventKind::Mark {
+                what: MarkKind::ChildEscalate { child: 0 }
+            }
+            .name(),
             "sup.escalate"
         );
     }

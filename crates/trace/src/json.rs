@@ -158,7 +158,12 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 /// Collect `(key, value)` pairs into an object.
 impl<K: Into<String>, V: Into<Json>> FromIterator<(K, V)> for Json {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect())
+        Json::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
     }
 }
 
@@ -182,7 +187,10 @@ impl std::error::Error for JsonError {}
 /// Parse one complete JSON document. Trailing non-whitespace is an
 /// error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -241,8 +249,12 @@ impl Parser<'_> {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", "expected `true`").map(|()| Json::Bool(true)),
-            Some(b'f') => self.literal("false", "expected `false`").map(|()| Json::Bool(false)),
+            Some(b't') => self
+                .literal("true", "expected `true`")
+                .map(|()| Json::Bool(true)),
+            Some(b'f') => self
+                .literal("false", "expected `false`")
+                .map(|()| Json::Bool(false)),
             Some(b'n') => self.literal("null", "expected `null`").map(|()| Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
@@ -352,7 +364,9 @@ impl Parser<'_> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.bump().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .bump()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let d = (b as char)
                 .to_digit(16)
                 .ok_or_else(|| self.err("non-hex digit in \\u escape"))?;
@@ -460,12 +474,20 @@ mod tests {
             ("flags", Json::from(vec![true, false])),
             ("nothing", Json::Null),
             ("empty", Json::Arr(vec![])),
-            ("nested", [("inner", Json::Obj(BTreeMap::new()))].into_iter().collect()),
+            (
+                "nested",
+                [("inner", Json::Obj(BTreeMap::new()))]
+                    .into_iter()
+                    .collect(),
+            ),
         ]
         .into_iter()
         .collect();
         let compact = doc.to_string();
-        assert!(!compact.contains('\n'), "compact form is one line: {compact}");
+        assert!(
+            !compact.contains('\n'),
+            "compact form is one line: {compact}"
+        );
         assert_eq!(parse(&compact).unwrap(), doc);
         let pretty = format!("{doc:#}");
         assert!(pretty.contains("\n  \"count\": 1299760"), "{pretty}");

@@ -50,8 +50,10 @@ pub fn render_timeline(trace: &Trace, width: usize) -> String {
         let mut buckets = vec![false; width];
         let mut busy_ns = 0u64;
         // Merge per-lane span intervals so nesting doesn't double-count.
-        let mut intervals: Vec<(u64, u64)> =
-            lane_spans.iter().map(|s| (s.start_ns, s.end_ns.max(s.start_ns))).collect();
+        let mut intervals: Vec<(u64, u64)> = lane_spans
+            .iter()
+            .map(|s| (s.start_ns, s.end_ns.max(s.start_ns)))
+            .collect();
         intervals.sort_unstable();
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
         for (lo, hi) in intervals {
@@ -115,7 +117,10 @@ pub fn render_event_counts(trace: &Trace) -> String {
         table.row(&[name.to_string(), count.to_string()]);
     }
     if trace.dropped > 0 {
-        table.row(&["(dropped: ring full)".to_string(), trace.dropped.to_string()]);
+        table.row(&[
+            "(dropped: ring full)".to_string(),
+            trace.dropped.to_string(),
+        ]);
     }
     table.render()
 }
@@ -138,7 +143,10 @@ mod tests {
         let text = render_timeline(&col.snapshot(), 32);
         assert!(text.contains("timeline"));
         assert!(text.contains("demo/"));
-        assert!(text.contains('#'), "a completed span must mark busy buckets");
+        assert!(
+            text.contains('#'),
+            "a completed span must mark busy buckets"
+        );
     }
 
     #[test]
@@ -160,11 +168,23 @@ mod tests {
                 ts_ns: start,
                 pid: 0,
                 tid,
-                kind: EventKind::SpanBegin { id, parent: 0, what },
+                kind: EventKind::SpanBegin {
+                    id,
+                    parent: 0,
+                    what,
+                },
             });
-            events.push(Event { ts_ns: end, pid: 0, tid, kind: EventKind::SpanEnd { id, what } });
+            events.push(Event {
+                ts_ns: end,
+                pid: 0,
+                tid,
+                kind: EventKind::SpanEnd { id, what },
+            });
         }
-        Trace { events, ..Trace::default() }
+        Trace {
+            events,
+            ..Trace::default()
+        }
     }
 
     #[test]
@@ -191,9 +211,13 @@ mod tests {
         // map to bucket index == width; it must pin to the last bucket.
         let trace = synthetic(&[(1, 0, 1000), (2, 1000, 1000)]);
         let text = render_timeline(&trace, 8);
-        let lane2 = text.lines().find(|l| l.contains("/?") && l.ends_with('#')).or_else(|| {
-            text.lines().find(|l| l.trim_end().ends_with('#') && l.contains(". "))
-        });
+        let lane2 = text
+            .lines()
+            .find(|l| l.contains("/?") && l.ends_with('#'))
+            .or_else(|| {
+                text.lines()
+                    .find(|l| l.trim_end().ends_with('#') && l.contains(". "))
+            });
         // Lane 2's bar must be idle everywhere except the final bucket.
         let bars: Vec<&str> = text
             .lines()
@@ -201,7 +225,10 @@ mod tests {
             .filter(|w| w.chars().all(|c| c == '#' || c == '.'))
             .collect();
         assert_eq!(bars.len(), 2, "two lanes expected in:\n{text}");
-        assert_eq!(bars[1], ".......#", "end-pinned span must hit the last bucket only");
+        assert_eq!(
+            bars[1], ".......#",
+            "end-pinned span must hit the last bucket only"
+        );
         assert!(lane2.is_some() || bars[1].ends_with('#'));
     }
 
@@ -238,10 +265,17 @@ mod tests {
         use crate::collector::Lane;
         let mut trace = synthetic(&[(1, 0, 1000)]);
         trace.dropped = 7;
-        trace.lanes = vec![Lane { tid: 1, name: "worker-0".into(), dropped: 7 }];
+        trace.lanes = vec![Lane {
+            tid: 1,
+            name: "worker-0".into(),
+            dropped: 7,
+        }];
         let text = render_timeline(&trace, 8);
         assert!(text.contains("7 events dropped"), "footer missing: {text}");
-        assert!(text.contains("worker-0:7"), "per-lane attribution missing: {text}");
+        assert!(
+            text.contains("worker-0:7"),
+            "per-lane attribution missing: {text}"
+        );
         // No footer when nothing was dropped.
         let clean = synthetic(&[(1, 0, 1000)]);
         assert!(!render_timeline(&clean, 8).contains("dropped"));

@@ -333,7 +333,11 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle should move things");
+        assert_ne!(
+            v,
+            (0..100).collect::<Vec<_>>(),
+            "shuffle should move things"
+        );
     }
 
     #[test]

@@ -154,8 +154,8 @@ impl Welford {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
+        self.m2 +=
+            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
         self.count = total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
