@@ -72,8 +72,9 @@ struct Shared {
     started: Condvar,
     repaint_pending: AtomicBool,
     // Counters live on the parc-trace metrics registry when a
-    // collector is attached; increments stay one relaxed atomic op
-    // either way.
+    // collector is attached. Either way they are striped: the
+    // dispatch thread and the threads posting repaints add on
+    // separate cache lines, and a stats read sums the stripes.
     events_dispatched: Arc<Counter>,
     repaints_performed: Arc<Counter>,
     repaints_requested: Arc<Counter>,

@@ -8,6 +8,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use parc_trace::{Counter, LatencyHistogram, MarkKind, Outcome, SpanKind, TraceHandle};
+use parc_util::stripe::CachePadded;
 use parking_lot::{Condvar, Mutex};
 
 use crate::batch::{BatchCore, BatchHandle};
@@ -16,6 +17,16 @@ use crate::sched::{Job, LocalQueue, SchedCounters, SchedulerKind, SharedSched};
 use crate::task::{CancelToken, Core, TaskError, TaskHandle, TaskId, TaskWatcher};
 
 /// Snapshot of runtime activity counters.
+///
+/// Exact once the runtime is quiescent: after
+/// [`TaskRuntime::wait_quiescent`] returns on the reading thread, or
+/// after shutdown. Every job's counts are made before its finish is
+/// published in the progress word that the quiescence wait reads.
+/// While tasks run, each field is a lower bound on its count, and a
+/// later snapshot on the same thread never reads a field lower than an
+/// earlier one did. The fields are read one after another, so
+/// identities between them (`spawned == executed`) hold only at
+/// quiescence.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Tasks submitted (including dependence-delayed and multi-task
@@ -99,6 +110,24 @@ fn unpack_pending(progress: u64) -> usize {
     (progress & 0xFFFF_FFFF) as usize
 }
 
+/// A runtime's shared state, laid out so that the writes every task
+/// makes land on cache lines that the fields every spawn, pop and help
+/// step reads (`sched`, `trace`, `idle_workers`, `max_help_depth`,
+/// `stop`) do not share. Otherwise each such write would evict those
+/// lines from the other workers' caches, and their next read would
+/// miss.
+///
+/// Three kinds of write come with every task:
+/// - the two adds to `progress` (spawn and finish). It sits in a
+///   [`CachePadded`] cell of its own.
+/// - the `Arc` header's counts, bumped by [`RuntimeHandle`] clones and
+///   by each [`TaskHandle`]'s `Weak`. The struct is 128-byte aligned,
+///   so the header, which precedes it in the `Arc`'s allocation, has
+///   its line to itself.
+/// - the counters (`spawned`, `executed`, `helped`, the scheduler's
+///   pops and steals). They live behind their own `Arc`s and are
+///   striped, so each worker adds on a line of its own.
+#[repr(align(128))]
 pub(crate) struct RtInner {
     pub(crate) sched: SharedSched,
     pub(crate) counters: SchedCounters,
@@ -108,7 +137,7 @@ pub(crate) struct RtInner {
     root_token: CancelToken,
     stop: AtomicBool,
     /// Packed (finished, pending) accounting word; see [`FINISH_DELTA`].
-    progress: AtomicU64,
+    progress: CachePadded<AtomicU64>,
     idle: Mutex<()>,
     idle_cv: Condvar,
     quiescent_cv: Condvar,
@@ -238,7 +267,7 @@ impl Builder {
             n_workers: self.workers,
             root_token: CancelToken::new(),
             stop: AtomicBool::new(false),
-            progress: AtomicU64::new(0),
+            progress: CachePadded::new(AtomicU64::new(0)),
             idle: Mutex::new(()),
             idle_cv: Condvar::new(),
             quiescent_cv: Condvar::new(),
@@ -748,7 +777,9 @@ impl TaskRuntime {
         self.inner.max_help_depth.load(Ordering::Relaxed)
     }
 
-    /// Current activity counters.
+    /// Current activity counters: exact once the runtime is
+    /// quiescent, and a lower bound that never goes down, field by
+    /// field, while tasks run (see [`RuntimeStats`]).
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
         let inner = &self.inner;
@@ -1127,5 +1158,22 @@ pub(crate) fn spawn_after_on<T: Send + 'static>(
     TaskHandle {
         core,
         rt: Arc::downgrade(inner),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn per_task_writes_stay_off_the_lines_that_spawns_read() {
+        // 128-byte alignment keeps the `Arc` header's counts on a line
+        // of their own, and a full 128-byte cell keeps `progress` on
+        // one, so no field added later can join either line.
+        assert_eq!(std::mem::align_of::<RtInner>(), 128);
+        let rt = TaskRuntime::builder().workers(1).build();
+        let inner: &RtInner = &rt.inner;
+        assert_eq!(std::mem::size_of_val(&inner.progress), 128);
+        assert_eq!(std::mem::align_of_val(&inner.progress), 128);
     }
 }

@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use crossbeam::deque::{locked, Injector, Steal, Stealer, Worker};
 use parc_trace::{Counter, LatencyHistogram, MarkKind, TraceHandle};
+use parc_util::stripe::CachePadded;
 use parking_lot::Mutex;
 
 /// A unit of scheduled work (small-closure storage, see `job.rs`).
@@ -54,20 +55,6 @@ fn new_latency_hist() -> LatencyHistogram {
     LatencyHistogram::new(1e-4, 1e5, 12)
 }
 
-/// A latency histogram padded out to its own cache line, so per-worker
-/// instances never share a line. Each is still behind a mutex, but the
-/// mutex is effectively uncontended: slot `i` is written only by worker
-/// `i` (the final slot serves all non-worker threads), and other
-/// threads touch it only in [`SchedCounters::merged_steal_wait`].
-#[repr(align(64))]
-pub(crate) struct PaddedHist(Mutex<LatencyHistogram>);
-
-impl PaddedHist {
-    fn new() -> Self {
-        PaddedHist(Mutex::new(new_latency_hist()))
-    }
-}
-
 /// Counters describing where jobs were found, shared with the metrics
 /// registry when tracing is attached, plus the trace handle steal
 /// marks are emitted through.
@@ -87,8 +74,10 @@ pub(crate) struct SchedCounters {
     /// threads outside the pool. Merged on demand by
     /// [`SchedCounters::merged_steal_wait`] — the hot path never takes
     /// a shared lock (the old single `Mutex<LatencyHistogram>`
-    /// serialized every thief it was measuring).
-    pub steal_wait_ms: Box<[PaddedHist]>,
+    /// serialized every thief it was measuring). Each slot is padded to
+    /// a line of its own, and its mutex is uncontended: only its worker
+    /// writes it, and other threads touch it only to merge.
+    pub steal_wait_ms: Box<[CachePadded<Mutex<LatencyHistogram>>]>,
     /// Where scheduling events are recorded (disabled by default).
     pub trace: TraceHandle,
     /// The runtime's trace track.
@@ -110,7 +99,9 @@ impl SchedCounters {
             global_pops: Arc::default(),
             steals: Arc::default(),
             // One slot per worker plus the shared slot.
-            steal_wait_ms: (0..=workers).map(|_| PaddedHist::new()).collect(),
+            steal_wait_ms: (0..=workers)
+                .map(|_| CachePadded::new(Mutex::new(new_latency_hist())))
+                .collect(),
             trace: TraceHandle::default(),
             pid: 0,
         }
@@ -132,7 +123,6 @@ impl SchedCounters {
     fn record_steal(&self, thief: Option<usize>, victim: usize, items: u64, search_start: Instant) {
         self.steals.add(items);
         self.steal_wait_ms[self.slot(thief)]
-            .0
             .lock()
             .record(search_start.elapsed().as_secs_f64() * 1e3);
         for _ in 0..items {
@@ -150,7 +140,7 @@ impl SchedCounters {
     pub(crate) fn merged_steal_wait(&self) -> LatencyHistogram {
         let mut merged = new_latency_hist();
         for slot in self.steal_wait_ms.iter() {
-            merged.merge(&slot.0.lock());
+            merged.merge(&slot.lock());
         }
         merged
     }
@@ -584,9 +574,9 @@ mod tests {
         counters.record_steal(Some(0), 1, 1, t0);
         counters.record_steal(Some(1), 0, 1, t0);
         counters.record_steal(None, 0, 1, t0); // helper thread slot
-        assert_eq!(counters.steal_wait_ms[0].0.lock().total(), 1);
-        assert_eq!(counters.steal_wait_ms[1].0.lock().total(), 1);
-        assert_eq!(counters.steal_wait_ms[2].0.lock().total(), 1);
+        assert_eq!(counters.steal_wait_ms[0].lock().total(), 1);
+        assert_eq!(counters.steal_wait_ms[1].lock().total(), 1);
+        assert_eq!(counters.steal_wait_ms[2].lock().total(), 1);
         assert_eq!(counters.merged_steal_wait().total(), 3);
         assert_eq!(counters.steals.get(), 3);
     }

@@ -3,8 +3,10 @@
 //! Shared foundation for the SoftEng 751 reproduction: deterministic
 //! pseudo-random number generation, descriptive statistics, timing
 //! helpers, plain-text report rendering, the one fingerprint hash
-//! ([`fnv1a`]) every determinism gate compares, and the one rendering
-//! of a caught panic's payload ([`panic_message`]).
+//! ([`fnv1a`]) every determinism gate compares, the one rendering
+//! of a caught panic's payload ([`panic_message`]), and the one
+//! cache-line padding type and thread-slot helper that striped
+//! structures share ([`stripe`]).
 //!
 //! Every experiment in the workspace is seeded, so any result in
 //! `EXPERIMENTS.md` can be regenerated bit-for-bit. The PRNGs here
@@ -21,6 +23,7 @@
 
 pub mod rng;
 pub mod stats;
+pub mod stripe;
 pub mod table;
 pub mod timer;
 

@@ -11,14 +11,19 @@
 //! 3. Tracing is observation only: a disabled collector records zero
 //!    events, and instrumented code behaves bit-identically with and
 //!    without a collector attached.
+//!
+//! The metrics the runtimes register count exactly: a striped counter
+//! sums to its total however its adds fall on its stripes.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use faultsim::{FaultInjector, FaultPlan, RetryPolicy};
 use parc_trace::{
-    parse_json, to_chrome_json, Collector, EventKind, MarkKind, Trace, TraceHandle,
+    parse_json, to_chrome_json, Collector, Counter, EventKind, MarkKind, MetricsRegistry, Trace,
+    TraceHandle,
 };
 use partask::TaskRuntime;
 use pyjama::{Schedule, Team};
@@ -272,4 +277,44 @@ fn metrics_registry_matches_trace_and_stats() {
         stats.steals,
         "steal marks and the steal counter are written at the same site"
     );
+}
+
+#[test]
+fn a_striped_counter_sums_exactly_when_threads_share_its_stripes() {
+    // Three threads per stripe, so several threads add to each stripe
+    // at once, wherever their slots fall.
+    let threads = 3 * Counter::SHARDS as u64;
+    let per_thread = 10_000_u64;
+    let counter = Arc::new(Counter::new());
+    let reg = MetricsRegistry::new();
+    reg.register_counter("striped", &counter);
+    // Thread `t` adds `t + 1` on every third step and one on the rest.
+    let adds = per_thread.div_ceil(3);
+    let expected: u64 = (1..=threads).map(|k| k * adds + (per_thread - adds)).sum();
+    let finished = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (counter, finished) = (&counter, &finished);
+            s.spawn(move || {
+                for i in 0..per_thread {
+                    if i % 3 == 0 {
+                        counter.add(t + 1);
+                    } else {
+                        counter.inc();
+                    }
+                }
+                finished.fetch_add(1, Ordering::Release);
+            });
+        }
+        // While the adds race, every read is a lower bound that never
+        // goes down.
+        let mut last = 0;
+        while finished.load(Ordering::Acquire) < threads as usize {
+            let now = counter.get();
+            assert!(last <= now && now <= expected, "read {now} after {last}");
+            last = now;
+        }
+    });
+    assert_eq!(counter.get(), expected);
+    assert_eq!(reg.counter_values()["striped"], expected);
 }
