@@ -107,7 +107,10 @@ impl Breaker {
         if from != to {
             self.trace.mark(
                 self.pid,
-                MarkKind::BreakerTransition { from: from.phase(), to: to.phase() },
+                MarkKind::BreakerTransition {
+                    from: from.phase(),
+                    to: to.phase(),
+                },
             );
         }
     }

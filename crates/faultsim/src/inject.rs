@@ -256,9 +256,7 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_respected() {
-        let inj = FaultInjector::new(
-            FaultPlan::reliable(7).with_error_rate(0.25),
-        );
+        let inj = FaultInjector::new(FaultPlan::reliable(7).with_error_rate(0.25));
         let n = 20_000u64;
         let errors = (0..n)
             .filter(|&k| inj.decide(k, 1) == Fault::TransientError)
@@ -289,7 +287,9 @@ mod tests {
     #[test]
     fn flapping_gates_random_faults_by_attempt() {
         // 2 faulty attempts, then 3 clean ones, repeating.
-        let plan = FaultPlan::reliable(11).with_error_rate(1.0).with_flapping(5, 2);
+        let plan = FaultPlan::reliable(11)
+            .with_error_rate(1.0)
+            .with_flapping(5, 2);
         let inj = FaultInjector::new(plan);
         for key in 0..20 {
             for attempt in 1..=15 {
@@ -307,9 +307,15 @@ mod tests {
     #[test]
     fn flapping_does_not_gate_forced_failures() {
         // Off-window attempts still honour fail_key_n_times.
-        let plan = FaultPlan::reliable(5).with_flapping(4, 1).fail_key_n_times(3, 3);
+        let plan = FaultPlan::reliable(5)
+            .with_flapping(4, 1)
+            .fail_key_n_times(3, 3);
         let inj = FaultInjector::new(plan);
-        assert_eq!(inj.decide(3, 2), Fault::TransientError, "forced, window closed");
+        assert_eq!(
+            inj.decide(3, 2),
+            Fault::TransientError,
+            "forced, window closed"
+        );
         assert_eq!(inj.decide(3, 4), Fault::None, "recovered, window closed");
     }
 
@@ -318,9 +324,8 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::reliable(3).with_error_rate(0.5));
         // With per-attempt independence, some key must fail on attempt 1
         // and succeed on attempt 2 (retry can make progress).
-        let recovers = (0..200).any(|k| {
-            inj.decide(k, 1) == Fault::TransientError && inj.decide(k, 2) == Fault::None
-        });
+        let recovers = (0..200)
+            .any(|k| inj.decide(k, 1) == Fault::TransientError && inj.decide(k, 2) == Fault::None);
         assert!(recovers, "no key ever recovered on retry");
     }
 }

@@ -194,7 +194,11 @@ impl FaultStorm {
     /// Every shipped storm shape, all derived from `seed`.
     #[must_use]
     pub fn all(seed: u64) -> Vec<Self> {
-        vec![Self::burst(seed), Self::brownout(seed), Self::flapping(seed)]
+        vec![
+            Self::burst(seed),
+            Self::brownout(seed),
+            Self::flapping(seed),
+        ]
     }
 
     /// The phase active at `step` of a harness that walks `total`
@@ -222,7 +226,10 @@ mod tests {
 
     #[test]
     fn same_seed_builds_identical_storms() {
-        for (a, b) in FaultStorm::all(0xC0FFEE).into_iter().zip(FaultStorm::all(0xC0FFEE)) {
+        for (a, b) in FaultStorm::all(0xC0FFEE)
+            .into_iter()
+            .zip(FaultStorm::all(0xC0FFEE))
+        {
             assert_eq!(a.name, b.name);
             assert_eq!(a.phases.len(), b.phases.len());
             for (pa, pb) in a.phases.iter().zip(&b.phases) {
@@ -247,7 +254,12 @@ mod tests {
             let mut seeds: Vec<u64> = storm.phases.iter().map(|p| p.plan.seed).collect();
             seeds.sort_unstable();
             seeds.dedup();
-            assert_eq!(seeds.len(), storm.phases.len(), "{}: seed collision", storm.name);
+            assert_eq!(
+                seeds.len(),
+                storm.phases.len(),
+                "{}: seed collision",
+                storm.name
+            );
         }
     }
 
@@ -278,9 +290,7 @@ mod tests {
                 })
                 .unwrap();
             let inj = FaultInjector::new(worst.plan.clone());
-            let failures = (0..200)
-                .filter(|&k| inj.decide(k, 1).is_failure())
-                .count();
+            let failures = (0..200).filter(|&k| inj.decide(k, 1).is_failure()).count();
             assert!(failures > 20, "{}: peak phase barely faults", storm.name);
         }
     }
@@ -325,7 +335,11 @@ mod tests {
             let inj = peak.injector(lane);
             (0..64).map(|key| inj.decide(key, 1)).collect()
         };
-        assert_eq!(draws(3), draws(3), "a lane's stream is a pure function of the phase");
+        assert_eq!(
+            draws(3),
+            draws(3),
+            "a lane's stream is a pure function of the phase"
+        );
         assert_ne!(draws(0), draws(1), "lanes must not share a stream");
     }
 

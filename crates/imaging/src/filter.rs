@@ -103,10 +103,9 @@ fn filter_row(src: &Image, f: Filter2D, y: u32, out_w: u32) -> Vec<[u8; 4]> {
                     return [0, 0, 0, 255];
                 }
                 let g = |dx: i32, dy: i32| {
-                    i32::from(luma(src.get(
-                        (x as i32 + dx) as u32,
-                        (y as i32 + dy) as u32,
-                    )))
+                    i32::from(luma(
+                        src.get((x as i32 + dx) as u32, (y as i32 + dy) as u32),
+                    ))
                 };
                 let gx = -g(-1, -1) - 2 * g(-1, 0) - g(-1, 1) + g(1, -1) + 2 * g(1, 0) + g(1, 1);
                 let gy = -g(-1, -1) - 2 * g(0, -1) - g(1, -1) + g(-1, 1) + 2 * g(0, 1) + g(1, 1);
@@ -137,8 +136,9 @@ pub fn apply_seq(src: &Image, f: Filter2D) -> Image {
 #[must_use]
 pub fn apply_par(team: &Team, src: &Image, f: Filter2D) -> Image {
     let (ow, oh) = output_dims(f, src.width(), src.height());
-    let rows: Vec<parking_lot::Mutex<Vec<[u8; 4]>>> =
-        (0..oh).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
+    let rows: Vec<parking_lot::Mutex<Vec<[u8; 4]>>> = (0..oh)
+        .map(|_| parking_lot::Mutex::new(Vec::new()))
+        .collect();
     let rows_ref = &rows;
     team.for_each(0..oh as usize, Schedule::Dynamic(8), move |y| {
         *rows_ref[y].lock() = filter_row(src, f, y as u32, ow);
@@ -219,9 +219,15 @@ mod tests {
     #[test]
     fn double_flip_is_identity() {
         let src = sample();
-        let hh = apply_seq(&apply_seq(&src, Filter2D::FlipHorizontal), Filter2D::FlipHorizontal);
+        let hh = apply_seq(
+            &apply_seq(&src, Filter2D::FlipHorizontal),
+            Filter2D::FlipHorizontal,
+        );
         assert_eq!(src.content_hash(), hh.content_hash());
-        let vv = apply_seq(&apply_seq(&src, Filter2D::FlipVertical), Filter2D::FlipVertical);
+        let vv = apply_seq(
+            &apply_seq(&src, Filter2D::FlipVertical),
+            Filter2D::FlipVertical,
+        );
         assert_eq!(src.content_hash(), vv.content_hash());
     }
 
@@ -250,7 +256,12 @@ mod tests {
         let out = apply_seq(&src, Filter2D::BoxBlur(1));
         let (a, b) = (src.mean_rgba(), out.mean_rgba());
         for c in 0..3 {
-            assert!((a[c] - b[c]).abs() < 4.0, "channel {c}: {} vs {}", a[c], b[c]);
+            assert!(
+                (a[c] - b[c]).abs() < 4.0,
+                "channel {c}: {} vs {}",
+                a[c],
+                b[c]
+            );
         }
     }
 
@@ -292,7 +303,11 @@ mod tests {
         let out = apply_pipeline(
             &team,
             &src,
-            &[Filter2D::Grayscale, Filter2D::BoxBlur(1), Filter2D::Rotate90],
+            &[
+                Filter2D::Grayscale,
+                Filter2D::BoxBlur(1),
+                Filter2D::Rotate90,
+            ],
         );
         assert_eq!((out.width(), out.height()), (18, 24));
         let p = out.get(3, 3);

@@ -64,9 +64,10 @@ pub fn resize(src: &Image, dst_w: u32, dst_h: u32, filter: Filter) -> Image {
         Filter::BoxAverage => {
             for y in 0..dst_h {
                 let sy0 = (u64::from(y) * u64::from(src.height()) / u64::from(dst_h)) as u32;
-                let sy1 = (((u64::from(y) + 1) * u64::from(src.height())).div_ceil(u64::from(dst_h))
-                    as u32)
-                    .clamp(sy0 + 1, src.height());
+                let sy1 =
+                    (((u64::from(y) + 1) * u64::from(src.height())).div_ceil(u64::from(dst_h))
+                        as u32)
+                        .clamp(sy0 + 1, src.height());
                 for x in 0..dst_w {
                     let sx0 = (u64::from(x) * u64::from(src.width()) / u64::from(dst_w)) as u32;
                     let sx1 = (((u64::from(x) + 1) * u64::from(src.width()))

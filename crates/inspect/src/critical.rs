@@ -74,8 +74,7 @@ impl CriticalPath {
         }
 
         // Forward pass: Kahn with an ordered ready set.
-        let mut ready: BTreeSet<usize> =
-            (0..n).filter(|i| indeg[*i] == 0).collect();
+        let mut ready: BTreeSet<usize> = (0..n).filter(|i| indeg[*i] == 0).collect();
         let mut topo: Vec<usize> = Vec::with_capacity(n);
         let mut dist = vec![0u64; n];
         let mut best_pred: Vec<Option<usize>> = vec![None; n];
@@ -120,11 +119,19 @@ impl CriticalPath {
         let mut rev = Vec::new();
         let mut cur = Some(end);
         while let Some(u) = cur {
-            rev.push(PathEntry { node: u, weight: weight(u), cumulative: dist[u] });
+            rev.push(PathEntry {
+                node: u,
+                weight: weight(u),
+                cumulative: dist[u],
+            });
             cur = best_pred[u];
         }
         rev.reverse();
-        CriticalPath { total, entries: rev, slack }
+        CriticalPath {
+            total,
+            entries: rev,
+            slack,
+        }
     }
 
     /// Number of nodes on the path.
@@ -238,8 +245,10 @@ impl CriticalReport {
             self.wall.total as f64 / 1e6,
             self.active_lanes,
         ));
-        let mut path = Table::new("critical path (wall-clock weights)",
-            &["#", "node", "kind", "self ms", "cum ms", "logical"]);
+        let mut path = Table::new(
+            "critical path (wall-clock weights)",
+            &["#", "node", "kind", "self ms", "cum ms", "logical"],
+        );
         for (rank, e) in self.wall.entries.iter().enumerate() {
             let (label, kind) = &self.labels[e.node];
             path.row(&[
@@ -248,15 +257,24 @@ impl CriticalReport {
                 (*kind).to_string(),
                 format!("{:.3}", e.weight as f64 / 1e6),
                 format!("{:.3}", e.cumulative as f64 / 1e6),
-                self.logical.slack.get(e.node).map_or_else(String::new, |s| {
-                    if *s == 0 { "on-path".to_string() } else { format!("slack {s}") }
-                }),
+                self.logical
+                    .slack
+                    .get(e.node)
+                    .map_or_else(String::new, |s| {
+                        if *s == 0 {
+                            "on-path".to_string()
+                        } else {
+                            format!("slack {s}")
+                        }
+                    }),
             ]);
         }
         out.push_str(&path.render());
         out.push('\n');
-        let mut attr = Table::new("wall-clock attribution by span kind",
-            &["kind", "self ms", "share"]);
+        let mut attr = Table::new(
+            "wall-clock attribution by span kind",
+            &["kind", "self ms", "share"],
+        );
         for r in &self.attribution {
             attr.row(&[
                 r.kind.to_string(),
@@ -280,11 +298,18 @@ impl CriticalReport {
     /// and pool sizes for the same seeded workload.
     #[must_use]
     pub fn deterministic_json(&self) -> Json {
-        let path: Vec<&str> =
-            self.logical.entries.iter().map(|e| self.labels[e.node].0.as_str()).collect();
+        let path: Vec<&str> = self
+            .logical
+            .entries
+            .iter()
+            .map(|e| self.labels[e.node].0.as_str())
+            .collect();
         let zero_slack = self.logical.slack.iter().filter(|s| **s == 0).count();
         [
-            ("fingerprint", Json::from(format!("{:#018x}", self.fingerprint))),
+            (
+                "fingerprint",
+                Json::from(format!("{:#018x}", self.fingerprint)),
+            ),
             ("logical_total", Json::from(self.logical.total)),
             ("node_count", Json::from(self.labels.len())),
             ("zero_slack_nodes", Json::from(zero_slack)),
@@ -337,9 +362,12 @@ impl CriticalReport {
         ]
         .into_iter()
         .collect();
-        [("deterministic", self.deterministic_json()), ("wall_clock", wall_clock)]
-            .into_iter()
-            .collect()
+        [
+            ("deterministic", self.deterministic_json()),
+            ("wall_clock", wall_clock),
+        ]
+        .into_iter()
+        .collect()
     }
 }
 
@@ -350,13 +378,22 @@ mod tests {
     use parc_trace::{Collector, SpanKind};
 
     fn node(label: &str, logical: u64, wall_ns: u64) -> Node {
-        Node { label: label.to_string(), kind: NodeKind::Task, span: 0, logical, wall_ns }
+        Node {
+            label: label.to_string(),
+            kind: NodeKind::Task,
+            span: 0,
+            logical,
+            wall_ns,
+        }
     }
 
     fn graph(nodes: Vec<Node>, edges: Vec<(usize, usize, EdgeKind)>) -> TaskGraph {
         let mut g = TaskGraph::default();
         g.nodes = nodes;
-        g.edges = edges.into_iter().map(|(from, to, kind)| Edge { from, to, kind }).collect();
+        g.edges = edges
+            .into_iter()
+            .map(|(from, to, kind)| Edge { from, to, kind })
+            .collect();
         g
     }
 
@@ -368,7 +405,10 @@ mod tests {
         );
         let p = CriticalPath::compute(&g, |i| g.nodes[i].logical);
         assert_eq!(p.total, 6);
-        assert_eq!(p.entries.iter().map(|e| e.node).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(
+            p.entries.iter().map(|e| e.node).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
         assert!(p.slack.iter().all(|s| *s == 0), "everything is on a chain");
     }
 
@@ -376,7 +416,12 @@ mod tests {
     fn diamond_picks_the_heavy_branch_and_slacks_the_light_one() {
         // a -> {heavy, light} -> d
         let g = graph(
-            vec![node("a", 1, 0), node("d", 1, 0), node("heavy", 10, 0), node("light", 4, 0)],
+            vec![
+                node("a", 1, 0),
+                node("d", 1, 0),
+                node("heavy", 10, 0),
+                node("light", 4, 0),
+            ],
             vec![
                 (0, 2, EdgeKind::Spawn),
                 (0, 3, EdgeKind::Spawn),
@@ -386,7 +431,10 @@ mod tests {
         );
         let p = CriticalPath::compute(&g, |i| g.nodes[i].logical);
         assert_eq!(p.total, 12);
-        assert_eq!(p.entries.iter().map(|e| e.node).collect::<Vec<_>>(), vec![0, 2, 1]);
+        assert_eq!(
+            p.entries.iter().map(|e| e.node).collect::<Vec<_>>(),
+            vec![0, 2, 1]
+        );
         assert_eq!(p.slack[3], 6, "light branch can grow by heavy - light");
         assert_eq!(p.slack[0], 0);
         assert_eq!(p.slack[2], 0);
@@ -430,7 +478,10 @@ mod tests {
     fn attribution_shares_sum_to_at_most_100() {
         let r = demo_report();
         let total = r.attribution_total_pct();
-        assert!(total <= 100.0 + 1e-6, "shares must not exceed capacity: {total}");
+        assert!(
+            total <= 100.0 + 1e-6,
+            "shares must not exceed capacity: {total}"
+        );
         assert!(r.share_of("barrier.wait") > 0.0);
         assert!(r.share_of("task.run") >= 0.0);
         assert_eq!(r.share_of("no.such.kind"), 0.0);
@@ -459,10 +510,22 @@ mod tests {
             let col = Collector::new();
             let h = col.handle();
             let pid = h.register_track("demo");
-            h.mark(pid, parc_trace::MarkKind::TaskSpawn { task: 1, parent_span: 0 });
+            h.mark(
+                pid,
+                parc_trace::MarkKind::TaskSpawn {
+                    task: 1,
+                    parent_span: 0,
+                },
+            );
             {
                 let run = h.span(pid, SpanKind::TaskRun { task: 1 });
-                h.mark(pid, parc_trace::MarkKind::TaskSpawn { task: 2, parent_span: run.id() });
+                h.mark(
+                    pid,
+                    parc_trace::MarkKind::TaskSpawn {
+                        task: 2,
+                        parent_span: run.id(),
+                    },
+                );
             }
             drop(h.span(pid, SpanKind::TaskRun { task: 2 }));
             let store = TraceStore::new(col.snapshot());

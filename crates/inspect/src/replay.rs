@@ -48,7 +48,13 @@ impl TimeTravel {
             let b = Arc::clone(&body);
             replay_prefix(&recording.name, move || b(), &recording.schedule, cursor)
         };
-        TimeTravel { name: recording.name.clone(), body, full: recording, cursor, view }
+        TimeTravel {
+            name: recording.name.clone(),
+            body,
+            full: recording,
+            cursor,
+            view,
+        }
     }
 
     fn run_prefix(&self, prefix: usize) -> Recording {
@@ -143,7 +149,12 @@ impl TimeTravel {
         let mut t = Table::new("executed prefix", &["", "#", "thread", "op"]);
         for (i, s) in self.view.steps.iter().enumerate() {
             let marker = if i + 1 == self.cursor { ">" } else { " " };
-            t.row(&[marker.to_string(), i.to_string(), format!("t{}", s.tid), s.what.clone()]);
+            t.row(&[
+                marker.to_string(),
+                i.to_string(),
+                format!("t{}", s.tid),
+                s.what.clone(),
+            ]);
         }
         out.push_str(&t.render());
         if !self.view.frontier.is_empty() {
@@ -224,7 +235,11 @@ impl ScheduleDiff {
                 let _ = writeln!(out, "one schedule is a prefix of the other");
             }
         }
-        let _ = writeln!(out, "downstream: a ran {} more step(s), b ran {} more", self.tail_a, self.tail_b);
+        let _ = writeln!(
+            out,
+            "downstream: a ran {} more step(s), b ran {} more",
+            self.tail_a, self.tail_b
+        );
         let _ = writeln!(out, "verdicts: a={} b={}", self.verdicts.0, self.verdicts.1);
         for (key, (va, vb)) in &self.observation_deltas {
             let _ = writeln!(out, "observed {key}: a={va} b={vb} (delta {})", vb - va);
@@ -237,9 +252,12 @@ impl ScheduleDiff {
     pub fn to_json(&self) -> Json {
         let step = |s: &Option<Step>| {
             s.as_ref().map_or(Json::Null, |s| {
-                [("tid", Json::from(s.tid)), ("what", Json::from(s.what.as_str()))]
-                    .into_iter()
-                    .collect()
+                [
+                    ("tid", Json::from(s.tid)),
+                    ("what", Json::from(s.what.as_str())),
+                ]
+                .into_iter()
+                .collect()
             })
         };
         let deltas: Vec<Json> = self
@@ -257,7 +275,10 @@ impl ScheduleDiff {
             .collect();
         [
             ("identical", Json::from(self.is_empty())),
-            ("first_divergence", self.first_divergence.map_or(Json::Null, Json::from)),
+            (
+                "first_divergence",
+                self.first_divergence.map_or(Json::Null, Json::from),
+            ),
             ("a_step", step(&self.a_step)),
             ("b_step", step(&self.b_step)),
             ("tail_a", Json::from(self.tail_a)),
@@ -340,12 +361,18 @@ mod tests {
         tt.seek(0);
         assert!(tt.at_start());
         assert!(tt.state().steps.is_empty());
-        assert!(!tt.state().frontier.is_empty(), "something is runnable at t=0");
+        assert!(
+            !tt.state().frontier.is_empty(),
+            "something is runnable at t=0"
+        );
 
         tt.forward();
         assert_eq!(tt.cursor(), 1);
         assert_eq!(tt.state().steps.len(), 1);
-        let next = tt.next_step().expect("mid-schedule has a next step").clone();
+        let next = tt
+            .next_step()
+            .expect("mid-schedule has a next step")
+            .clone();
         tt.forward();
         assert_eq!(tt.state().steps.last().map(|s| s.tid), Some(next.tid));
 
@@ -369,7 +396,10 @@ mod tests {
         tt.seek(2);
         let text = tt.render();
         assert!(text.contains("@ step 2/"));
-        assert!(text.contains("runnable now:"), "mid-run must show the frontier:\n{text}");
+        assert!(
+            text.contains("runnable now:"),
+            "mid-run must show the frontier:\n{text}"
+        );
         tt.seek(usize::MAX);
         assert!(tt.render().contains("verdict: completed"));
     }
@@ -400,7 +430,11 @@ mod tests {
         let d = diff_schedules(&base, &other);
         assert!(!d.is_empty());
         let at = d.first_divergence.expect("divergence point found");
-        assert_eq!(base.steps[..at], other.steps[..at], "prefix up to divergence matches");
+        assert_eq!(
+            base.steps[..at],
+            other.steps[..at],
+            "prefix up to divergence matches"
+        );
         assert!(d.a_step.is_some() && d.b_step.is_some());
         assert_ne!(
             d.a_step.as_ref().map(|s| (s.tid, s.what.clone())),

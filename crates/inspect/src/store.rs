@@ -66,7 +66,10 @@ impl TraceStore {
     /// `trace_inspect` example benchmarks this as events/second.
     #[must_use]
     pub fn new(trace: Trace) -> Self {
-        let mut store = TraceStore { trace, ..TraceStore::default() };
+        let mut store = TraceStore {
+            trace,
+            ..TraceStore::default()
+        };
         let last_ts = store.trace.events.last().map_or(0, |e| e.ts_ns);
         // Per-lane span stacks, mirroring the collector's discipline.
         let mut stacks: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
@@ -120,26 +123,28 @@ impl TraceStore {
                         s.end_idx = Some(i);
                     }
                 }
-                EventKind::Mark { .. } => {
-                    match stacks.get(&lane).and_then(|s| s.last()) {
-                        Some(top) => {
-                            store
-                                .spans
-                                .get_mut(top)
-                                .expect("stacked span is stored")
-                                .marks
-                                .push(i);
-                        }
-                        None => store.unattributed_marks.push(i),
+                EventKind::Mark { .. } => match stacks.get(&lane).and_then(|s| s.last()) {
+                    Some(top) => {
+                        store
+                            .spans
+                            .get_mut(top)
+                            .expect("stacked span is stored")
+                            .marks
+                            .push(i);
                     }
-                }
+                    None => store.unattributed_marks.push(i),
+                },
             }
         }
         // Spans still open: synthetic, conservative end.
         for s in store.spans.values_mut().filter(|s| s.span.open) {
             s.span.end_ns = last_ts.max(s.span.start_ns);
         }
-        store.starts = store.spans.values().map(|s| (s.span.start_ns, s.span.id)).collect();
+        store.starts = store
+            .spans
+            .values()
+            .map(|s| (s.span.start_ns, s.span.id))
+            .collect();
         store.starts.sort_unstable();
         let mut running = 0u64;
         store.running_max_end = store
@@ -255,7 +260,9 @@ impl TraceStore {
     /// per-lane stack discipline). Zero for unknown ids.
     #[must_use]
     pub fn self_time_ns(&self, id: u64) -> u64 {
-        let Some(s) = self.spans.get(&id) else { return 0 };
+        let Some(s) = self.spans.get(&id) else {
+            return 0;
+        };
         let nested: u64 = s
             .children
             .iter()
@@ -291,8 +298,11 @@ impl TraceStore {
     /// "fraction of available compute" attributions.
     #[must_use]
     pub fn active_lanes(&self) -> usize {
-        let lanes: std::collections::BTreeSet<(u32, u32)> =
-            self.spans.values().map(|s| (s.span.pid, s.span.tid)).collect();
+        let lanes: std::collections::BTreeSet<(u32, u32)> = self
+            .spans
+            .values()
+            .map(|s| (s.span.pid, s.span.tid))
+            .collect();
         lanes.len()
     }
 }
@@ -311,8 +321,21 @@ mod tests {
         {
             let _crawl = h.span(pid, SpanKind::Crawl { pages: 2 });
             {
-                let _a = h.span(pid, SpanKind::FetchAttempt { page: 0, attempt: 1 });
-                h.mark(pid, MarkKind::FetchResult { page: 0, attempt: 1, result: FetchTag::Ok });
+                let _a = h.span(
+                    pid,
+                    SpanKind::FetchAttempt {
+                        page: 0,
+                        attempt: 1,
+                    },
+                );
+                h.mark(
+                    pid,
+                    MarkKind::FetchResult {
+                        page: 0,
+                        attempt: 1,
+                        result: FetchTag::Ok,
+                    },
+                );
             }
         }
         let h2 = h.clone();
@@ -332,10 +355,17 @@ mod tests {
         let store = TraceStore::new(trace);
         let wall = store.events().last().unwrap().ts_ns + 1;
         // Probe a handful of windows, including empty and full ones.
-        for (lo, hi) in [(0, wall), (wall / 3, 2 * wall / 3), (0, 0), (wall, wall + 10)] {
+        for (lo, hi) in [
+            (0, wall),
+            (wall / 3, 2 * wall / 3),
+            (0, 0),
+            (wall, wall + 10),
+        ] {
             let fast: Vec<&Event> = store.events_in(lo, hi).iter().collect();
-            let slow: Vec<&Event> =
-                naive.iter().filter(|e| e.ts_ns >= lo && e.ts_ns < hi).collect();
+            let slow: Vec<&Event> = naive
+                .iter()
+                .filter(|e| e.ts_ns >= lo && e.ts_ns < hi)
+                .collect();
             assert_eq!(fast.len(), slow.len(), "window [{lo}, {hi})");
             assert!(fast.iter().zip(&slow).all(|(a, b)| a == b));
         }
@@ -346,7 +376,13 @@ mod tests {
         let trace = sample();
         let naive = trace.events.clone();
         let store = TraceStore::new(trace);
-        for kind in ["crawl", "fetch.result", "sched.steal", "task.run", "no.such"] {
+        for kind in [
+            "crawl",
+            "fetch.result",
+            "sched.steal",
+            "task.run",
+            "no.such",
+        ] {
             let fast: Vec<usize> = store.kind_indices(kind).to_vec();
             let slow: Vec<usize> = naive
                 .iter()
@@ -378,10 +414,7 @@ mod tests {
                 .collect();
             slow.sort_by_key(|s| (s.span.start_ns, s.span.id));
             assert_eq!(fast.len(), slow.len(), "window [{lo}, {hi})");
-            assert!(fast
-                .iter()
-                .zip(&slow)
-                .all(|(a, b)| a.span.id == b.span.id));
+            assert!(fast.iter().zip(&slow).all(|(a, b)| a.span.id == b.span.id));
         }
     }
 
@@ -394,19 +427,34 @@ mod tests {
             .expect("fetch span stored");
         assert_eq!(fetch.marks.len(), 1, "result mark belongs to the attempt");
         assert_eq!(store.events()[fetch.marks[0]].name(), "fetch.result");
-        let crawl = store.spans().find(|s| s.span.what.name() == "crawl").unwrap();
-        assert!(crawl.marks.is_empty(), "nothing marked directly under crawl");
+        let crawl = store
+            .spans()
+            .find(|s| s.span.what.name() == "crawl")
+            .unwrap();
+        assert!(
+            crawl.marks.is_empty(),
+            "nothing marked directly under crawl"
+        );
         assert_eq!(crawl.children, vec![fetch.span.id]);
         // The steal mark fired before any span opened on its lane.
         assert_eq!(store.unattributed_marks().len(), 1);
-        assert_eq!(store.events()[store.unattributed_marks()[0]].name(), "sched.steal");
+        assert_eq!(
+            store.events()[store.unattributed_marks()[0]].name(),
+            "sched.steal"
+        );
     }
 
     #[test]
     fn self_time_subtracts_nested_children() {
         let store = TraceStore::new(sample());
-        let crawl = store.spans().find(|s| s.span.what.name() == "crawl").unwrap();
-        let fetch = store.spans().find(|s| s.span.what.name() == "fetch.attempt").unwrap();
+        let crawl = store
+            .spans()
+            .find(|s| s.span.what.name() == "crawl")
+            .unwrap();
+        let fetch = store
+            .spans()
+            .find(|s| s.span.what.name() == "fetch.attempt")
+            .unwrap();
         let self_time = store.self_time_ns(crawl.span.id);
         assert_eq!(
             self_time,
@@ -423,9 +471,18 @@ mod tests {
         let col = Collector::new();
         let h = col.handle();
         let outer = h.span(1, SpanKind::Crawl { pages: 1 });
-        drop(h.span(1, SpanKind::FetchAttempt { page: 0, attempt: 1 }));
+        drop(h.span(
+            1,
+            SpanKind::FetchAttempt {
+                page: 0,
+                attempt: 1,
+            },
+        ));
         let store = TraceStore::new(col.snapshot());
-        let crawl = store.spans().find(|s| s.span.what.name() == "crawl").unwrap();
+        let crawl = store
+            .spans()
+            .find(|s| s.span.what.name() == "crawl")
+            .unwrap();
         assert!(crawl.span.open);
         assert!(crawl.end_idx.is_none());
         let last_ts = store.events().last().unwrap().ts_ns;
@@ -462,7 +519,10 @@ mod tests {
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();
-        let sum: usize = lanes.iter().map(|(p, t)| store.lane_indices(*p, *t).len()).sum();
+        let sum: usize = lanes
+            .iter()
+            .map(|(p, t)| store.lane_indices(*p, *t).len())
+            .sum();
         assert_eq!(sum, total);
         assert!(lanes.len() >= 2, "sample uses two lanes");
         assert!(store.active_lanes() >= 2);

@@ -305,7 +305,10 @@ pub fn components_par(team: &Team, g: &CsrGraph) -> Vec<u32> {
             }
         });
     }
-    label.into_iter().map(std::sync::atomic::AtomicU32::into_inner).collect()
+    label
+        .into_iter()
+        .map(std::sync::atomic::AtomicU32::into_inner)
+        .collect()
 }
 
 /// Number of distinct components given a label vector.

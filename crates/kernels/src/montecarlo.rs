@@ -90,7 +90,11 @@ mod tests {
     fn quadrature_par_matches_seq_closely() {
         let team = Team::new(3);
         let seq = pi_quadrature_seq(50_000);
-        for schedule in [Schedule::Static, Schedule::Dynamic(512), Schedule::Guided(64)] {
+        for schedule in [
+            Schedule::Static,
+            Schedule::Dynamic(512),
+            Schedule::Guided(64),
+        ] {
             let par = pi_quadrature_par(&team, 50_000, schedule);
             // Floating addition order differs; agreement is to ~1e-10.
             assert!((seq - par).abs() < 1e-9, "{schedule:?}");

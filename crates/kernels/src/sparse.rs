@@ -128,11 +128,8 @@ mod tests {
 
     #[test]
     fn triplets_build_and_dedup() {
-        let a = CsrMatrix::from_triplets(
-            2,
-            3,
-            &[(0, 1, 2.0), (0, 1, 3.0), (1, 0, 1.0), (1, 2, -1.0)],
-        );
+        let a =
+            CsrMatrix::from_triplets(2, 3, &[(0, 1, 2.0), (0, 1, 3.0), (1, 0, 1.0), (1, 2, -1.0)]);
         assert_eq!(a.nnz(), 3, "duplicate (0,1) must merge");
         assert_eq!(a.rows(), 2);
         assert_eq!(a.cols(), 3);

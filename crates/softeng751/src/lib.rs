@@ -24,7 +24,6 @@ pub use soak::{run_soak_cell, run_soak_matrix, SoakCellReport};
 
 // Re-export the subsystem crates under one roof.
 pub use course;
-pub use parc_supervise;
 pub use docsearch;
 pub use faultsim;
 pub use guievent;
@@ -32,6 +31,7 @@ pub use imaging;
 pub use kernels;
 pub use memmodel;
 pub use parc_inspect;
+pub use parc_supervise;
 pub use parc_trace;
 pub use parc_util;
 pub use parsort;

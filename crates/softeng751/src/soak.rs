@@ -55,7 +55,9 @@ const SOAK_PAGES: usize = 40;
 /// by the one-for-one cells and unit tests.
 #[must_use]
 pub fn scripted_failures(seed: u64, storm: &str, child: u64, policy: RestartPolicy) -> u32 {
-    let h = storm.bytes().fold(seed, |h, b| SplitMix64::mix(h ^ u64::from(b)));
+    let h = storm
+        .bytes()
+        .fold(seed, |h, b| SplitMix64::mix(h ^ u64::from(b)));
     let r = SplitMix64::mix(h ^ (child + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let modulus = match policy {
         RestartPolicy::OneForOne => u64::from(SOAK_RESTART_BUDGET) + 2,
@@ -131,7 +133,11 @@ impl SoakCellReport {
             } else {
                 check(
                     c.final_outcome() == parc_supervise::ChildOutcome::Completed,
-                    format!("{}: expected completion, got {}", c.name, c.final_outcome().name()),
+                    format!(
+                        "{}: expected completion, got {}",
+                        c.name,
+                        c.final_outcome().name()
+                    ),
                 );
             }
             if self.policy == RestartPolicy::OneForOne {
@@ -162,12 +168,19 @@ impl SoakCellReport {
         if self.scripted[0] > SOAK_RESTART_BUDGET {
             check(
                 self.crawl.is_empty(),
-                format!("escalated crawler still recorded {} phases", self.crawl.len()),
+                format!(
+                    "escalated crawler still recorded {} phases",
+                    self.crawl.len()
+                ),
             );
         } else {
             check(
                 self.crawl.len() == self.phases,
-                format!("crawl covered {} of {} phases", self.crawl.len(), self.phases),
+                format!(
+                    "crawl covered {} of {} phases",
+                    self.crawl.len(),
+                    self.phases
+                ),
             );
         }
         for r in &self.crawl {
@@ -184,10 +197,16 @@ impl SoakCellReport {
             );
         }
         // Post-storm quiescence: no leaked tasks, no leaked threads.
-        check(self.drained, format!("runtime failed to drain ({} leftover)", self.leftover));
+        check(
+            self.drained,
+            format!("runtime failed to drain ({} leftover)", self.leftover),
+        );
         check(
             self.spawned == self.executed,
-            format!("task conservation: spawned {} != executed {}", self.spawned, self.executed),
+            format!(
+                "task conservation: spawned {} != executed {}",
+                self.spawned, self.executed
+            ),
         );
         bad
     }
@@ -225,7 +244,11 @@ impl SoakCellReport {
             ));
         }
         for c in &self.supervision.children {
-            s.push_str(&format!("child {}: final {}", c.name, c.final_outcome().name()));
+            s.push_str(&format!(
+                "child {}: final {}",
+                c.name,
+                c.final_outcome().name()
+            ));
             if self.policy == RestartPolicy::OneForOne {
                 s.push_str(&format!(
                     " incarnations {} restarts {} budget_used {} escalated {}",
@@ -249,7 +272,11 @@ impl SoakCellReport {
         }
         #[allow(clippy::cast_precision_loss)]
         let n = self.crawl.len() as f64;
-        self.crawl.iter().map(ResilientReport::coverage).sum::<f64>() / n
+        self.crawl
+            .iter()
+            .map(ResilientReport::coverage)
+            .sum::<f64>()
+            / n
     }
 
     /// Worst (lowest) per-phase coverage; 0 when no pass completed.
@@ -258,7 +285,10 @@ impl SoakCellReport {
         if self.crawl.is_empty() {
             return 0.0;
         }
-        self.crawl.iter().map(ResilientReport::coverage).fold(1.0, f64::min)
+        self.crawl
+            .iter()
+            .map(ResilientReport::coverage)
+            .fold(1.0, f64::min)
     }
 }
 
@@ -316,8 +346,7 @@ pub fn run_soak_cell(
     let builder = Supervisor::builder(&sup_name)
         .policy(policy)
         .restart_policy(
-            RetryPolicy::fixed(Duration::from_millis(1))
-                .with_max_attempts(SOAK_RESTART_BUDGET + 1),
+            RetryPolicy::fixed(Duration::from_millis(1)).with_max_attempts(SOAK_RESTART_BUDGET + 1),
         )
         .backoff_seed(seed)
         .backoff_time_scale(0.05)
@@ -499,7 +528,10 @@ mod tests {
                     let one = scripted_failures(seed, storm, child, RestartPolicy::OneForOne);
                     let all = scripted_failures(seed, storm, child, RestartPolicy::AllForOne);
                     assert!(one <= SOAK_RESTART_BUDGET + 1);
-                    assert!(all <= SOAK_RESTART_BUDGET, "all-for-one must never escalate");
+                    assert!(
+                        all <= SOAK_RESTART_BUDGET,
+                        "all-for-one must never escalate"
+                    );
                     saw_escalating |= one > SOAK_RESTART_BUDGET;
                 }
             }

@@ -135,7 +135,11 @@ mod tests {
             }
         }
         let keys = data::few_unique(10_000, 3, 4);
-        let mut v: Vec<P> = keys.iter().enumerate().map(|(i, &k)| P(k as u8, i as u32)).collect();
+        let mut v: Vec<P> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| P(k as u8, i as u32))
+            .collect();
         mergesort_partask(&rt, &mut v);
         for w in v.windows(2) {
             if w[0].0 == w[1].0 {

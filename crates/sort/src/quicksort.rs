@@ -137,9 +137,7 @@ pub fn quicksort_pyjama(team: &Team, v: &mut Vec<u64>) {
     // Choose t-1 splitters from a small sorted sample.
     let mut sample: Vec<u64> = v.iter().step_by((n / 64).max(1)).copied().collect();
     sample.sort_unstable();
-    let splitters: Vec<u64> = (1..t)
-        .map(|k| sample[k * sample.len() / t])
-        .collect();
+    let splitters: Vec<u64> = (1..t).map(|k| sample[k * sample.len() / t]).collect();
     // Scatter into buckets (sequential; the sort dominates).
     let mut buckets: Vec<Vec<u64>> = (0..t).map(|_| Vec::with_capacity(n / t + 1)).collect();
     for &x in v.iter() {

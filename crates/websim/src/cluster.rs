@@ -84,13 +84,20 @@ impl HashRing {
         for replica in 0..replicas {
             for v in 0..vnodes {
                 let key = ((replica as u64) << 32) | v as u64;
-                points.push((SplitMix64::mix(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15)), replica));
+                points.push((
+                    SplitMix64::mix(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    replica,
+                ));
             }
         }
         // Sort by (position, replica): ties (astronomically unlikely)
         // break deterministically.
         points.sort_unstable();
-        Self { points, replicas, seed }
+        Self {
+            points,
+            replicas,
+            seed,
+        }
     }
 
     /// Number of replicas the ring was built for.
@@ -140,7 +147,11 @@ impl HashRing {
     /// If `eligible.len()` differs from the ring's replica count.
     #[must_use]
     pub fn owners_among(&self, page: usize, r: usize, eligible: &[bool]) -> Vec<usize> {
-        assert_eq!(eligible.len(), self.replicas, "eligibility mask size mismatch");
+        assert_eq!(
+            eligible.len(),
+            self.replicas,
+            "eligibility mask size mismatch"
+        );
         self.owners_inner(page, r, Some(eligible))
     }
 
@@ -206,7 +217,10 @@ impl Default for ClusterConfig {
             hedge_quantile: 0.95,
             hedge_min_samples: 64,
             seed: 0xC1_0AD,
-            server: ServerConfig { time_scale: 5e-7, ..ServerConfig::default() },
+            server: ServerConfig {
+                time_scale: 5e-7,
+                ..ServerConfig::default()
+            },
         }
     }
 }
@@ -419,7 +433,10 @@ impl ClusterReport {
         );
         check(
             self.lost_acked == 0,
-            format!("{} acknowledged page(s) lost after replica kill", self.lost_acked),
+            format!(
+                "{} acknowledged page(s) lost after replica kill",
+                self.lost_acked
+            ),
         );
         check(self.kills == self.restarts, {
             format!("kills {} != restarts {}", self.kills, self.restarts)
@@ -433,7 +450,10 @@ impl ClusterReport {
         );
         check(
             self.supervision_escalations == 0,
-            format!("supervision escalated {} time(s)", self.supervision_escalations),
+            format!(
+                "supervision escalated {} time(s)",
+                self.supervision_escalations
+            ),
         );
         for v in &self.supervision_violations {
             bad.push(format!("supervision: {v}"));
@@ -493,7 +513,10 @@ impl ClusterReport {
             self.latency.p999(),
             self.latency.mean()
         ));
-        out.push_str(&format!("served_per_replica={:?}\n", self.per_replica_served));
+        out.push_str(&format!(
+            "served_per_replica={:?}\n",
+            self.per_replica_served
+        ));
         out.push_str("events:\n");
         for e in &self.events {
             out.push_str("  ");
@@ -565,9 +588,9 @@ impl Cluster {
         let replicas = (0..cfg.replicas)
             .map(|i| Replica {
                 server: Arc::new(SimServer::new(cfg.server.clone())),
-                injector: FaultInjector::new(faultsim::FaultPlan::reliable(
-                    SplitMix64::mix(cfg.seed ^ i as u64),
-                )),
+                injector: FaultInjector::new(faultsim::FaultPlan::reliable(SplitMix64::mix(
+                    cfg.seed ^ i as u64,
+                ))),
                 store: HashMap::new(),
                 breaker: Breaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
                 alive: true,
@@ -577,7 +600,11 @@ impl Cluster {
                 served: 0,
             })
             .collect();
-        Self { cfg, ring, replicas }
+        Self {
+            cfg,
+            ring,
+            replicas,
+        }
     }
 
     /// Give every replica its own lane of `phase`'s fault stream.
@@ -634,9 +661,15 @@ impl Cluster {
         outage: Option<OutageScript>,
     ) -> ClusterReport {
         if let Some(o) = outage {
-            assert!(o.replica < self.replicas.len(), "outage replica out of range");
+            assert!(
+                o.replica < self.replicas.len(),
+                "outage replica out of range"
+            );
             assert!(o.kill_tick < o.restart_tick, "kill must precede restart");
-            assert!(o.restart_tick < schedule.len(), "restart must land inside the run");
+            assert!(
+                o.restart_tick < schedule.len(),
+                "restart must land inside the run"
+            );
         }
         // The supervised outage: one guard child stands for the
         // replica's process, and its supervised restart gates the
@@ -656,7 +689,8 @@ impl Cluster {
             let phase = storm.phase_at(tick, ticks);
             if last_phase_label != Some(phase.label) {
                 self.set_phase(phase);
-                acc.events.push(format!("tick {tick:03} phase {}", phase.label));
+                acc.events
+                    .push(format!("tick {tick:03} phase {}", phase.label));
                 last_phase_label = Some(phase.label);
             }
 
@@ -665,7 +699,8 @@ impl Cluster {
                 if tick == o.kill_tick {
                     self.kill(o.replica);
                     acc.kills += 1;
-                    acc.events.push(format!("tick {tick:03} replica {} killed", o.replica));
+                    acc.events
+                        .push(format!("tick {tick:03} replica {} killed", o.replica));
                     g.kill(0);
                 }
                 if tick == o.restart_tick {
@@ -693,9 +728,9 @@ impl Cluster {
         let mut lost = 0usize;
         for &page in &acc.acked_pages {
             let owners = self.ring.owners(page, self.cfg.replication);
-            let holder = owners
-                .iter()
-                .position(|&o| self.replicas[o].alive && self.replicas[o].store.contains_key(&page));
+            let holder = owners.iter().position(|&o| {
+                self.replicas[o].alive && self.replicas[o].store.contains_key(&page)
+            });
             match holder {
                 Some(0) => durable_primary += 1,
                 Some(_) => reserved_from_replica += 1,
@@ -763,7 +798,8 @@ impl Cluster {
                     rep.window_requests = 0;
                     rep.window_failures = 0;
                     acc.readmissions += 1;
-                    acc.events.push(format!("tick {tick:03} replica {i} readmitted"));
+                    acc.events
+                        .push(format!("tick {tick:03} replica {i} readmitted"));
                 }
             }
         }
@@ -828,7 +864,9 @@ impl Cluster {
         let width = SERVICE_WIDTH as f64;
 
         for (req, &page) in requests.iter().enumerate() {
-            let owners = self.ring.owners_among(page, self.cfg.replication, &eligible);
+            let owners = self
+                .ring
+                .owners_among(page, self.cfg.replication, &eligible);
             if owners.is_empty() {
                 routes.push(Route::NoOwner);
                 continue;
@@ -863,17 +901,22 @@ impl Cluster {
                     .iter()
                     .copied()
                     .filter(|&o| o != replica && queues[o].len() < self.cfg.queue_capacity)
-                    .min_by(|&a, &b| {
-                        pending_ms[a].partial_cmp(&pending_ms[b]).expect("no NaN")
-                    });
+                    .min_by(|&a, &b| pending_ms[a].partial_cmp(&pending_ms[b]).expect("no NaN"));
                 let best = alt
                     .map(|o| (o, pending_ms[o] / width + service))
                     .filter(|&(_, p)| p < predicted);
                 match best {
                     Some((o, p)) if p <= phase.shed_budget_ms => {
-                        queues[o].push(QueueEntry { req, page, hedge: false });
+                        queues[o].push(QueueEntry {
+                            req,
+                            page,
+                            hedge: false,
+                        });
                         pending_ms[o] += service;
-                        routes.push(Route::Queued { diverted: o != owners[0], hedge_on: None });
+                        routes.push(Route::Queued {
+                            diverted: o != owners[0],
+                            hedge_on: None,
+                        });
                         continue;
                     }
                     _ => {
@@ -891,14 +934,25 @@ impl Cluster {
             } else {
                 None
             };
-            queues[replica].push(QueueEntry { req, page, hedge: false });
+            queues[replica].push(QueueEntry {
+                req,
+                page,
+                hedge: false,
+            });
             pending_ms[replica] += service;
             if let Some(h) = hedge_on {
-                queues[h].push(QueueEntry { req, page, hedge: true });
+                queues[h].push(QueueEntry {
+                    req,
+                    page,
+                    hedge: true,
+                });
                 pending_ms[h] += service;
                 acc.hedges_fired += 1;
             }
-            routes.push(Route::Queued { diverted: replica != owners[0], hedge_on });
+            routes.push(Route::Queued {
+                diverted: replica != owners[0],
+                hedge_on,
+            });
         }
 
         // --- Execute (parallel across replicas, sequential within) -
@@ -908,7 +962,11 @@ impl Cluster {
                 .iter()
                 .enumerate()
                 .map(|(i, q)| {
-                    (q.clone(), Arc::clone(&self.replicas[i].server), self.replicas[i].injector.clone())
+                    (
+                        q.clone(),
+                        Arc::clone(&self.replicas[i].server),
+                        self.replicas[i].injector.clone(),
+                    )
                 })
                 .collect(),
         );
@@ -924,7 +982,10 @@ impl Cluster {
             .collect();
 
         // Tick busy time: the slowest replica bounds the tick.
-        let tick_busy = per_replica.iter().map(|(_, busy)| *busy).fold(0.0f64, f64::max);
+        let tick_busy = per_replica
+            .iter()
+            .map(|(_, busy)| *busy)
+            .fold(0.0f64, f64::max);
         acc.sim_ms_total += tick_busy;
 
         // Index execution results by (req, hedge-flag); update breaker
@@ -956,7 +1017,9 @@ impl Cluster {
             match &routes[req] {
                 Route::Shed(reason) => acc.shed[*reason as usize] += 1,
                 Route::NoOwner => acc.failed += 1,
-                Route::Queued { diverted, hedge_on, .. } => {
+                Route::Queued {
+                    diverted, hedge_on, ..
+                } => {
                     let primary = primary_result.get(&req).copied();
                     let hedge = hedge_on.and_then(|_| hedge_result.get(&req).copied());
                     let (p_ok, h_ok) = (
@@ -1066,7 +1129,11 @@ impl Cluster {
             if !self.replicas[owner].breaker.allow() {
                 continue;
             }
-            let queue = [QueueEntry { req: 0, page, hedge: false }];
+            let queue = [QueueEntry {
+                req: 0,
+                page,
+                hedge: false,
+            }];
             let (results, _busy) = execute_queue(
                 &queue,
                 &self.replicas[owner].server,
@@ -1214,7 +1281,11 @@ mod tests {
 
     fn quick_cfg() -> ClusterConfig {
         ClusterConfig {
-            server: ServerConfig { pages: 40, time_scale: 1e-7, ..ServerConfig::default() },
+            server: ServerConfig {
+                pages: 40,
+                time_scale: 1e-7,
+                ..ServerConfig::default()
+            },
             ..ClusterConfig::default()
         }
     }
@@ -1223,7 +1294,11 @@ mod tests {
         use parc_util::rng::Xoshiro256;
         let mut rng = Xoshiro256::seed_from_u64(seed);
         (0..ticks)
-            .map(|_| (0..per_tick).map(|_| rng.gen_range_usize(0..pages)).collect())
+            .map(|_| {
+                (0..per_tick)
+                    .map(|_| rng.gen_range_usize(0..pages))
+                    .collect()
+            })
             .collect()
     }
 
@@ -1237,7 +1312,11 @@ mod tests {
             dedup.sort_unstable();
             dedup.dedup();
             assert_eq!(dedup.len(), 3, "owners must be distinct replicas");
-            assert_eq!(owners, HashRing::new(7, 4, 64).owners(page, 3), "seeded = stable");
+            assert_eq!(
+                owners,
+                HashRing::new(7, 4, 64).owners(page, 3),
+                "seeded = stable"
+            );
             assert_eq!(owners[0], ring.primary(page));
         }
     }
@@ -1254,7 +1333,10 @@ mod tests {
             if before == 2 {
                 assert_ne!(after, 2, "ejected replica must lose its pages");
             } else {
-                assert_eq!(after, before, "page {page}: surviving owner must keep its pages");
+                assert_eq!(
+                    after, before,
+                    "page {page}: surviving owner must keep its pages"
+                );
             }
         }
     }
@@ -1295,13 +1377,20 @@ mod tests {
         let mut cluster = Cluster::new(quick_cfg());
         let schedule = steady_schedule(24, 16, 40, 0xBEE);
         let storm = FaultStorm::burst(0x5EED);
-        let outage = OutageScript { replica: 1, kill_tick: 8, restart_tick: 16 };
+        let outage = OutageScript {
+            replica: 1,
+            kill_tick: 8,
+            restart_tick: 16,
+        };
         let report = cluster.run_storm(&rt, &schedule, &storm, Some(outage));
         assert_eq!(report.kills, 1);
         assert_eq!(report.restarts, 1);
         assert_eq!(report.supervision_restarts, 1);
         assert_eq!(report.lost_acked, 0, "replication must cover the kill");
-        assert!(report.reserved_from_replica > 0, "some pages must survive only on a replica");
+        assert!(
+            report.reserved_from_replica > 0,
+            "some pages must survive only on a replica"
+        );
         assert_eq!(report.violations(), Vec::<String>::new());
         rt.shutdown();
     }
@@ -1311,13 +1400,23 @@ mod tests {
         // Negative control: with R=1 a kill MUST lose acked pages,
         // proving the conservation check actually detects loss.
         let rt = TaskRuntime::builder().workers(2).build();
-        let cfg = ClusterConfig { replication: 1, ..quick_cfg() };
+        let cfg = ClusterConfig {
+            replication: 1,
+            ..quick_cfg()
+        };
         let mut cluster = Cluster::new(cfg);
         let schedule = steady_schedule(24, 16, 40, 0xBEE);
         let storm = FaultStorm::burst(0x5EED);
-        let outage = OutageScript { replica: 1, kill_tick: 8, restart_tick: 16 };
+        let outage = OutageScript {
+            replica: 1,
+            kill_tick: 8,
+            restart_tick: 16,
+        };
         let report = cluster.run_storm(&rt, &schedule, &storm, Some(outage));
-        assert!(report.lost_acked > 0, "R=1 must lose the killed replica's pages");
+        assert!(
+            report.lost_acked > 0,
+            "R=1 must lose the killed replica's pages"
+        );
         assert!(
             report.violations().iter().any(|v| v.contains("lost")),
             "violations must flag the loss"
@@ -1328,7 +1427,10 @@ mod tests {
     #[test]
     fn queue_full_backpressure_sheds_instead_of_collapsing() {
         let rt = TaskRuntime::builder().workers(2).build();
-        let cfg = ClusterConfig { queue_capacity: 2, ..quick_cfg() };
+        let cfg = ClusterConfig {
+            queue_capacity: 2,
+            ..quick_cfg()
+        };
         let mut cluster = Cluster::new(cfg);
         // One massive tick: far more requests than 3 replicas × 2 slots.
         let schedule = vec![steady_schedule(1, 64, 40, 0xCAFE).remove(0)];

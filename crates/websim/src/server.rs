@@ -100,7 +100,10 @@ impl fmt::Display for RequestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RequestError::Transient { page, attempt } => {
-                write!(f, "transient error fetching page {page} (attempt {attempt})")
+                write!(
+                    f,
+                    "transient error fetching page {page} (attempt {attempt})"
+                )
             }
             RequestError::TimedOut { page, attempt } => {
                 write!(f, "timeout fetching page {page} (attempt {attempt})")
@@ -235,7 +238,11 @@ impl SimServer {
             if let Some(tag) = fault_tag(fault) {
                 self.trace.mark(
                     self.pid,
-                    MarkKind::FaultInjected { key: page as u64, attempt, fault: tag },
+                    MarkKind::FaultInjected {
+                        key: page as u64,
+                        attempt,
+                        fault: tag,
+                    },
                 );
             }
         }
@@ -274,9 +281,7 @@ impl SimServer {
         };
         let ms = base_ms * jitter + extra_ms;
         self.sim_ms_total.fetch_add(ms as u64, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_secs_f64(
-            ms * self.config.time_scale,
-        ));
+        std::thread::sleep(Duration::from_secs_f64(ms * self.config.time_scale));
         self.active.fetch_sub(1, Ordering::SeqCst);
         self.pages[page].size_kb
     }
@@ -408,11 +413,17 @@ mod tests {
         );
         assert_eq!(
             server.try_request(2, 1),
-            Err(RequestError::Transient { page: 2, attempt: 1 })
+            Err(RequestError::Transient {
+                page: 2,
+                attempt: 1
+            })
         );
         assert_eq!(
             server.try_request(2, 2),
-            Err(RequestError::Transient { page: 2, attempt: 2 })
+            Err(RequestError::Transient {
+                page: 2,
+                attempt: 2
+            })
         );
         assert!(server.try_request(2, 3).is_ok());
         assert!(server.try_request(3, 1).is_ok());
@@ -422,7 +433,9 @@ mod tests {
     #[test]
     fn injected_failures_are_deterministic_across_servers() {
         use faultsim::{FaultInjector, FaultPlan};
-        let plan = FaultPlan::reliable(77).with_error_rate(0.3).with_timeout_rate(0.1);
+        let plan = FaultPlan::reliable(77)
+            .with_error_rate(0.3)
+            .with_timeout_rate(0.1);
         let a = SimServer::with_faults(fast_config(), FaultInjector::new(plan.clone()));
         let b = SimServer::with_faults(fast_config(), FaultInjector::new(plan));
         for page in 0..a.page_count() {
