@@ -14,9 +14,11 @@
 //!   result (the `TaskID.getResult()` analogue).
 //! * **Task dependences** — [`TaskRuntime::spawn_after`] delays a task
 //!   until a set of predecessor tasks have completed (`dependsOn`).
-//! * **Multi-tasks** — [`TaskRuntime::spawn_multi`] launches `n`
-//!   copies of a task (`TASK(n)`), and
-//!   [`TaskRuntime::spawn_per_worker`] one per worker (`TASK(*)`).
+//! * **Multi-tasks** — [`TaskRuntime::spawn_batch`] launches `n`
+//!   copies of a task as one group (`TASK(n)`);
+//!   `spawn_batch(rt.workers(), f)` launches one per worker
+//!   (`TASK(*)`). [`BatchHandle::join`] returns the results in index
+//!   order.
 //! * **Interim results** — [`interim::channel`] streams intermediate
 //!   values out of a running task, optionally marshalled onto the GUI
 //!   event-dispatch thread (the `notifyInter` analogue).
@@ -58,7 +60,6 @@
 pub mod batch;
 pub mod interim;
 mod job;
-pub mod multi;
 pub mod runtime;
 pub mod sched;
 pub mod scope;
@@ -66,7 +67,6 @@ pub mod task;
 
 pub use batch::BatchHandle;
 pub use interim::{channel as interim_channel, InterimReceiver, InterimSender};
-pub use multi::MultiHandle;
 pub use runtime::{
     Builder, DrainReport, ProgressSnapshot, RuntimeHandle, RuntimeLatencies, RuntimeStats,
     TaskRuntime, HELP_STEAL_CAP,

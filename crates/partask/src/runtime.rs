@@ -29,7 +29,7 @@ use crate::task::{CancelToken, Core, TaskError, TaskHandle, TaskId, TaskWatcher}
 /// quiescence.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Tasks submitted (including dependence-delayed and multi-task
+    /// Tasks submitted (including dependence-delayed tasks and batch
     /// members).
     pub spawned: u64,
     /// Task bodies executed to completion (including cancelled ones,
@@ -594,7 +594,7 @@ impl TaskRuntime {
         parent: &CancelToken,
         f: impl FnOnce(&CancelToken) -> T + Send + 'static,
     ) -> TaskHandle<T> {
-        spawn_on_with_token(&self.inner, parent.child(), f)
+        spawn_task(&self.inner, parent.child(), &[], f, |_, _| ())
     }
 
     /// Spawn a task with an execution budget. Once `deadline` has
@@ -631,9 +631,7 @@ impl TaskRuntime {
     ) -> TaskHandle<T> {
         let token = parent.child_with_deadline(deadline);
         let due = token.deadline().expect("a deadline token has a deadline");
-        let core = Core::with_token(token);
-        let task = core.id.as_u64();
-        let settle = move |inner: &RtInner| {
+        let settle = move |inner: &RtInner, task| {
             if Instant::now() >= due {
                 inner.timed_out.inc();
                 inner.trace.mark(
@@ -645,12 +643,7 @@ impl TaskRuntime {
                 );
             }
         };
-        self.inner
-            .push_job(make_traced_job(&self.inner, &core, f, settle));
-        TaskHandle {
-            core,
-            rt: Arc::downgrade(&self.inner),
-        }
+        spawn_task(&self.inner, token, &[], f, settle)
     }
 
     /// The root of this runtime's cancellation tree. Derive subtree
@@ -668,54 +661,35 @@ impl TaskRuntime {
         deps: &[TaskWatcher],
         f: impl FnOnce() -> T + Send + 'static,
     ) -> TaskHandle<T> {
-        spawn_after_on(&self.inner, deps, move |_t| f())
+        spawn_task(
+            &self.inner,
+            self.inner.root_token.child(),
+            deps,
+            move |_t| f(),
+            |_, _| (),
+        )
     }
 
-    /// Spawn `n` copies of a task; the `TASK(n)` multi-task analogue.
-    /// Each copy receives its index in `0..n`.
-    pub fn spawn_multi<T: Send + 'static>(
-        &self,
-        n: usize,
-        f: impl Fn(usize) -> T + Send + Sync + 'static,
-    ) -> crate::multi::MultiHandle<T> {
-        crate::multi::spawn_multi(&self.inner, n, f)
-    }
-
-    /// Spawn one copy per worker; the `TASK(*)` analogue.
-    pub fn spawn_per_worker<T: Send + 'static>(
-        &self,
-        f: impl Fn(usize) -> T + Send + Sync + 'static,
-    ) -> crate::multi::MultiHandle<T> {
-        crate::multi::spawn_multi(&self.inner, self.inner.n_workers, f)
-    }
-
-    /// Spawn `n` copies of a task as one *batch*: a single completion
-    /// structure, a single shared-queue submission episode, and no
-    /// per-task allocation — the fast path for fine-grained fan-outs
-    /// of thousands of tasks (websim cluster ticks, marking
-    /// pipelines). Each copy receives its index in `0..n`; results
-    /// come back from [`BatchHandle::join`] in index order.
+    /// Spawn `n` copies of a task as one group; the `TASK(n)`
+    /// multi-task analogue, and `spawn_batch(rt.workers(), f)` is
+    /// `TASK(*)`. Each copy receives its index in `0..n`, and
+    /// [`BatchHandle::join`] returns the results in index order;
+    /// `.into_iter().collect::<Result<Vec<_>, _>>()` on them yields
+    /// the first error in index order once every member has finished.
     ///
-    /// Compared to [`TaskRuntime::spawn_multi`], a batch has no
-    /// per-member [`TaskHandle`]/watcher machinery (and therefore no
-    /// per-member dependence edges or GUI delivery) — it trades that
-    /// generality for a spawn→run→join path that touches the
-    /// allocator a constant number of times regardless of `n`.
+    /// The group has a single completion structure, a single
+    /// shared-queue submission episode and no per-member allocation,
+    /// so its spawn→run→join path touches the allocator a constant
+    /// number of times regardless of `n` — the path for fan-outs of
+    /// thousands of tasks too (websim cluster ticks, marking
+    /// pipelines). Members have no [`TaskHandle`] of their own, and
+    /// therefore no per-member dependence edges or GUI delivery.
     pub fn spawn_batch<T: Send + 'static>(
         &self,
         n: usize,
         f: impl Fn(usize) -> T + Send + Sync + 'static,
     ) -> BatchHandle<T> {
         spawn_batch_on(&self.inner, n, f)
-    }
-
-    /// Join a batch spawned with [`TaskRuntime::spawn_batch`]:
-    /// equivalent to [`BatchHandle::join`], provided for symmetry.
-    pub fn join_batch<T: Send + 'static>(
-        &self,
-        batch: BatchHandle<T>,
-    ) -> Vec<Result<T, crate::task::TaskError>> {
-        batch.join()
     }
 
     /// Block until every submitted task (including dependence-pending
@@ -898,7 +872,13 @@ impl RuntimeHandle {
         f: impl FnOnce() -> T + Send + 'static,
     ) -> TaskHandle<T> {
         with_rt(&self.inner, |rt| match rt {
-            Some(inner) => spawn_after_on(inner, deps, move |_t| f()),
+            Some(inner) => spawn_task(
+                inner,
+                inner.root_token.child(),
+                deps,
+                move |_t| f(),
+                |_, _| (),
+            ),
             None => {
                 while deps.iter().any(|d| !d.is_done()) {
                     thread::yield_now();
@@ -979,17 +959,49 @@ fn run_inline<T: Send + 'static>(f: impl FnOnce(&CancelToken) -> T) -> TaskHandl
     }
 }
 
-/// The shared tail of every spawn path: count the submission, emit the
-/// spawn mark (linked to the spawning thread's current span), and
-/// build the worker-side job closure that runs the body inside a
-/// `task.run` span, calls `settle` on the runtime running it before
-/// the result is published (a no-op except for deadline tasks), and
-/// records its outcome.
+/// A task under the runtime's root token, with no dependences: the
+/// common case of [`spawn_task`].
+fn spawn_on<T: Send + 'static>(
+    inner: &Arc<RtInner>,
+    f: impl FnOnce(&CancelToken) -> T + Send + 'static,
+) -> TaskHandle<T> {
+    spawn_task(inner, inner.root_token.child(), &[], f, |_, _| ())
+}
+
+/// The one task-spawn path: a future whose cancellation token is
+/// `token`, and its traced job (see [`make_traced_job`]), submitted now
+/// or, when `deps` is not empty, once every watcher in it has
+/// completed.
+fn spawn_task<T: Send + 'static>(
+    inner: &Arc<RtInner>,
+    token: CancelToken,
+    deps: &[TaskWatcher],
+    f: impl FnOnce(&CancelToken) -> T + Send + 'static,
+    settle: impl FnOnce(&RtInner, u64) + Send + 'static,
+) -> TaskHandle<T> {
+    let core = Core::with_token(token);
+    let job = make_traced_job(inner, &core, f, settle);
+    if deps.is_empty() {
+        inner.push_job(job);
+    } else {
+        push_after(inner, deps, job);
+    }
+    TaskHandle {
+        core,
+        rt: Arc::downgrade(inner),
+    }
+}
+
+/// Count the submission, emit the spawn mark (linked to the spawning
+/// thread's current span), and build the worker-side job closure that
+/// runs the body inside a `task.run` span, calls `settle` with the
+/// runtime running it and the task id before the result is published
+/// (a no-op except for deadline tasks), and records its outcome.
 fn make_traced_job<T: Send + 'static>(
     inner: &RtInner,
     core: &Arc<Core<T>>,
     f: impl FnOnce(&CancelToken) -> T + Send + 'static,
-    settle: impl FnOnce(&RtInner) + Send + 'static,
+    settle: impl FnOnce(&RtInner, u64) + Send + 'static,
 ) -> Job {
     let task = core.id.as_u64();
     inner.spawned.inc();
@@ -1012,7 +1024,7 @@ fn make_traced_job<T: Send + 'static>(
             let _span = rt.map(|i| i.trace.span(i.pid, SpanKind::TaskRun { task }));
             job_core.run(f, || {
                 if let Some(inner) = rt {
-                    settle(inner);
+                    settle(inner, task);
                 }
             })
         };
@@ -1093,72 +1105,38 @@ fn run_batch_member<T: Send + 'static>(
     }
 }
 
-pub(crate) fn spawn_on<T: Send + 'static>(
-    inner: &Arc<RtInner>,
-    f: impl FnOnce(&CancelToken) -> T + Send + 'static,
-) -> TaskHandle<T> {
-    spawn_on_with_token(inner, inner.root_token.child(), f)
-}
-
-pub(crate) fn spawn_on_with_token<T: Send + 'static>(
-    inner: &Arc<RtInner>,
-    token: CancelToken,
-    f: impl FnOnce(&CancelToken) -> T + Send + 'static,
-) -> TaskHandle<T> {
-    let core = Core::with_token(token);
-    let job = make_traced_job(inner, &core, f, |_| ());
-    inner.push_job(job);
-    TaskHandle {
-        core,
-        rt: Arc::downgrade(inner),
+/// Submit `job` once every watcher in `deps` has completed. The gate
+/// counts the watchers down, plus one guard that keeps it from firing
+/// while hooks are still being added.
+fn push_after(inner: &Arc<RtInner>, deps: &[TaskWatcher], job: Job) {
+    struct Gate {
+        remaining: AtomicUsize,
+        job: Mutex<Option<Job>>,
+        rt: Weak<RtInner>,
     }
-}
-
-pub(crate) fn spawn_after_on<T: Send + 'static>(
-    inner: &Arc<RtInner>,
-    deps: &[TaskWatcher],
-    f: impl FnOnce(&CancelToken) -> T + Send + 'static,
-) -> TaskHandle<T> {
-    let core = Core::with_token(inner.root_token.child());
-    let job = make_traced_job(inner, &core, f, |_| ());
-    if deps.is_empty() {
-        inner.push_job(job);
-    } else {
-        // Gate: schedule the job once `remaining` reaches zero. The
-        // +1 guard prevents firing while hooks are still being added.
-        struct Gate {
-            remaining: AtomicUsize,
-            job: Mutex<Option<Job>>,
-            rt: Weak<RtInner>,
-        }
-        impl Gate {
-            fn arm(&self) {
-                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    if let Some(job) = self.job.lock().take() {
-                        if let Some(rt) = self.rt.upgrade() {
-                            rt.push_job(job);
-                        } else {
-                            job.run(None);
-                        }
+    impl Gate {
+        fn arm(&self) {
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                if let Some(job) = self.job.lock().take() {
+                    if let Some(rt) = self.rt.upgrade() {
+                        rt.push_job(job);
+                    } else {
+                        job.run(None);
                     }
                 }
             }
         }
-        let gate = Arc::new(Gate {
-            remaining: AtomicUsize::new(deps.len() + 1),
-            job: Mutex::new(Some(job)),
-            rt: Arc::downgrade(inner),
-        });
-        for dep in deps {
-            let gate = Arc::clone(&gate);
-            dep.on_done_boxed(Box::new(move || gate.arm()));
-        }
-        gate.arm();
     }
-    TaskHandle {
-        core,
+    let gate = Arc::new(Gate {
+        remaining: AtomicUsize::new(deps.len() + 1),
+        job: Mutex::new(Some(job)),
         rt: Arc::downgrade(inner),
+    });
+    for dep in deps {
+        let gate = Arc::clone(&gate);
+        dep.on_done_boxed(Box::new(move || gate.arm()));
     }
+    gate.arm();
 }
 
 #[cfg(test)]

@@ -6,34 +6,25 @@
 //! finishes before the borrowed data goes out of scope (the same
 //! contract as `std::thread::scope` / rayon's `scope`). The
 //! implementation erases the closure lifetimes and re-establishes
-//! safety with a completion latch that [`TaskRuntime::scope`] waits on
-//! before returning — and the waiting thread *helps*, so scopes nested
-//! inside tasks cannot deadlock the pool. It helps through
-//! [`crate::RuntimeHandle::help_once`]: a worker of the runtime runs
-//! its own deque and the injector at any depth and steals only below
-//! [`crate::HELP_STEAL_CAP`] nested helped bodies; any other
-//! thread (the usual caller of `scope`) helps only while no helped
-//! body is on its stack, and otherwise yields until the tasks finish.
+//! safety by keeping every task's [`TaskHandle`]: [`TaskRuntime::scope`]
+//! joins them all before it returns, and before it unwinds when the
+//! body panics. Each join helps and then parks, like every other join
+//! ([`TaskHandle::join`]), so scopes nested inside tasks cannot
+//! deadlock the pool.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use parking_lot::Mutex;
 
 use crate::runtime::TaskRuntime;
-use crate::task::TaskError;
+use crate::task::{TaskError, TaskHandle};
 
 /// Handle passed to the scope body for spawning borrowed tasks.
 pub struct Scope<'scope, 'env: 'scope> {
     rt: &'scope TaskRuntime,
-    state: Arc<ScopeState>,
+    /// Every task spawned through the scope, in spawn order.
+    handles: Mutex<Vec<TaskHandle<()>>>,
     _marker: std::marker::PhantomData<&'scope mut &'env ()>,
-}
-
-struct ScopeState {
-    pending: AtomicUsize,
-    panicked: AtomicBool,
-    panic_msg: Mutex<Option<String>>,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
@@ -46,58 +37,40 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = Arc::clone(&self.state);
-        // SAFETY: `scope()` blocks until `pending` reaches zero, so
-        // the closure (and everything it borrows, bounded by 'scope)
-        // outlives its execution.
+        // SAFETY: `scope()` joins this task's handle before it returns
+        // or unwinds, so the closure (and everything it borrows,
+        // bounded by 'scope) outlives its execution.
         let f_static: Box<dyn FnOnce() + Send + 'static> =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, _>(Box::new(f)) };
         let handle = self.rt.spawn(f_static);
-        handle.deliver_inline(move |result| {
-            if let Err(TaskError::Panicked(msg)) = result {
-                if !state.panicked.swap(true, Ordering::AcqRel) {
-                    *state.panic_msg.lock() = Some(msg);
-                }
-            }
-            state.pending.fetch_sub(1, Ordering::AcqRel);
-        });
+        self.handles.lock().push(handle);
     }
 }
 
 impl TaskRuntime {
     /// Run `body` with a [`Scope`]; every task spawned through the
-    /// scope completes before `scope` returns. If any scoped task
-    /// panicked, the panic is resumed on the caller (after all tasks
-    /// have still been waited for).
+    /// scope completes before `scope` returns or unwinds. If the body
+    /// panicked, its panic is resumed once the tasks are joined;
+    /// otherwise, if a scoped task panicked, the first such panic in
+    /// spawn order is resumed on the caller.
     pub fn scope<'env, F, R>(&self, body: F) -> R
     where
         F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
     {
-        let state = Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
-            panic_msg: Mutex::new(None),
-        });
         let scope = Scope {
             rt: self,
-            state: Arc::clone(&state),
+            handles: Mutex::new(Vec::new()),
             _marker: std::marker::PhantomData,
         };
-        let out = body(&scope);
-        // Wait for all scoped tasks, helping while we wait.
-        let handle = self.handle();
-        while state.pending.load(Ordering::Acquire) != 0 {
-            if !handle.help_once() {
-                std::thread::yield_now();
+        let out = catch_unwind(AssertUnwindSafe(|| body(&scope)));
+        let mut task_panic = None;
+        for handle in scope.handles.into_inner() {
+            if let Err(TaskError::Panicked(msg)) = handle.join() {
+                task_panic.get_or_insert(msg);
             }
         }
-        if state.panicked.load(Ordering::Acquire) {
-            let msg = state
-                .panic_msg
-                .lock()
-                .take()
-                .unwrap_or_else(|| "scoped task panicked".to_string());
+        let out = out.unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(msg) = task_panic {
             panic!("scoped task panicked: {msg}");
         }
         out
@@ -107,7 +80,8 @@ impl TaskRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn scoped_tasks_borrow_local_data() {

@@ -378,12 +378,6 @@ impl<T: Send + 'static> TaskHandle<T> {
         }));
     }
 
-    /// Like [`TaskHandle::deliver`] but invokes `f` directly on the
-    /// completing worker thread (no GUI marshalling).
-    pub fn deliver_inline(self, f: impl FnOnce(Result<T, TaskError>) + Send + 'static) {
-        self.core.set_continuation(Box::new(f));
-    }
-
     /// A cloneable watcher for dependence lists and progress queries.
     #[must_use]
     pub fn watcher(&self) -> TaskWatcher {

@@ -1,6 +1,6 @@
 //! End-to-end tests of the partask runtime: spawning, joining,
-//! dependences, multi-tasks, cancellation, panics, helping joins and
-//! GUI delivery.
+//! dependences, multi-tasks (batches), cancellation, panics, helping
+//! joins and GUI delivery.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -182,48 +182,44 @@ fn dependence_chain_executes_in_order() {
 }
 
 #[test]
-fn multi_task_collects_indexed_results() {
-    for rt in runtimes() {
-        let m = rt.spawn_multi(8, |i| i * 10);
-        let values = m.join_all().unwrap();
-        assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        rt.shutdown();
-    }
-}
-
-#[test]
 fn multi_task_reduce() {
     let rt = TaskRuntime::builder().workers(2).build();
-    let m = rt.spawn_multi(10, |i| i as u64 + 1);
-    let sum = m.join_reduce(0u64, |acc, v| acc + v).unwrap();
+    let m = rt.spawn_batch(10, |i| i as u64 + 1);
+    let sum: u64 = m.join().into_iter().map(Result::unwrap).sum();
     assert_eq!(sum, 55);
     rt.shutdown();
 }
 
 #[test]
 fn per_worker_task_count_matches_workers() {
+    // `TASK(*)`: one batch member per worker.
     let rt = TaskRuntime::builder().workers(3).build();
-    let m = rt.spawn_per_worker(|i| i);
+    let m = rt.spawn_batch(rt.workers(), |i| i);
     assert_eq!(m.len(), 3);
-    let mut ids = m.join_all().unwrap();
-    ids.sort_unstable();
-    assert_eq!(ids, vec![0, 1, 2]);
+    let ids = m.join().into_iter().collect::<Result<Vec<_>, _>>();
+    assert_eq!(ids, Ok(vec![0, 1, 2]));
     rt.shutdown();
 }
 
 #[test]
 fn multi_task_error_reported_but_all_joined() {
+    // Collecting a batch's results reports the first error in index
+    // order, and only after every member has finished.
     let rt = TaskRuntime::builder().workers(2).build();
-    let m = rt.spawn_multi(4, |i| {
-        if i == 2 {
-            panic!("instance 2 failed");
+    let finished = Arc::new(AtomicUsize::new(0));
+    let f2 = Arc::clone(&finished);
+    let m = rt.spawn_batch(4, move |i| {
+        f2.fetch_add(1, Ordering::SeqCst);
+        if i == 1 || i == 2 {
+            panic!("instance {i} failed");
         }
         i
     });
-    match m.join_all() {
-        Err(TaskError::Panicked(msg)) => assert!(msg.contains("instance 2")),
+    match m.join().into_iter().collect::<Result<Vec<_>, _>>() {
+        Err(TaskError::Panicked(msg)) => assert!(msg.contains("instance 1"), "{msg}"),
         other => panic!("expected panic, got {other:?}"),
     }
+    assert_eq!(finished.load(Ordering::SeqCst), 4);
     rt.shutdown();
 }
 
@@ -405,10 +401,10 @@ fn work_sharing_and_stealing_produce_identical_results() {
     for kind in [SchedulerKind::WorkStealing, SchedulerKind::WorkSharing] {
         let rt = TaskRuntime::builder().workers(2).scheduler(kind).build();
         let data = input.clone();
-        let m = rt.spawn_multi(8, move |i| {
+        let m = rt.spawn_batch(8, move |i| {
             data.iter().skip(i).step_by(8).map(|x| x * x).sum::<u64>()
         });
-        outputs.push(m.join_reduce(0u64, |a, b| a + b).unwrap());
+        outputs.push(m.join().into_iter().map(Result::unwrap).sum::<u64>());
         rt.shutdown();
     }
     assert_eq!(outputs[0], outputs[1]);

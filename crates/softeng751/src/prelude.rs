@@ -19,8 +19,8 @@ pub use parc_inspect::{diff_schedules, CriticalReport, TaskGraph, TimeTravel, Tr
 pub use parc_trace::{Collector, TraceHandle};
 pub use parc_util::{Stopwatch, Summary, Table};
 pub use partask::{
-    interim_channel, BatchHandle, CancelToken, InterimReceiver, InterimSender, MultiHandle,
-    RuntimeHandle, SchedulerKind, TaskError, TaskHandle, TaskRuntime, TaskWatcher,
+    interim_channel, BatchHandle, CancelToken, InterimReceiver, InterimSender, RuntimeHandle,
+    SchedulerKind, TaskError, TaskHandle, TaskRuntime, TaskWatcher,
 };
 pub use pyjama::{
     BitAndRed, BitOrRed, BitXorRed, Ctx, MapMerge, MaxRed, MinRed, ProdRed, Reduction, Schedule,

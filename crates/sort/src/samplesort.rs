@@ -34,7 +34,7 @@ pub fn samplesort(rt: &TaskRuntime, v: &mut Vec<u64>, buckets: usize) {
     // 2. Parallel scatter: each task buckets its own slice locally.
     let data = std::sync::Arc::new(std::mem::take(v));
     let tasks = rt.workers().max(2);
-    let scatter = rt.spawn_multi(tasks, {
+    let scatter = rt.spawn_batch(tasks, {
         let data = std::sync::Arc::clone(&data);
         let splitters = std::sync::Arc::clone(&splitters);
         move |t| {
@@ -48,7 +48,11 @@ pub fn samplesort(rt: &TaskRuntime, v: &mut Vec<u64>, buckets: usize) {
             local
         }
     });
-    let locals = scatter.join_all().expect("scatter tasks");
+    let locals = scatter
+        .join()
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .expect("scatter tasks");
 
     // 3. Merge local buckets, then sort each bucket in parallel.
     let mut merged: Vec<Vec<u64>> = (0..buckets).map(|_| Vec::new()).collect();

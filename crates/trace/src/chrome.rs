@@ -108,7 +108,6 @@ fn span_args(what: SpanKind) -> Args {
             vec![("page", page.into()), ("attempt", attempt.into())]
         }
         SpanKind::Crawl { pages } => vec![("pages", pages.into())],
-        SpanKind::RetryOp { key } => vec![("key", key.into())],
         SpanKind::MarkingTick { tick } => vec![("tick", tick.into())],
     }
 }
@@ -146,15 +145,6 @@ fn mark_args(what: MarkKind) -> Args {
             ("page", page.into()),
             ("attempt", attempt.into()),
             ("result", result.name().into()),
-        ],
-        MarkKind::RetryWait {
-            key,
-            failed_attempt,
-            delay_ns,
-        } => vec![
-            ("key", key.into()),
-            ("failed_attempt", failed_attempt.into()),
-            ("delay_ns", delay_ns.into()),
         ],
         MarkKind::BreakerTransition { from, to } => {
             vec![("from", from.name().into()), ("to", to.name().into())]

@@ -697,7 +697,7 @@ mod tests {
     fn toggling_off_mid_span_still_balances() {
         let col = Collector::new();
         let h = col.handle();
-        let s = h.span(1, SpanKind::RetryOp { key: 3 });
+        let s = h.span(1, SpanKind::TaskRun { task: 3 });
         col.set_enabled(false);
         drop(s);
         let trace = col.snapshot();

@@ -234,11 +234,6 @@ pub enum SpanKind {
         /// Pages in the crawl.
         pages: u32,
     },
-    /// One retried operation end to end (all attempts and waits).
-    RetryOp {
-        /// Caller-chosen operation key.
-        key: u64,
-    },
     /// One simulated tick of the marking pipeline (arrivals through
     /// acks; see `course::pipeline`).
     MarkingTick {
@@ -257,7 +252,6 @@ impl SpanKind {
             SpanKind::Region { .. } => "region.member",
             SpanKind::FetchAttempt { .. } => "fetch.attempt",
             SpanKind::Crawl { .. } => "crawl",
-            SpanKind::RetryOp { .. } => "retry.op",
             SpanKind::MarkingTick { .. } => "mark.tick",
         }
     }
@@ -317,15 +311,6 @@ pub enum MarkKind {
         attempt: u32,
         /// How the attempt ended.
         result: FetchTag,
-    },
-    /// A retry loop slept before the next attempt.
-    RetryWait {
-        /// Caller-chosen operation key.
-        key: u64,
-        /// The 1-based attempt that failed before this wait.
-        failed_attempt: u32,
-        /// Backoff delay (pre-scaling, policy units).
-        delay_ns: u64,
     },
     /// A circuit breaker changed state.
     BreakerTransition {
@@ -402,7 +387,6 @@ impl MarkKind {
             MarkKind::BarrierPoison { .. } => "barrier.poison",
             MarkKind::ChunkDispatch { .. } => "chunk.dispatch",
             MarkKind::FetchResult { .. } => "fetch.result",
-            MarkKind::RetryWait { .. } => "retry.wait",
             MarkKind::BreakerTransition { .. } => "breaker.transition",
             MarkKind::FaultInjected { .. } => "fault.injected",
             MarkKind::GuiProbe { .. } => "gui.probe",

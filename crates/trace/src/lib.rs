@@ -4,10 +4,10 @@
 //! The paper's pedagogy hinges on students *seeing* parallel behaviour
 //! — task graphs, barrier waits, GUI-thread marshalling. This crate is
 //! the workspace's observability layer: every runtime (partask teams
-//! of workers, pyjama regions, the websim crawler, faultsim's retry
-//! and breaker machinery) records typed events into per-thread
-//! lock-free buffers, and a [`Collector`] drains them into a
-//! [`Trace`] that exports three ways:
+//! of workers, pyjama regions, the websim crawler, faultsim's circuit
+//! breaker) records typed events into per-thread lock-free buffers,
+//! and a [`Collector`] drains them into a [`Trace`] that exports three
+//! ways:
 //!
 //! * [`to_chrome_json`] — Chrome Trace Event Format for
 //!   `chrome://tracing` / Perfetto (one process per runtime, one

@@ -163,7 +163,7 @@ mod tests {
         let mut events = Vec::new();
         for (i, &(tid, start, end)) in spans.iter().enumerate() {
             let id = i as u64 + 1;
-            let what = SpanKind::RetryOp { key: id };
+            let what = SpanKind::TaskRun { task: id };
             events.push(Event {
                 ts_ns: start,
                 pid: 0,
@@ -286,10 +286,22 @@ mod tests {
         let col = Collector::new();
         let h = col.handle();
         let pid = h.register_track("demo");
-        drop(h.span(pid, SpanKind::RetryOp { key: 1 }));
-        drop(h.span(pid, SpanKind::RetryOp { key: 2 }));
+        drop(h.span(
+            pid,
+            SpanKind::FetchAttempt {
+                page: 1,
+                attempt: 1,
+            },
+        ));
+        drop(h.span(
+            pid,
+            SpanKind::FetchAttempt {
+                page: 2,
+                attempt: 1,
+            },
+        ));
         let text = render_event_counts(&col.snapshot());
-        assert!(text.contains("retry.op"));
+        assert!(text.contains("fetch.attempt"));
         assert!(text.contains('2'));
     }
 }

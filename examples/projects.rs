@@ -868,7 +868,9 @@ fn runtime(_seed: u64, _pool: usize) -> Report {
             r = r
                 .measured(
                     &format!("A1/multi-vs-spawns/multi-task/{n}"),
-                    ms(|| rt.spawn_multi(n, |i| i as u64).join_reduce(0, |a, v| a + v)),
+                    ms(|| {
+                        rt.spawn_batch(n, |i| i as u64).join().into_iter().sum::<Result<u64, _>>()
+                    }),
                 )
                 .measured(
                     &format!("A1/multi-vs-spawns/n-spawns/{n}"),

@@ -18,8 +18,9 @@ fn main() {
     println!("task b (10!)             = {}", b.join().unwrap());
     println!("dependent task           = {}", after.join().unwrap());
 
-    let multi = rt.spawn_multi(8, |i| i * i);
-    println!("multi-task squares       = {:?}", multi.join_all().unwrap());
+    let multi = rt.spawn_batch(8, |i| i * i);
+    let squares = multi.join().into_iter().collect::<Result<Vec<_>, _>>().unwrap();
+    println!("multi-task squares       = {squares:?}");
 
     // --- Pyjama analogue: parallel regions, schedules, reductions.
     let team = Team::new(4);

@@ -144,8 +144,8 @@ fn scheduler_kinds_equivalent_for_every_subsystem_sample() {
     // One sample workload per scheduler kind must agree.
     for kind in [SchedulerKind::WorkStealing, SchedulerKind::WorkSharing] {
         let rt = TaskRuntime::builder().workers(2).scheduler(kind).build();
-        let m = rt.spawn_multi(16, |i| (i as u64 + 1) * 3);
-        assert_eq!(m.join_reduce(0, |a, b| a + b).unwrap(), 3 * 136);
+        let m = rt.spawn_batch(16, |i| (i as u64 + 1) * 3);
+        assert_eq!(m.join().into_iter().sum::<Result<u64, _>>(), Ok(3 * 136));
         rt.shutdown();
     }
 }

@@ -32,6 +32,35 @@ fn scoped_tasks_feed_a_pyjama_reduction() {
 }
 
 #[test]
+fn a_panicking_scope_body_still_joins_its_tasks() {
+    // The body spawns tasks that borrow a local counter, then panics.
+    // The scope must not unwind past those borrows while the tasks
+    // still run: every task has finished by the time the panic reaches
+    // the caller, and the payload is the body's own.
+    let rt = TaskRuntime::builder().workers(2).build();
+    let finished = AtomicUsize::new(0);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.scope(|s| {
+            for _ in 0..4 {
+                let finished = &finished;
+                s.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(50));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            panic!("scope body failed");
+        })
+    }));
+    let done = finished.load(Ordering::SeqCst);
+    // Waits for any task the scope left running, so the counter
+    // outlives them even when the scope does not wait.
+    rt.shutdown();
+    assert_eq!(done, 4, "tasks still running when the scope unwound");
+    let payload = outcome.expect_err("the body's panic must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"scope body failed"));
+}
+
+#[test]
 fn ordered_pfor_builds_a_deterministic_transcript() {
     // The ordered construct writing into a shared Vec produces the
     // sequential transcript even with a dynamic schedule.
@@ -113,21 +142,25 @@ fn index_and_scan_agree_on_hit_files() {
 #[test]
 fn gui_timer_drives_progress_polling() {
     // The classic GUI pattern: a repeating timer polls a multi-task's
-    // progress on the EDT while workers grind.
+    // progress on the EDT while workers grind. Each member bumps a
+    // shared counter as it finishes, and the timer reads it.
     let rt = TaskRuntime::builder().workers(2).build();
     let gui = EventLoop::spawn();
-    let multi = rt.spawn_multi(6, |i| {
-        std::thread::sleep(Duration::from_millis(3 + i as u64));
-        i
+    let finished = Arc::new(AtomicUsize::new(0));
+    let multi = rt.spawn_batch(6, {
+        let finished = Arc::clone(&finished);
+        move |i| {
+            std::thread::sleep(Duration::from_millis(3 + i as u64));
+            finished.fetch_add(1, Ordering::SeqCst);
+            i
+        }
     });
     let observations = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let watchers = multi.watchers();
     let obs2 = Arc::clone(&observations);
     let timer = guievent::repeat_every(&gui.handle(), Duration::from_millis(2), move || {
-        let done = watchers.iter().filter(|w| w.is_done()).count();
-        obs2.lock().unwrap().push(done);
+        obs2.lock().unwrap().push(finished.load(Ordering::SeqCst));
     });
-    let results = multi.join_all().unwrap();
+    let results = multi.join().into_iter().collect::<Result<Vec<_>, _>>().unwrap();
     assert_eq!(results, vec![0, 1, 2, 3, 4, 5]);
     // Give the timer a few more ticks to observe completion.
     std::thread::sleep(Duration::from_millis(10));

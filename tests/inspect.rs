@@ -122,7 +122,7 @@ fn interval_and_kind_queries_match_naive_scans_on_a_crawl() {
             .zip(&naive)
             .all(|(a, b)| a.ts_ns == b.ts_ns && a.tid == b.tid && a.pid == b.pid));
 
-        for kind in ["fetch.attempt", "task.spawn", "retry.wait", "sched.steal"] {
+        for kind in ["fetch.attempt", "task.spawn", "fetch.result", "sched.steal"] {
             let indexed = store.kind_indices_in(kind, lo, hi).len();
             let scanned = events
                 .iter()

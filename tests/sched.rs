@@ -173,43 +173,57 @@ fn progress_snapshot_is_consistent_under_concurrent_load() {
 // Tentpole: batch spawn.
 // ---------------------------------------------------------------
 
+const EVERY_SCHEDULER: [SchedulerKind; 3] = [
+    SchedulerKind::WorkStealing,
+    SchedulerKind::WorkStealingLocked,
+    SchedulerKind::WorkSharing,
+];
+
 #[test]
 fn batch_results_come_back_in_index_order() {
-    for workers in [1, 2, 4] {
-        let rt = TaskRuntime::builder().workers(workers).build();
-        let batch = rt.spawn_batch(1_000, |i| i * i);
-        let results = batch.join();
-        assert_eq!(results.len(), 1_000);
-        for (i, r) in results.into_iter().enumerate() {
-            assert_eq!(r.unwrap(), i * i, "index {i} out of order ({workers} workers)");
+    for kind in EVERY_SCHEDULER {
+        for workers in [1, 2, 4] {
+            let rt = TaskRuntime::builder().workers(workers).scheduler(kind).build();
+            let batch = rt.spawn_batch(1_000, |i| i * i);
+            let results = batch.join();
+            assert_eq!(results.len(), 1_000);
+            for (i, r) in results.into_iter().enumerate() {
+                assert_eq!(
+                    r.unwrap(),
+                    i * i,
+                    "index {i} out of order ({kind:?}, {workers} workers)"
+                );
+            }
+            rt.shutdown();
         }
-        rt.shutdown();
     }
 }
 
 #[test]
 fn batch_member_panic_is_contained_to_its_slot() {
-    let rt = TaskRuntime::builder().workers(2).build();
-    let handle = rt.handle();
     let body = |i: usize| {
         assert!(i != 5 && i != 11, "boom at {i}");
         i as u64
     };
-    let on_pool = rt.join_batch(rt.spawn_batch(16, body));
-    rt.shutdown();
-    // With the runtime gone, the handle runs the batch inline.
-    let inline = handle.spawn_batch(16, body).join();
-    for results in [on_pool, inline] {
-        for (i, r) in results.into_iter().enumerate() {
-            if i == 5 || i == 11 {
-                match r {
-                    Err(TaskError::Panicked(msg)) => {
-                        assert!(msg.contains("boom"), "panic message lost: {msg}")
+    for kind in EVERY_SCHEDULER {
+        let rt = TaskRuntime::builder().workers(2).scheduler(kind).build();
+        let handle = rt.handle();
+        let on_pool = rt.spawn_batch(16, body).join();
+        rt.shutdown();
+        // With the runtime gone, the handle runs the batch inline.
+        let inline = handle.spawn_batch(16, body).join();
+        for results in [on_pool, inline] {
+            for (i, r) in results.into_iter().enumerate() {
+                if i == 5 || i == 11 {
+                    match r {
+                        Err(TaskError::Panicked(msg)) => {
+                            assert!(msg.contains("boom"), "panic message lost: {msg}")
+                        }
+                        other => panic!("index {i} ({kind:?}): expected panic, got {other:?}"),
                     }
-                    other => panic!("index {i}: expected panic, got {other:?}"),
+                } else {
+                    assert_eq!(r.unwrap(), i as u64);
                 }
-            } else {
-                assert_eq!(r.unwrap(), i as u64);
             }
         }
     }
