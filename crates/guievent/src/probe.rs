@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use parc_util::stats::Summary;
+use parking_lot::Mutex;
 
 use crate::GuiHandle;
 
@@ -104,8 +104,7 @@ impl Probe {
                         trace.mark(
                             pid,
                             parc_trace::MarkKind::GuiProbe {
-                                latency_ns: u64::try_from(latency.as_nanos())
-                                    .unwrap_or(u64::MAX),
+                                latency_ns: u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),
                             },
                         );
                     });
@@ -158,7 +157,11 @@ mod tests {
         let probe = Probe::start(gui.handle(), Duration::from_millis(1));
         thread::sleep(Duration::from_millis(50));
         let report = probe.finish();
-        assert!(report.len() >= 10, "expected many samples, got {}", report.len());
+        assert!(
+            report.len() >= 10,
+            "expected many samples, got {}",
+            report.len()
+        );
         // Idle EDT: median latency should be well under 5 ms even on a
         // loaded single-core machine.
         assert!(
@@ -195,7 +198,11 @@ mod tests {
         gui.shutdown();
         let trace = col.snapshot();
         assert_eq!(
-            trace.counts_by_name().get("gui.probe").copied().unwrap_or(0),
+            trace
+                .counts_by_name()
+                .get("gui.probe")
+                .copied()
+                .unwrap_or(0),
             report.len() as u64,
             "one gui.probe mark per latency sample"
         );
@@ -208,7 +215,10 @@ mod tests {
     fn probe_finished_at_once_still_samples() {
         let gui = EventLoop::spawn();
         let report = Probe::start(gui.handle(), Duration::from_millis(1)).finish();
-        assert!(!report.is_empty(), "a started probe must take at least one sample");
+        assert!(
+            !report.is_empty(),
+            "a started probe must take at least one sample"
+        );
         gui.shutdown();
     }
 

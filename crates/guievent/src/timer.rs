@@ -176,7 +176,11 @@ mod tests {
         let frozen = count.load(Ordering::Relaxed);
         thread::sleep(Duration::from_millis(20));
         gui.handle().drain();
-        assert_eq!(count.load(Ordering::Relaxed), frozen, "no firings after stop");
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            frozen,
+            "no firings after stop"
+        );
         gui.shutdown();
     }
 

@@ -309,7 +309,11 @@ pub fn lazy_init(trials: u64, threads: usize, fixed: bool) -> DemoReport {
         excess += built.saturating_sub(1);
     }
     DemoReport {
-        name: if fixed { "lazy-init-fixed" } else { "lazy-init-racy" },
+        name: if fixed {
+            "lazy-init-fixed"
+        } else {
+            "lazy-init-racy"
+        },
         expected: trials,
         observed: trials + excess,
         anomalies: excess,
@@ -357,7 +361,11 @@ mod tests {
 
     #[test]
     fn fixed_counters_are_exact() {
-        for fix in [FixStrategy::AtomicRmw, FixStrategy::Mutex, FixStrategy::SeqCst] {
+        for fix in [
+            FixStrategy::AtomicRmw,
+            FixStrategy::Mutex,
+            FixStrategy::SeqCst,
+        ] {
             let report = lost_update_fixed(4, 10_000, fix);
             assert_eq!(report.observed, report.expected, "{fix:?}");
             assert_eq!(report.anomalies, 0);

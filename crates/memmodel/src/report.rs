@@ -39,10 +39,15 @@ impl Topic {
     /// Render as text.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = format!("## {}\n\n{}\n\nEvidence (just executed):\n{}\n\nHow to avoid it:\n",
-            self.title, self.hazard, self.evidence);
+        let mut out = format!(
+            "## {}\n\n{}\n\nEvidence (just executed):\n{}\n\nHow to avoid it:\n",
+            self.title, self.hazard, self.evidence
+        );
         for o in &self.options {
-            out.push_str(&format!("  * {} — pros: {}; cons: {}\n", o.name, o.pros, o.cons));
+            out.push_str(&format!(
+                "  * {} — pros: {}; cons: {}\n",
+                o.name, o.pros, o.cons
+            ));
         }
         out
     }

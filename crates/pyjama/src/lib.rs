@@ -49,8 +49,8 @@ pub mod schedule;
 pub mod team;
 
 pub use reduction::{
-    BitAndRed, BitOrRed, BitXorRed, MapMerge, MaxRed, MinRed, ProdRed, Reduction, SetUnion,
-    SumRed, TopK, VecConcat,
+    BitAndRed, BitOrRed, BitXorRed, MapMerge, MaxRed, MinRed, ProdRed, Reduction, SetUnion, SumRed,
+    TopK, VecConcat,
 };
 pub use schedule::Schedule;
 pub use team::{Ctx, Team, TeamError};

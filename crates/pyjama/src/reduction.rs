@@ -438,7 +438,10 @@ mod tests {
                 format!("{a},{b}")
             }
         });
-        let joined = reduce_all(&red, vec!["a".to_string(), "b".to_string(), "c".to_string()]);
+        let joined = reduce_all(
+            &red,
+            vec!["a".to_string(), "b".to_string(), "c".to_string()],
+        );
         assert_eq!(joined, "a,b,c");
     }
 

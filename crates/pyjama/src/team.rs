@@ -362,7 +362,10 @@ impl Team {
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             // The guard's Drop emits the span end even when the body
             // unwinds, keeping begin/end pairs balanced.
-            let _span = self.inner.trace.span(self.inner.pid, SpanKind::Region { member: 0 });
+            let _span = self
+                .inner
+                .trace
+                .span(self.inner.pid, SpanKind::Region { member: 0 });
             let ctx = Ctx {
                 team: &self.inner,
                 region: &region,
@@ -453,7 +456,9 @@ fn worker_loop(inner: &Arc<TeamInner>, tid: usize) {
         }
         IN_REGION.with(|c| c.set(true));
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _span = inner.trace.span(inner.pid, SpanKind::Region { member: tid as u32 });
+            let _span = inner
+                .trace
+                .span(inner.pid, SpanKind::Region { member: tid as u32 });
             let ctx = Ctx {
                 team: inner,
                 region: &msg.region,
@@ -547,7 +552,12 @@ impl<'r> Ctx<'r> {
         // barrier so the whole team unblocks and abandons the region.
         if self.region.check_cancelled() {
             if trace.enabled() {
-                trace.mark(self.team.pid, MarkKind::BarrierPoison { member: self.tid as u32 });
+                trace.mark(
+                    self.team.pid,
+                    MarkKind::BarrierPoison {
+                        member: self.tid as u32,
+                    },
+                );
             }
             poison_unwind();
         }
@@ -657,7 +667,13 @@ impl<'r> Ctx<'r> {
     /// Every thread receives the combined value. `T: Clone` because
     /// the combined result is distributed to the whole team, matching
     /// the shared reduction variable after an OpenMP region.
-    pub fn pfor_reduce<T, R, M>(&self, range: Range<usize>, schedule: Schedule, red: &R, map: M) -> T
+    pub fn pfor_reduce<T, R, M>(
+        &self,
+        range: Range<usize>,
+        schedule: Schedule,
+        red: &R,
+        map: M,
+    ) -> T
     where
         T: Send + Clone + 'static,
         R: Reduction<T>,

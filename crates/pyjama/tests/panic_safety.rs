@@ -59,7 +59,10 @@ fn team_survives_a_poisoned_region() {
             }
             ctx.barrier();
         });
-        assert!(matches!(err, Err(TeamError::MemberPanicked { member: 1, .. })));
+        assert!(matches!(
+            err,
+            Err(TeamError::MemberPanicked { member: 1, .. })
+        ));
         // The worker that panicked is still alive and the next region
         // runs on the full team.
         let hits = AtomicUsize::new(0);

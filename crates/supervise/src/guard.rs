@@ -71,7 +71,11 @@ impl Guards {
         for rx in &started {
             assert_eq!(rx.recv().expect("guard must start"), 1);
         }
-        Self { verdicts, started, supervisor }
+        Self {
+            verdicts,
+            started,
+            supervisor,
+        }
     }
 
     /// Fail guard `i`'s current incarnation; the supervisor restarts it
@@ -80,7 +84,9 @@ impl Guards {
     /// # Panics
     /// If the supervision tree has already finished.
     pub fn kill(&self, i: usize) {
-        self.verdicts[i].send(Verdict::Kill).expect("guard alive at kill");
+        self.verdicts[i]
+            .send(Verdict::Kill)
+            .expect("guard alive at kill");
     }
 
     /// Block until the supervisor has restarted guard `i`; returns the
@@ -90,7 +96,9 @@ impl Guards {
     /// If the guard escalated instead of restarting.
     #[must_use]
     pub fn await_restart(&self, i: usize) -> u32 {
-        self.started[i].recv().expect("supervisor must restart the guard")
+        self.started[i]
+            .recv()
+            .expect("supervisor must restart the guard")
     }
 
     /// Complete every surviving guard and return the supervision
@@ -105,7 +113,9 @@ impl Guards {
             // An escalated guard is gone; nobody reads its verdict.
             let _ = tx.send(Verdict::Done);
         }
-        self.supervisor.join().expect("guard supervisor thread must not panic")
+        self.supervisor
+            .join()
+            .expect("guard supervisor thread must not panic")
     }
 }
 
@@ -131,7 +141,10 @@ mod tests {
         let report = guards.finish();
         assert_eq!(report.restarts_total, 2);
         assert_eq!(report.escalations, 1);
-        assert!(report.children[1].escalated, "the second kill of guard 1 escalates");
+        assert!(
+            report.children[1].escalated,
+            "the second kill of guard 1 escalates"
+        );
         assert!(report.conservation_violations().is_empty());
     }
 }

@@ -173,8 +173,16 @@ impl SupEvent {
             SupEventKind::Start { incarnation } => {
                 format!("{child_name}[{}] #{} start", self.child, incarnation)
             }
-            SupEventKind::Exit { incarnation, outcome } => {
-                format!("{child_name}[{}] #{} exit {}", self.child, incarnation, outcome.name())
+            SupEventKind::Exit {
+                incarnation,
+                outcome,
+            } => {
+                format!(
+                    "{child_name}[{}] #{} exit {}",
+                    self.child,
+                    incarnation,
+                    outcome.name()
+                )
             }
             SupEventKind::Restart { incarnation } => {
                 format!("{child_name}[{}] #{} restart", self.child, incarnation)
@@ -304,15 +312,25 @@ impl SupervisionReport {
             incarnations_total += c.incarnations;
             check(
                 c.incarnations == c.restarts + 1,
-                format!("child {i}: incarnations {} != restarts {} + 1", c.incarnations, c.restarts),
+                format!(
+                    "child {i}: incarnations {} != restarts {} + 1",
+                    c.incarnations, c.restarts
+                ),
             );
             check(
                 c.budget_used <= c.restarts,
-                format!("child {i}: budget_used {} > restarts {}", c.budget_used, c.restarts),
+                format!(
+                    "child {i}: budget_used {} > restarts {}",
+                    c.budget_used, c.restarts
+                ),
             );
             check(
                 c.exits.len() == c.incarnations as usize,
-                format!("child {i}: {} exits for {} incarnations", c.exits.len(), c.incarnations),
+                format!(
+                    "child {i}: {} exits for {} incarnations",
+                    c.exits.len(),
+                    c.incarnations
+                ),
             );
             for (k, exit) in c.exits.iter().enumerate() {
                 let last = k + 1 == c.exits.len();
@@ -326,7 +344,10 @@ impl SupervisionReport {
             if c.escalated {
                 check(
                     c.final_outcome().is_failure(),
-                    format!("child {i}: escalated but final outcome {}", c.final_outcome().name()),
+                    format!(
+                        "child {i}: escalated but final outcome {}",
+                        c.final_outcome().name()
+                    ),
                 );
             } else if c.restart_aborted {
                 // A cancellation that lands during the backoff leaves
@@ -341,7 +362,10 @@ impl SupervisionReport {
                 );
             } else {
                 check(
-                    matches!(c.final_outcome(), ChildOutcome::Completed | ChildOutcome::Cancelled),
+                    matches!(
+                        c.final_outcome(),
+                        ChildOutcome::Completed | ChildOutcome::Cancelled
+                    ),
                     format!(
                         "child {i}: not escalated yet final outcome {}",
                         c.final_outcome().name()
@@ -386,7 +410,10 @@ impl SupervisionReport {
                 .count();
             check(
                 starts == c.incarnations as usize && exits == c.incarnations as usize,
-                format!("child {i}: event log has {starts} starts / {exits} exits for {} incarnations", c.incarnations),
+                format!(
+                    "child {i}: event log has {starts} starts / {exits} exits for {} incarnations",
+                    c.incarnations
+                ),
             );
         }
         bad
@@ -519,7 +546,11 @@ impl SupervisorBuilder {
                     names.join(", ")
                 )));
             }
-            if report.children.iter().any(|c| c.final_outcome() == ChildOutcome::Cancelled) {
+            if report
+                .children
+                .iter()
+                .any(|c| c.final_outcome() == ChildOutcome::Cancelled)
+            {
                 return Err(ChildError::Cancelled);
             }
             Ok(())
@@ -539,7 +570,10 @@ impl SupervisorBuilder {
     #[must_use]
     #[allow(clippy::too_many_lines)]
     pub fn run_under(self, parent: &CancelToken) -> SupervisionReport {
-        assert!(!self.children.is_empty(), "a supervisor needs at least one child");
+        assert!(
+            !self.children.is_empty(),
+            "a supervisor needs at least one child"
+        );
         let sup_token = parent.child();
         let pid = self.trace.register_track(&self.name);
         let budget = self.restart.max_attempts().saturating_sub(1);
@@ -574,9 +608,7 @@ impl SupervisorBuilder {
         let mut threads_spawned = 0u32;
         let mut threads_joined = 0u32;
 
-        let spawn_child = |idx: usize,
-                           st: &mut ChildState,
-                           threads_spawned: &mut u32| {
+        let spawn_child = |idx: usize, st: &mut ChildState, threads_spawned: &mut u32| {
             st.incarnation += 1;
             let token = match self.child_deadline {
                 Some(d) => sup_token.child_with_deadline(d),
@@ -584,10 +616,15 @@ impl SupervisorBuilder {
             };
             st.token = token.clone();
             st.running = true;
-            st.events.push(SupEventKind::Start { incarnation: st.incarnation });
+            st.events.push(SupEventKind::Start {
+                incarnation: st.incarnation,
+            });
             self.trace.mark(
                 pid,
-                MarkKind::ChildStart { child: idx as u64, incarnation: st.incarnation },
+                MarkKind::ChildStart {
+                    child: idx as u64,
+                    incarnation: st.incarnation,
+                },
             );
             let ctx = ChildCtx {
                 token,
@@ -596,8 +633,10 @@ impl SupervisorBuilder {
             };
             let body = Arc::clone(&self.children[idx].body);
             let tx = tx.clone();
-            let thread_name =
-                format!("{}-{}-{}", self.name, self.children[idx].name, st.incarnation);
+            let thread_name = format!(
+                "{}-{}-{}",
+                self.name, self.children[idx].name, st.incarnation
+            );
             *threads_spawned += 1;
             st.handle = Some(
                 thread::Builder::new()
@@ -633,26 +672,27 @@ impl SupervisorBuilder {
             spawn_child(idx, st, &mut threads_spawned);
         }
 
-        let record_exit = |idx: usize,
-                           st: &mut ChildState,
-                           outcome: ChildOutcome,
-                           threads_joined: &mut u32| {
-            st.running = false;
-            st.exits.push(outcome);
-            st.events.push(SupEventKind::Exit { incarnation: st.incarnation, outcome });
-            self.trace.mark(
-                pid,
-                MarkKind::ChildExit {
-                    child: idx as u64,
+        let record_exit =
+            |idx: usize, st: &mut ChildState, outcome: ChildOutcome, threads_joined: &mut u32| {
+                st.running = false;
+                st.exits.push(outcome);
+                st.events.push(SupEventKind::Exit {
                     incarnation: st.incarnation,
-                    outcome: outcome.tag(),
-                },
-            );
-            if let Some(handle) = st.handle.take() {
-                let _ = handle.join();
-                *threads_joined += 1;
-            }
-        };
+                    outcome,
+                });
+                self.trace.mark(
+                    pid,
+                    MarkKind::ChildExit {
+                        child: idx as u64,
+                        incarnation: st.incarnation,
+                        outcome: outcome.tag(),
+                    },
+                );
+                if let Some(handle) = st.handle.take() {
+                    let _ = handle.join();
+                    *threads_joined += 1;
+                }
+            };
 
         while states.iter().any(|s| s.running) {
             let (idx, outcome) = rx.recv().expect("children hold a sender while running");
@@ -666,7 +706,8 @@ impl SupervisorBuilder {
                 // whole team is torn down with the escalating child.
                 states[idx].escalated = true;
                 states[idx].events.push(SupEventKind::Escalate);
-                self.trace.mark(pid, MarkKind::ChildEscalate { child: idx as u64 });
+                self.trace
+                    .mark(pid, MarkKind::ChildEscalate { child: idx as u64 });
                 if self.policy == RestartPolicy::AllForOne {
                     sup_token.cancel();
                 }
@@ -684,8 +725,7 @@ impl SupervisorBuilder {
                 // so a cancellation — or the token's deadline expiring
                 // — interrupts a long backoff promptly instead of
                 // holding the tree hostage for the full delay.
-                let scaled =
-                    Duration::from_secs_f64(delay.as_secs_f64() * self.backoff_time_scale);
+                let scaled = Duration::from_secs_f64(delay.as_secs_f64() * self.backoff_time_scale);
                 let wake = std::time::Instant::now() + scaled;
                 while !sup_token.is_cancelled() {
                     let now = std::time::Instant::now();
@@ -711,10 +751,15 @@ impl SupervisorBuilder {
                     states[idx].restarts += 1;
                     states[idx].budget_used += 1;
                     let next = states[idx].incarnation + 1;
-                    states[idx].events.push(SupEventKind::Restart { incarnation: next });
+                    states[idx]
+                        .events
+                        .push(SupEventKind::Restart { incarnation: next });
                     self.trace.mark(
                         pid,
-                        MarkKind::ChildRestart { child: idx as u64, incarnation: next },
+                        MarkKind::ChildRestart {
+                            child: idx as u64,
+                            incarnation: next,
+                        },
                     );
                     spawn_child(idx, &mut states[idx], &mut threads_spawned);
                 }
@@ -730,7 +775,11 @@ impl SupervisorBuilder {
                             st.token.cancel();
                         }
                     }
-                    while states.iter().enumerate().any(|(s, st)| s != idx && st.running) {
+                    while states
+                        .iter()
+                        .enumerate()
+                        .any(|(s, st)| s != idx && st.running)
+                    {
                         let (s_idx, s_outcome) =
                             rx.recv().expect("siblings hold senders while running");
                         record_exit(s_idx, &mut states[s_idx], s_outcome, &mut threads_joined);
@@ -743,10 +792,15 @@ impl SupervisorBuilder {
                     for r_idx in to_restart {
                         states[r_idx].restarts += 1;
                         let next = states[r_idx].incarnation + 1;
-                        states[r_idx].events.push(SupEventKind::Restart { incarnation: next });
+                        states[r_idx]
+                            .events
+                            .push(SupEventKind::Restart { incarnation: next });
                         self.trace.mark(
                             pid,
-                            MarkKind::ChildRestart { child: r_idx as u64, incarnation: next },
+                            MarkKind::ChildRestart {
+                                child: r_idx as u64,
+                                incarnation: next,
+                            },
                         );
                         spawn_child(r_idx, &mut states[r_idx], &mut threads_spawned);
                     }
@@ -760,7 +814,11 @@ impl SupervisorBuilder {
         let mut events = Vec::new();
         for (idx, st) in states.iter().enumerate() {
             for (seq, kind) in st.events.iter().enumerate() {
-                events.push(SupEvent { child: idx as u32, seq: seq as u32, kind: *kind });
+                events.push(SupEvent {
+                    child: idx as u32,
+                    seq: seq as u32,
+                    kind: *kind,
+                });
             }
         }
         let children: Vec<ChildReport> = self

@@ -98,7 +98,9 @@ impl CancelToken {
     /// Fresh root token: un-cancelled, no deadline.
     #[must_use]
     pub fn new() -> Self {
-        Self { node: TokenNode::new(None, None) }
+        Self {
+            node: TokenNode::new(None, None),
+        }
     }
 
     /// Fresh root token that auto-cancels when `budget` elapses.
@@ -220,7 +222,10 @@ mod tests {
         let b = root.child();
         a.cancel();
         assert!(a.is_cancelled());
-        assert!(!root.is_cancelled(), "child cancel must not reach the parent");
+        assert!(
+            !root.is_cancelled(),
+            "child cancel must not reach the parent"
+        );
         assert!(!b.is_cancelled(), "child cancel must not reach siblings");
     }
 
@@ -254,7 +259,11 @@ mod tests {
 
         // A "longer" child budget is clamped to the parent's deadline.
         let clamped = root.child_with_deadline(Duration::from_secs(3600));
-        assert_eq!(clamped.deadline(), root.deadline(), "cannot extend past parent");
+        assert_eq!(
+            clamped.deadline(),
+            root.deadline(),
+            "cannot extend past parent"
+        );
     }
 
     #[test]

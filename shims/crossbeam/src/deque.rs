@@ -149,9 +149,7 @@ impl<T> Drop for Inner<T> {
             }
             Buffer::free(buf);
         }
-        let retired = mem::take(
-            &mut *self.retired.lock().unwrap_or_else(PoisonError::into_inner),
-        );
+        let retired = mem::take(&mut *self.retired.lock().unwrap_or_else(PoisonError::into_inner));
         for old in retired {
             // SAFETY: parked by `grow`, freed exactly once here.
             unsafe { Buffer::free(old) };
@@ -198,7 +196,9 @@ impl<T> Worker<T> {
     /// A thief's handle onto this deque.
     #[must_use]
     pub fn stealer(&self) -> Stealer<T> {
-        Stealer { inner: Arc::clone(&self.inner) }
+        Stealer {
+            inner: Arc::clone(&self.inner),
+        }
     }
 
     /// Replace the ring with one of at least `need` capacity, copying
@@ -245,7 +245,9 @@ impl<T> Worker<T> {
         // SAFETY: slot `b` is spare capacity (b - top < cap); the
         // Release store below publishes the write to thieves.
         unsafe { (*buf).write(b, item) };
-        self.inner.bottom.store(b.wrapping_add(1), Ordering::Release);
+        self.inner
+            .bottom
+            .store(b.wrapping_add(1), Ordering::Release);
     }
 
     /// Pop from the owner's end (most recently pushed first).
@@ -265,7 +267,9 @@ impl<T> Worker<T> {
                     .top
                     .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok();
-                self.inner.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
+                self.inner
+                    .bottom
+                    .store(b.wrapping_add(1), Ordering::Relaxed);
                 if won {
                     // SAFETY: the CAS claimed index `b` exclusively.
                     Some(unsafe { (*buf).read(b) })
@@ -280,7 +284,9 @@ impl<T> Worker<T> {
             }
         } else {
             // Empty: restore `bottom`.
-            self.inner.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
+            self.inner
+                .bottom
+                .store(b.wrapping_add(1), Ordering::Relaxed);
             None
         }
     }
@@ -307,7 +313,9 @@ pub struct Stealer<T> {
 
 impl<T> Clone for Stealer<T> {
     fn clone(&self) -> Self {
-        Self { inner: Arc::clone(&self.inner) }
+        Self {
+            inner: Arc::clone(&self.inner),
+        }
     }
 }
 

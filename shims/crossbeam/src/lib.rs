@@ -226,9 +226,7 @@ pub mod epoch {
                 return;
             }
             let garbage = {
-                let mut c = collector()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let mut c = collector().lock().unwrap_or_else(PoisonError::into_inner);
                 c.active_guards -= 1;
                 if c.active_guards == 0 {
                     std::mem::take(&mut c.garbage)
@@ -434,12 +432,10 @@ pub mod epoch {
             _guard: &'g Guard,
         ) -> Result<Shared<'g, T>, CompareExchangeError<'g, T, P>> {
             let new_ptr = new.into_ptr();
-            match self.ptr.compare_exchange(
-                current.ptr as *mut T,
-                new_ptr,
-                success,
-                failure,
-            ) {
+            match self
+                .ptr
+                .compare_exchange(current.ptr as *mut T, new_ptr, success, failure)
+            {
                 Ok(prev) => Ok(Shared {
                     ptr: prev,
                     _guard: PhantomData,
@@ -493,10 +489,7 @@ mod tests {
         {
             let guard = epoch::pin();
             let shared = atomic.load(Ordering::Acquire, &guard);
-            atomic.store(
-                crate::epoch::Shared::null(),
-                Ordering::Release,
-            );
+            atomic.store(crate::epoch::Shared::null(), Ordering::Release);
             // SAFETY: unlinked above, retired once.
             unsafe { guard.defer_destroy(shared) };
             assert_eq!(drops.load(Ordering::SeqCst), 0, "still pinned");

@@ -45,11 +45,7 @@ impl<T: ?Sized> Mutex<T> {
     /// poisoning from a panicked holder is silently cleared.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            guard: Some(
-                self.inner
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            ),
+            guard: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 
@@ -66,9 +62,7 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
