@@ -15,12 +15,12 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::runtime::{with_rt, RtInner};
+use crate::runtime::{with_rt, RtRef};
 use crate::task::{CancelToken, TaskError};
 
 /// A member's result slot: written once by the member running that
@@ -95,7 +95,7 @@ impl<T: Send + 'static> BatchCore<T> {
 
     /// Block until finished, running help steps on `rt` while it is
     /// alive.
-    pub(crate) fn wait(&self, rt: &Weak<RtInner>) {
+    pub(crate) fn wait(&self, rt: &RtRef) {
         if self.is_finished() {
             return;
         }
@@ -142,7 +142,7 @@ impl<T: Send + 'static> BatchCore<T> {
 pub struct BatchHandle<T> {
     pub(crate) core: Arc<BatchCore<T>>,
     /// The runtime a wait helps; dangling for a batch that ran inline.
-    pub(crate) rt: Weak<RtInner>,
+    pub(crate) rt: RtRef,
 }
 
 impl<T: Send + 'static> BatchHandle<T> {

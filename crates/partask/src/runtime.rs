@@ -117,19 +117,22 @@ fn unpack_pending(progress: u64) -> usize {
 /// lines from the other workers' caches, and their next read would
 /// miss.
 ///
-/// Three kinds of write come with every task:
+/// Two kinds of write come with every task:
 /// - the two adds to `progress` (spawn and finish). It sits in a
 ///   [`CachePadded`] cell of its own.
-/// - the `Arc` header's counts, bumped by [`RuntimeHandle`] clones and
-///   by each [`TaskHandle`]'s `Weak`. The struct is 128-byte aligned,
-///   so the header, which precedes it in the `Arc`'s allocation, has
-///   its line to itself.
 /// - the counters (`spawned`, `executed`, `helped`, the scheduler's
 ///   pops and steals). They live behind their own `Arc`s and are
 ///   striped, so each worker adds on a line of its own.
+///
+/// Handles do not count themselves in the `Arc` header: each holds an
+/// [`RtRef`], and one made on a worker borrows that worker's. The
+/// struct is 128-byte aligned all the same, so the header, which
+/// precedes it in the `Arc`'s allocation, has its line to itself.
 #[repr(align(128))]
 pub(crate) struct RtInner {
     pub(crate) sched: SharedSched,
+    /// The reference handles made off this runtime's workers take.
+    shared: RtRef,
     pub(crate) counters: SchedCounters,
     pub(crate) n_workers: usize,
     /// Root of the runtime's cancellation tree: every spawned task's
@@ -163,14 +166,34 @@ pub(crate) struct RtInner {
     pub(crate) pid: u32,
 }
 
+/// A non-owning reference to a runtime that handles share. Cloning
+/// or dropping one writes the count of its own padded allocation, not
+/// the runtime's `Arc` header. A handle made on one of the runtime's
+/// workers takes that worker's (see [`lend`]), so the fork-join path
+/// counts on a line that only the spawning worker writes, unless its
+/// handles migrate.
+pub(crate) type RtRef = Arc<CachePadded<Weak<RtInner>>>;
+
+/// One worker's view of its runtime, set for the worker thread's life.
+struct WorkerCtx {
+    /// The worker's strong reference: code on the worker borrows its
+    /// runtime through [`with_rt`] instead of upgrading a `Weak` on
+    /// every spawn, run and join.
+    rt: Arc<RtInner>,
+    /// The reference this worker lends to the handles made on it.
+    lent: RtRef,
+    local: LocalQueue,
+    index: usize,
+}
+
+impl WorkerCtx {
+    fn serves(&self, rt: *const RtInner) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.rt), rt)
+    }
+}
+
 thread_local! {
-    /// Set for the lifetime of a worker thread: (runtime, local queue,
-    /// worker index). The worker's own strong reference lives here, so
-    /// code running on a worker borrows its runtime through
-    /// [`with_rt`] instead of upgrading a `Weak` on every spawn, run
-    /// and join.
-    static WORKER_CTX: RefCell<Option<(Arc<RtInner>, LocalQueue, usize)>> =
-        const { RefCell::new(None) };
+    static WORKER_CTX: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
     /// Helped job bodies currently nested on this thread's stack.
     static HELP_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
@@ -261,8 +284,9 @@ impl Builder {
                 reg.register_counter(&format!("{}.{suffix}", self.name), counter);
             }
         }
-        let inner = Arc::new(RtInner {
+        let inner = Arc::new_cyclic(|weak| RtInner {
             sched,
+            shared: Arc::new(CachePadded::new(weak.clone())),
             counters,
             n_workers: self.workers,
             root_token: CancelToken::new(),
@@ -284,16 +308,22 @@ impl Builder {
         });
         let mut joiners = Vec::with_capacity(self.workers);
         for (index, local) in locals.into_iter().enumerate() {
-            let worker_inner = Arc::clone(&inner);
+            let rt = Arc::clone(&inner);
             joiners.push(
                 thread::Builder::new()
                     .name(format!("{}-{index}", self.name))
                     .spawn(move || {
                         WORKER_CTX.with(|ctx| {
-                            *ctx.borrow_mut() = Some((worker_inner, local, index));
+                            let lent = Arc::new(CachePadded::new(Arc::downgrade(&rt)));
+                            *ctx.borrow_mut() = Some(WorkerCtx {
+                                rt,
+                                lent,
+                                local,
+                                index,
+                            });
                             let borrow = ctx.borrow();
-                            let (inner, local, index) = borrow.as_ref().expect("ctx just set");
-                            worker_loop(inner, local, *index);
+                            let w = borrow.as_ref().expect("ctx just set");
+                            worker_loop(&w.rt, &w.local, w.index);
                         });
                         WORKER_CTX.with(|ctx| ctx.borrow_mut().take());
                     })
@@ -394,8 +424,8 @@ impl RtInner {
     fn with_worker<R>(&self, f: impl FnOnce(&LocalQueue, usize) -> R) -> Option<R> {
         WORKER_CTX.with(|ctx| {
             let borrow = ctx.borrow();
-            let (rt, local, index) = borrow.as_ref()?;
-            std::ptr::eq(Arc::as_ptr(rt), self).then(|| f(local, *index))
+            let w = borrow.as_ref().filter(|w| w.serves(self))?;
+            Some(f(&w.local, w.index))
         })
     }
 
@@ -535,9 +565,14 @@ pub struct TaskRuntime {
 /// Cheap, cloneable spawner that does not keep the pool alive. Task
 /// bodies capture one of these to spawn subtasks. If the runtime has
 /// shut down, spawns degrade to inline execution on the caller.
-#[derive(Clone)]
+///
+/// A handle made or cloned on one of its runtime's workers shares that
+/// worker's non-owning reference to the runtime, so a clone or drop
+/// there writes no count that the other workers share. A clone made
+/// anywhere else shares the reference of the handle it was cloned
+/// from.
 pub struct RuntimeHandle {
-    inner: Weak<RtInner>,
+    inner: RtRef,
 }
 
 impl TaskRuntime {
@@ -563,7 +598,7 @@ impl TaskRuntime {
     #[must_use]
     pub fn handle(&self) -> RuntimeHandle {
         RuntimeHandle {
-            inner: Arc::downgrade(&self.inner),
+            inner: lend(&self.inner.shared),
         }
     }
 
@@ -841,6 +876,14 @@ impl Drop for TaskRuntime {
     }
 }
 
+impl Clone for RuntimeHandle {
+    fn clone(&self) -> Self {
+        RuntimeHandle {
+            inner: lend(&self.inner),
+        }
+    }
+}
+
 impl RuntimeHandle {
     /// Spawn a task, or run `f` inline if the runtime is gone.
     pub fn spawn<T: Send + 'static>(
@@ -904,7 +947,7 @@ impl RuntimeHandle {
                 }
                 BatchHandle {
                     core,
-                    rt: Weak::new(),
+                    rt: dangling(),
                 }
             }
         })
@@ -941,13 +984,30 @@ impl RuntimeHandle {
 /// gone. On one of that runtime's workers, `f` borrows the `Arc` the
 /// worker's context holds, so the fork-join path touches no reference
 /// count; any other thread (a worker of another runtime included)
-/// upgrades the `Weak`. The one route from a handle to its runtime for
-/// [`RuntimeHandle`], [`TaskHandle::wait`] and [`BatchHandle::wait`].
-pub(crate) fn with_rt<R>(rt: &Weak<RtInner>, f: impl FnOnce(Option<&Arc<RtInner>>) -> R) -> R {
+/// upgrades the `Weak` inside `rt`. The one route from a handle to its
+/// runtime for [`RuntimeHandle`], [`TaskHandle::wait`],
+/// [`BatchHandle::wait`] and the dependence gate.
+pub(crate) fn with_rt<R>(rt: &RtRef, f: impl FnOnce(Option<&Arc<RtInner>>) -> R) -> R {
     WORKER_CTX.with(|ctx| match ctx.borrow().as_ref() {
-        Some((own, ..)) if std::ptr::eq(Arc::as_ptr(own), rt.as_ptr()) => f(Some(own)),
+        Some(w) if w.serves(rt.as_ptr()) => f(Some(&w.rt)),
         _ => f(rt.upgrade().as_ref()),
     })
+}
+
+/// A reference to `rt`'s runtime for a new handle: the calling
+/// worker's own when the caller is one of that runtime's workers, so
+/// the clone counts on the worker's line; otherwise a clone of `rt`.
+fn lend(rt: &RtRef) -> RtRef {
+    WORKER_CTX.with(|ctx| match ctx.borrow().as_ref() {
+        Some(w) if w.serves(rt.as_ptr()) => Arc::clone(&w.lent),
+        _ => Arc::clone(rt),
+    })
+}
+
+/// The reference of a handle whose work ran inline: it reaches no
+/// runtime.
+fn dangling() -> RtRef {
+    Arc::new(CachePadded::new(Weak::new()))
 }
 
 fn run_inline<T: Send + 'static>(f: impl FnOnce(&CancelToken) -> T) -> TaskHandle<T> {
@@ -955,14 +1015,14 @@ fn run_inline<T: Send + 'static>(f: impl FnOnce(&CancelToken) -> T) -> TaskHandl
     core.run(f, || ());
     TaskHandle {
         core,
-        rt: Weak::new(),
+        rt: dangling(),
     }
 }
 
 /// A task under the runtime's root token, with no dependences: the
 /// common case of [`spawn_task`].
 fn spawn_on<T: Send + 'static>(
-    inner: &Arc<RtInner>,
+    inner: &RtInner,
     f: impl FnOnce(&CancelToken) -> T + Send + 'static,
 ) -> TaskHandle<T> {
     spawn_task(inner, inner.root_token.child(), &[], f, |_, _| ())
@@ -973,7 +1033,7 @@ fn spawn_on<T: Send + 'static>(
 /// or, when `deps` is not empty, once every watcher in it has
 /// completed.
 fn spawn_task<T: Send + 'static>(
-    inner: &Arc<RtInner>,
+    inner: &RtInner,
     token: CancelToken,
     deps: &[TaskWatcher],
     f: impl FnOnce(&CancelToken) -> T + Send + 'static,
@@ -988,7 +1048,7 @@ fn spawn_task<T: Send + 'static>(
     }
     TaskHandle {
         core,
-        rt: Arc::downgrade(inner),
+        rt: lend(&inner.shared),
     }
 }
 
@@ -1041,7 +1101,7 @@ fn make_traced_job<T: Send + 'static>(
 /// into the batch's preallocated slot — the whole fan-out performs a
 /// constant number of allocations regardless of `n`.
 fn spawn_batch_on<T: Send + 'static>(
-    inner: &Arc<RtInner>,
+    inner: &RtInner,
     n: usize,
     f: impl Fn(usize) -> T + Send + Sync + 'static,
 ) -> BatchHandle<T> {
@@ -1072,7 +1132,7 @@ fn spawn_batch_on<T: Send + 'static>(
     inner.push_job_batch(jobs);
     BatchHandle {
         core,
-        rt: Arc::downgrade(inner),
+        rt: lend(&inner.shared),
     }
 }
 
@@ -1108,21 +1168,20 @@ fn run_batch_member<T: Send + 'static>(
 /// Submit `job` once every watcher in `deps` has completed. The gate
 /// counts the watchers down, plus one guard that keeps it from firing
 /// while hooks are still being added.
-fn push_after(inner: &Arc<RtInner>, deps: &[TaskWatcher], job: Job) {
+fn push_after(inner: &RtInner, deps: &[TaskWatcher], job: Job) {
     struct Gate {
         remaining: AtomicUsize,
         job: Mutex<Option<Job>>,
-        rt: Weak<RtInner>,
+        rt: RtRef,
     }
     impl Gate {
         fn arm(&self) {
             if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 if let Some(job) = self.job.lock().take() {
-                    if let Some(rt) = self.rt.upgrade() {
-                        rt.push_job(job);
-                    } else {
-                        job.run(None);
-                    }
+                    with_rt(&self.rt, |rt| match rt {
+                        Some(rt) => rt.push_job(job),
+                        None => job.run(None),
+                    });
                 }
             }
         }
@@ -1130,7 +1189,7 @@ fn push_after(inner: &Arc<RtInner>, deps: &[TaskWatcher], job: Job) {
     let gate = Arc::new(Gate {
         remaining: AtomicUsize::new(deps.len() + 1),
         job: Mutex::new(Some(job)),
-        rt: Arc::downgrade(inner),
+        rt: lend(&inner.shared),
     });
     for dep in deps {
         let gate = Arc::clone(&gate);
@@ -1153,5 +1212,41 @@ mod tests {
         let inner: &RtInner = &rt.inner;
         assert_eq!(std::mem::size_of_val(&inner.progress), 128);
         assert_eq!(std::mem::align_of_val(&inner.progress), 128);
+    }
+
+    #[test]
+    fn handles_made_on_a_worker_leave_the_runtime_counts_alone() {
+        // A worker lends its own reference to the handles made on it,
+        // so 1,000 spawned tasks' handles and 1,000 `RuntimeHandle`
+        // clones, all alive at once, add nothing to the runtime `Arc`'s
+        // counts. The probe task runs on the worker: this thread never
+        // joins it before it has finished, so it never helps it.
+        let rt = TaskRuntime::builder().workers(1).build();
+        let handle = rt.handle();
+        let wait = Duration::from_secs(10);
+        let (to_main, from_worker) = std::sync::mpsc::channel();
+        let (to_worker, from_main) = std::sync::mpsc::channel();
+        let probe = rt.spawn(move || {
+            to_main.send(()).unwrap();
+            from_main.recv_timeout(wait).unwrap();
+            let tasks: Vec<_> = (0..1_000).map(|i| handle.spawn(move || i)).collect();
+            let clones: Vec<_> = (0..1_000).map(|_| handle.clone()).collect();
+            to_main.send(()).unwrap();
+            from_main.recv_timeout(wait).unwrap();
+            drop(clones);
+            tasks.into_iter().map(|t| t.join().unwrap()).sum::<u64>()
+        });
+        from_worker.recv_timeout(wait).unwrap();
+        let counts = || (Arc::strong_count(&rt.inner), Arc::weak_count(&rt.inner));
+        let before = counts();
+        to_worker.send(()).unwrap();
+        from_worker.recv_timeout(wait).unwrap();
+        let during = counts();
+        to_worker.send(()).unwrap();
+        assert_eq!(probe.join(), Ok((0..1_000).sum()));
+        assert_eq!(
+            during, before,
+            "(strong, weak) while the handles were alive"
+        );
     }
 }

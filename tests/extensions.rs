@@ -60,6 +60,98 @@ fn a_panicking_scope_body_still_joins_its_tasks() {
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"scope body failed"));
 }
 
+/// Run `probe` on a helper thread and fail unless it returns within
+/// 10 s: a runtime that a stray panic has broken never finishes
+/// dropping, so the probe would otherwise hang the test.
+fn within_ten_seconds<R: Send + 'static>(probe: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || tx.send(probe()).unwrap());
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(out) => out,
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().expect_err("the probe panicked"))
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("the probe hung for 10 s"),
+    }
+}
+
+/// Wait up to 2 s for `rt` to go quiescent, then return its pending
+/// count and stats. A quiescence wait would hang on a job that never
+/// finishes; this returns it as a pending count instead.
+fn settle(rt: &TaskRuntime) -> (usize, (u64, u64)) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while rt.queued_hint() != 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = rt.stats();
+    (rt.queued_hint(), (stats.spawned, stats.executed))
+}
+
+#[test]
+fn a_panicking_completion_hook_spares_the_helping_joiner() {
+    // Both workers are held, so the join below helps: it runs the
+    // task on this thread, hook and all. The hook's panic must not
+    // unwind into the join, which returns the task's own result, and
+    // the task must still be counted, so the runtime drops.
+    let (result, hook_ran, pending, (spawned, executed)) = within_ten_seconds(|| {
+        let rt = TaskRuntime::builder().workers(2).build();
+        let started = Arc::new(std::sync::Barrier::new(3));
+        let release = Arc::new(std::sync::Barrier::new(3));
+        for _ in 0..2 {
+            let (started, release) = (Arc::clone(&started), Arc::clone(&release));
+            rt.spawn(move || {
+                started.wait();
+                release.wait();
+            });
+        }
+        started.wait();
+        let hook_ran = Arc::new(AtomicUsize::new(0));
+        let task = rt.spawn(|| {
+            std::thread::sleep(Duration::from_millis(50));
+            1
+        });
+        let ran = Arc::clone(&hook_ran);
+        task.on_done(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+            panic!("completion hook failed");
+        });
+        let result = task.join();
+        release.wait();
+        assert_eq!(rt.spawn(|| 2).join(), Ok(2));
+        let (pending, counts) = settle(&rt);
+        drop(rt);
+        (result, hook_ran.load(Ordering::SeqCst), pending, counts)
+    });
+    assert_eq!(result, Ok(1));
+    assert_eq!(hook_ran, 1);
+    assert_eq!(pending, 0, "queued_hint after the later task");
+    assert_eq!((spawned, executed), (4, 4), "(spawned, executed)");
+}
+
+#[test]
+fn a_panicking_completion_hook_spares_the_worker() {
+    // One worker runs the hooked task: `join_timeout` never helps. The
+    // worker must survive the hook's panic, which the second task's
+    // join shows, since only that worker can run it.
+    let (first, second, pending, (spawned, executed)) = within_ten_seconds(|| {
+        let rt = TaskRuntime::builder().workers(1).build();
+        let task = rt.spawn(|| {
+            std::thread::sleep(Duration::from_millis(50));
+            1
+        });
+        task.on_done(|| panic!("completion hook failed"));
+        let first = task.join_timeout(Duration::from_secs(3));
+        let second = rt.spawn(|| 2).join_timeout(Duration::from_secs(3));
+        let (pending, counts) = settle(&rt);
+        drop(rt);
+        (first, second, pending, counts)
+    });
+    assert_eq!(first, Ok(1));
+    assert_eq!(second, Ok(2), "the worker died with the hook");
+    assert_eq!(pending, 0, "queued_hint after the second task");
+    assert_eq!((spawned, executed), (2, 2), "(spawned, executed)");
+}
+
 #[test]
 fn ordered_pfor_builds_a_deterministic_transcript() {
     // The ordered construct writing into a shared Vec produces the

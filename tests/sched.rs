@@ -4,7 +4,8 @@
 //! swap, the batch-spawn semantics, nested fork-join trees on every
 //! scheduler (with the helping joins' depth bound), the wake-up of a
 //! joiner that parks, spawns through another runtime's handle from a
-//! worker, and — via
+//! worker, a join off the pool that helps a task spawned on a worker,
+//! and — via
 //! proptest — the shim deque's sequential equivalence to a
 //! `Mutex<VecDeque>`-style reference model (the substrate it replaced,
 //! still available as `SchedulerKind::WorkStealingLocked`), and the
@@ -417,9 +418,9 @@ fn a_parked_joiner_that_does_not_help_is_still_woken() {
 /// A worker uses the runtime its thread holds only for a handle to
 /// that same runtime. A task on runtime A spawns N tasks through
 /// runtime B's handle and joins them: B counts the N, and A counts
-/// only the outer task. A handle whose runtime has shut down runs
-/// `spawn` inline on A's worker, and its `help_once` runs none of A's
-/// queued jobs.
+/// only the outer task. A handle cloned on a worker of a runtime that
+/// has since shut down reads as dead, runs `spawn` inline on A's
+/// worker, and its `help_once` runs none of A's queued jobs.
 #[test]
 fn a_worker_spawns_through_another_runtimes_handle() {
     const N: u64 = 64;
@@ -445,13 +446,21 @@ fn a_worker_spawns_through_another_runtimes_handle() {
         assert_eq!(b.stats().spawned, N, "{workers} workers");
         assert_eq!(b.stats().executed, N, "{workers} workers");
 
-        let dead = {
+        let (handle, dead) = {
             let gone = TaskRuntime::builder().workers(1).name("rt-gone").build();
             let handle = gone.handle();
+            let on_worker = handle.clone();
+            // `join_timeout` never helps, so the worker makes the clone.
+            let dead = gone
+                .spawn(move || on_worker.clone())
+                .join_timeout(Duration::from_secs(10))
+                .expect("gone's worker clones the handle");
+            assert!(dead.is_alive());
             gone.shutdown();
-            handle
+            (handle, dead)
         };
-        assert!(!dead.is_alive());
+        assert!(!handle.is_alive());
+        assert!(!dead.is_alive(), "a clone made on a worker outlives its runtime");
         let a_handle = a.handle();
         let (ran_inline, helped) = a
             .spawn(move || {
@@ -472,6 +481,41 @@ fn a_worker_spawns_through_another_runtimes_handle() {
         a.shutdown();
         b.shutdown();
     }
+}
+
+/// A handle spawned on a worker borrows that worker's reference to
+/// the runtime, yet any thread that joins it still helps. On a
+/// 1-worker runtime a task spawns a child onto its own deque, hands
+/// the child's handle to this thread and blocks until this thread
+/// signals, so the child can run only in this thread's help steps.
+/// The worker stops waiting after 10 s, so a join that does not help
+/// shows as a child run on the worker instead of a hang.
+#[test]
+fn a_task_spawned_on_a_worker_is_helped_by_its_joiner_elsewhere() {
+    let rt = TaskRuntime::builder().workers(1).name("lent").build();
+    let handle = rt.handle();
+    let (child_tx, child_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let parent = rt.spawn(move || {
+        child_tx
+            .send(handle.spawn(|| thread::current().id()))
+            .expect("main waits for the child");
+        let _ = go_rx.recv_timeout(Duration::from_secs(10));
+        thread::current().id()
+    });
+    let child = child_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker runs the parent");
+    let ran_on = child.join().expect("the child completes");
+    let _ = go_tx.send(());
+    let worker = parent
+        .join_timeout(Duration::from_secs(10))
+        .expect("the parent completes");
+    assert_eq!(ran_on, thread::current().id(), "the join helped");
+    assert_ne!(worker, ran_on);
+    rt.wait_quiescent();
+    assert!(rt.stats().helped >= 1);
+    rt.shutdown();
 }
 
 // ---------------------------------------------------------------
